@@ -1,7 +1,7 @@
 """Numerics for eigenvalue collisions of matrix-valued fractional Gaussian paths.
 
 Layout:
-    fields       fractional Brownian covariances, exact and circulant samplers
+    fields       fractional Brownian covariances, exact sampler, circulant embedding
     ensembles    symmetric/Hermitian ensembles driven by scalar fields
     spectral     ordered spectra, gap statistics, contour projectors
     geometry     charts around matrices with a repeated eigenvalue
@@ -46,7 +46,6 @@ from .fields import (
     fbm_covariance,
     fbm_model,
     interval,
-    sample_fgn_circulant,
     sample_field_exact,
     sheet_covariance,
     sheet_model,
@@ -111,7 +110,6 @@ __all__ = [
     "refinement_study",
     "rescale_self_similar",
     "sample_degenerate",
-    "sample_fgn_circulant",
     "sample_field_exact",
     "sheet_covariance",
     "sheet_model",

@@ -65,18 +65,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# python json convention for non-finite floats; json.loads accepts it
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_token(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if np.isnan(v):
-            return "NaN"  # python json convention; json.loads accepts it
-        if np.isinf(v):
-            return "Infinity" if v > 0 else "-Infinity"
-        return f"{v:.17g}"
+    """One JSON token: _fmt's spelling, except non-finite floats, null, lists and strings."""
+    if isinstance(v, (bool, int, float, np.integer, np.floating)):
+        token = _fmt(v)
+        return _JSON_NONFINITE.get(token, token)
     if v is None:
         return "null"
     if isinstance(v, (list, tuple)):

@@ -18,6 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .capacity import collision_regime, q_index
+from .ensembles import validate_shift
+from .experiments import validate_ladder
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "config_to_dict"]
 
@@ -84,19 +86,13 @@ class ExperimentConfig:
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "seed", int(self.seed))
         if self.shift is not None:
-            A = np.asarray(self.shift)
-            if A.shape != (self.d, self.d):
-                raise ValueError(f"shift: must be {self.d}x{self.d}, got {A.shape}")
-            if np.max(np.abs(A - A.conj().T)) > 1e-12:
-                raise ValueError("shift: matrix must be Hermitian")
-            if self.beta == 1 and np.iscomplexobj(A) and np.max(np.abs(A.imag)) > 1e-12:
-                raise ValueError("shift: beta = 1 requires a real matrix")
-            object.__setattr__(self, "shift", A)
+            try:
+                validate_shift(self.shift, self.beta, self.d)
+            except ValueError as e:
+                raise ValueError(f"shift: {e}") from e
+            object.__setattr__(self, "shift", np.asarray(self.shift))
         if self.mesh_ladder is not None:
-            ladder = tuple(int(N) for N in self.mesh_ladder)
-            if any(N < 1 for N in ladder) or sorted(ladder) != list(ladder):
-                raise ValueError(f"mesh_ladder: need increasing positive meshes, got {ladder}")
-            object.__setattr__(self, "mesh_ladder", ladder)
+            object.__setattr__(self, "mesh_ladder", validate_ladder(self.mesh_ladder))
         if collision_regime(self.beta, self.hurst) == "critical":
             warnings.warn(
                 f"Q = {q_index(self.hurst):.6g} equals beta+1 = {self.beta + 1}: "

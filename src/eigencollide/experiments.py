@@ -23,15 +23,14 @@ import numpy as np
 
 from .capacity import collision_regime
 from .ensembles import (
-    EnsemblePath,
     coefficient_scale,
+    matrix_to_vec,
     n_beta,
     validate_shift,
     vec_to_matrix,
 )
 from .fields import _fgn_exact, fgn_from_normals, fgn_sqrt_eigenvalues
 from .spectral import adjacent_gaps, gap_closed_form_2x2, ordered_eigenvalues
-from .ensembles import matrix_to_vec
 from .geometry import sample_degenerate
 from .streams import (
     TAG_BOXDIM,
@@ -54,6 +53,7 @@ __all__ = [
     "phase_sweep",
     "small_time_study",
     "oracle_vector_reduction",
+    "validate_ladder",
     "flattened_degenerate_sampler",
     "degenerate_point_cloud",
 ]
@@ -211,22 +211,50 @@ def _field_path_batch(
 def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, A: np.ndarray) -> np.ndarray:
     """Minimum adjacent eigenvalue gap of Y(t) = A + X(t): (m, npoints).
 
-    d = 2 goes through the closed form (no eigensolver); larger d materializes
-    matrices and diagonalizes.
+    fields (m, nfields, npoints) are scaled to the packed coefficients of X
+    and shifted by those of A. d = 2 goes through the closed form (no
+    matrices, no eigensolver); larger d materializes matrices and
+    diagonalizes.
     """
+    coeffs = fields * coefficient_scale(beta, d)[:, None]
+    coeffs += matrix_to_vec(A, beta)[:, None]
+    coeffs = np.moveaxis(coeffs, 1, -1)
     if d == 2:
-        if beta == 1:
-            diff = np.sqrt(2.0) * (fields[:, 0, :] - fields[:, 2, :]) + (A[0, 0] - A[1, 1])
-            off = fields[:, 1, :] + A[0, 1]
-            return np.sqrt(diff**2 + 4.0 * off**2)
-        diff = (fields[:, 0, :] - fields[:, 2, :]) + np.real(A[0, 0] - A[1, 1])
-        offr = fields[:, 1, :] + np.real(A[0, 1])
-        offi = fields[:, 3, :] + np.imag(A[0, 1])
-        return np.sqrt(diff**2 + 4.0 * offr**2 + 4.0 * offi**2)
-    coeffs = fields.transpose(0, 2, 1) * coefficient_scale(beta, d)
-    mats = vec_to_matrix(coeffs, beta, d) + A
-    eigs = np.linalg.eigvalsh(mats)[..., ::-1]
+        return gap_closed_form_2x2(coeffs, beta)
+    eigs = np.linalg.eigvalsh(vec_to_matrix(coeffs, beta, d))[..., ::-1]
     return adjacent_gaps(eigs).min(axis=-1)
+
+
+def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
+    """Check a refinement ladder for nested-grid coupling; returns it as ints.
+
+    Meshes must be positive and strictly increasing, and each must divide the
+    finest, so every coarser grid is a strided subgrid of the finest one.
+    """
+    ladder = tuple(int(N) for N in mesh_ladder)
+    if not ladder or list(ladder) != sorted(set(ladder)) or ladder[0] < 1:
+        raise ValueError(f"mesh_ladder: need strictly increasing positive meshes, got {ladder}")
+    if any(ladder[-1] % N for N in ladder):
+        raise ValueError(f"mesh_ladder: every mesh must divide the finest, got {ladder}")
+    return ladder
+
+
+def _window_start(a: float, b: float, N: int) -> tuple:
+    """(step, i0) of the N-cell mesh on [a, b], where a = i0 * step.
+
+    The fast path samples the field from the origin on the same mesh, so i0
+    must be a positive integer.
+    """
+    if not 0.0 < a < b:
+        raise ValueError("collision window requires 0 < a < b")
+    step = (b - a) / N
+    i0f = a / step
+    i0 = int(round(i0f))
+    if abs(i0f - i0) > 1e-9 or i0 < 1:
+        raise ValueError(
+            "fast path needs a/step integral (a*N/(b-a) must be an integer)"
+        )
+    return step, i0
 
 
 def _min_gaps_ladder(
@@ -248,21 +276,9 @@ def _min_gaps_ladder(
     the same paths (nested-grid coupling), so the reported minimum never
     increases under refinement, replica by replica.
     """
-    ladder = [int(N) for N in mesh_ladder]
-    if sorted(ladder) != ladder or len(set(ladder)) != len(ladder):
-        raise ValueError("mesh ladder must be strictly increasing")
+    ladder = validate_ladder(mesh_ladder)
     Nmax = ladder[-1]
-    if any(Nmax % N for N in ladder):
-        raise ValueError("every ladder mesh must divide the finest mesh")
-    if not 0.0 < a < b:
-        raise ValueError("collision window requires 0 < a < b")
-    step = (b - a) / Nmax
-    i0f = a / step
-    i0 = int(round(i0f))
-    if abs(i0f - i0) > 1e-9 or i0 < 1:
-        raise ValueError(
-            "fast path needs a/step integral (a*Nmax/(b-a) must be an integer)"
-        )
+    step, i0 = _window_start(a, b, Nmax)
     strides = [Nmax // N for N in ladder]
     minima = np.empty((replicas, len(ladder)))
 
@@ -398,18 +414,14 @@ def gap_exponent_fit(
         raise ValueError("window must satisfy 0 < lo < hi")
     scale = float(t0) ** float(hurst)
     nf = n_beta(beta, d)
-    sc = coefficient_scale(beta, d) * scale
+    A = validate_shift(None, beta, d)
     gaps = np.empty(samples)
     chunk = 4096
     for ci, start in enumerate(range(0, samples, chunk)):
         stop = min(start + chunk, samples)
         rng = substream(seed, TAG_GAPFIT, ci)
-        coeffs = rng.standard_normal((stop - start, nf)) * sc
-        if d == 2:
-            gaps[start:stop] = gap_closed_form_2x2(vec_to_matrix(coeffs, beta, d), beta)
-        else:
-            eigs = np.linalg.eigvalsh(vec_to_matrix(coeffs, beta, d))[..., ::-1]
-            gaps[start:stop] = adjacent_gaps(eigs).min(axis=-1)
+        fields = rng.standard_normal((stop - start, nf, 1)) * scale
+        gaps[start:stop] = _gaps_from_fields(fields, beta, d, A)[:, 0]
     gaps.sort()
     eps = np.geomspace(lo, hi, grid_points)
     cdf = np.searchsorted(gaps, eps, side="left") / samples
@@ -497,10 +509,7 @@ def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
     H = _require_r1(config.hurst)
     a, b = config.interval
     N = config.intervals
-    step = (b - a) / N
-    i0 = int(round(a / step))
-    if abs(a / step - i0) > 1e-9 or i0 < 1:
-        raise ValueError("fast path needs a/step integral")
+    step, i0 = _window_start(a, b, N)
     A = validate_shift(None, beta, config.d)
     worst = np.zeros(int(np.ceil(config.replicas / BATCH)))
 
@@ -519,38 +528,44 @@ def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
     return float(worst.max())
 
 
-def flattened_degenerate_sampler(d: int, beta: int, level_width: float = 1.0):
-    """Point sampler on the flattened degenerate set, for energy integrals.
+def _degenerate_points(n: int, d: int, beta: int, rng, draw) -> np.ndarray:
+    """n packed degenerate matrices, (n, n_beta(beta, d)); levels from draw(rng, size).
 
-    Returns sampler(n, rng) -> (n, n_beta(beta, d)) drawing degenerate
-    matrices through the chart (uniform levels of half-width level_width,
-    Haar frames) and packing them. d = 2 is the line {c I} and is vectorized;
-    larger d loops through the chart construction, so keep n moderate there.
+    d = 2 is the line {c I} and is vectorized; larger d loops through the
+    chart construction (Haar frames, distinct descending levels), so keep n
+    moderate there.
     """
     nb = n_beta(beta, d)
     if d == 2:
+        c = draw(rng, n)
+        out = np.zeros((n, nb))
+        out[:, 0] = c
+        out[:, 2] = c
+        return out
 
-        def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
-            c = rng.uniform(-level_width, level_width, n)
-            out = np.zeros((n, nb))
-            out[:, 0] = c
-            out[:, 2] = c
-            return out
+    def levels(r: np.random.Generator) -> np.ndarray:
+        while True:
+            ls = np.sort(draw(r, d - 1))[::-1]
+            if np.min(-np.diff(ls)) > 1e-12:
+                return ls
 
-        return sampler
+    out = np.empty((n, nb))
+    for i in range(n):
+        M = sample_degenerate(d, beta, rng=rng, level_sampler=levels)
+        out[i] = matrix_to_vec(M, beta)
+    return out
+
+
+def flattened_degenerate_sampler(d: int, beta: int):
+    """Point sampler on the flattened degenerate set, for energy integrals.
+
+    Returns sampler(n, rng) -> (n, n_beta(beta, d)) drawing degenerate
+    matrices through the chart (levels uniform on [-1, 1], Haar frames) and
+    packing them.
+    """
 
     def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
-        def levels(r: np.random.Generator) -> np.ndarray:
-            while True:
-                ls = np.sort(r.uniform(-level_width, level_width, d - 1))[::-1]
-                if np.min(-np.diff(ls)) > 1e-12:
-                    return ls
-
-        out = np.empty((n, nb))
-        for i in range(n):
-            M = sample_degenerate(d, beta, rng=rng, level_sampler=levels)
-            out[i] = matrix_to_vec(M, beta)
-        return out
+        return _degenerate_points(n, d, beta, rng, lambda r, size: r.uniform(-1.0, 1.0, size))
 
     return sampler
 
@@ -563,14 +578,4 @@ def degenerate_point_cloud(npoints: int, d: int, beta: int, seed: int) -> np.nda
     the chart parameter count n_1(2) - 2.
     """
     rng = substream(seed, TAG_BOXDIM)
-    nb = n_beta(beta, d)
-    if d == 2:
-        c = rng.standard_normal(npoints)
-        out = np.zeros((npoints, nb))
-        out[:, 0] = c
-        out[:, 2] = c
-        return out
-    out = np.empty((npoints, nb))
-    for i in range(npoints):
-        out[i] = matrix_to_vec(sample_degenerate(d, beta, rng=rng), beta)
-    return out
+    return _degenerate_points(npoints, d, beta, rng, lambda r, size: r.standard_normal(size))

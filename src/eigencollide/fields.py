@@ -1,14 +1,15 @@
 """Scalar Gaussian fields driving the matrix ensembles.
 
-Fractional Brownian motion and its multiparameter product-kernel sheet, with
-three samplers:
+Fractional Brownian motion and its multiparameter product-kernel sheet, with:
 
 * exact dense factorization on arbitrary grids (the reference sampler),
-* circulant embedding for stationary increments on uniform 1-d grids
-  (the fast path used by the Monte Carlo experiments),
+* the circulant embedding of stationary fGn increments on uniform 1-d grids
+  (embedding eigenvalues and the normals-to-increments map); the batch
+  window sampler built on it, used by every Monte Carlo experiment, is
+  experiments._field_path_batch,
 * a Volterra-kernel quadrature used purely as a covariance cross-check.
 
-All samplers are deterministic given (seed, replica index); see streams.py.
+All sampling is deterministic given (seed, replica index); see streams.py.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "custom_model",
     "covariance_matrix",
     "sample_field_exact",
-    "sample_fgn_circulant",
     "fgn_sqrt_eigenvalues",
     "fgn_from_normals",
     "volterra_kernel",
@@ -324,30 +324,6 @@ def _fgn_exact(n: int, H: float, dt: float, rng: np.random.Generator) -> np.ndar
     g = _fgn_autocov(n - 1, H) * float(dt) ** (2.0 * H)
     L = cholesky_with_jitter(toeplitz(g))
     return L @ rng.standard_normal(n)
-
-
-def sample_fgn_circulant(n: int, H: float, dt: float, seed: int) -> np.ndarray:
-    """n stationary fGn increments whose cumulative sums have fBm law.
-
-    Uses the circulant embedding; if the embedding has a negative eigenvalue
-    (never observed for fBm on the tested H range, but possible for other
-    stationary kernels routed here) it warns and falls back to exact dense
-    sampling.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 increments")
-    H = _check_hurst(H)
-    rng = substream(seed, TAG_FIELD)
-    sqrt_eigs = fgn_sqrt_eigenvalues(n, H, dt)
-    if sqrt_eigs is None:
-        warnings.warn(
-            "circulant embedding not nonnegative definite; "
-            "falling back to exact dense sampling",
-            RuntimeWarning,
-        )
-        return _fgn_exact(n, H, dt, rng)
-    z = rng.standard_normal((1, 2 * n))
-    return fgn_from_normals(z, sqrt_eigs)[0]
 
 
 # ---------------------------------------------------------------------------

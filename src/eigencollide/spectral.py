@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import EnsemblePath
+from .ensembles import EnsemblePath, n_beta
 
 __all__ = [
     "SpectrumPath",
@@ -77,23 +77,23 @@ def spectrum_path(path: EnsemblePath, chunk: int = 256) -> SpectrumPath:
     return SpectrumPath(times=path.times, eigs=out)
 
 
-def gap_closed_form_2x2(M: np.ndarray, beta: int) -> np.ndarray:
-    """Eigenvalue gap of a 2x2 Hermitian matrix without an eigensolver.
+def gap_closed_form_2x2(x: np.ndarray, beta: int) -> np.ndarray:
+    """Eigenvalue gap of a 2x2 Hermitian matrix from its packed coefficients.
 
-    beta = 1: sqrt((M11-M22)^2 + 4 M12^2); beta = 2 adds the imaginary part,
-    sqrt((M11-M22)^2 + 4 Re(M12)^2 + 4 Im(M12)^2). Batched over leading axes.
+    x has shape (..., n_beta(beta, 2)) in the vec_to_matrix packing
+    (M11, M12, M22, then Im M12 for beta = 2). No matrix is materialized and
+    no eigensolver runs: beta = 1 gives sqrt((M11-M22)^2 + 4 M12^2), and
+    beta = 2 adds 4 Im(M12)^2 under the root.
     """
-    M = np.asarray(M)
-    if M.shape[-2:] != (2, 2):
-        raise ValueError("closed form requires 2x2 matrices")
-    diff = np.real(M[..., 0, 0] - M[..., 1, 1])
-    if beta == 1:
-        off2 = np.real(M[..., 0, 1]) ** 2
-        return np.sqrt(diff**2 + 4.0 * off2)
+    x = np.asarray(x)
+    if x.shape[-1] != n_beta(beta, 2):
+        raise ValueError(
+            f"closed form requires {n_beta(beta, 2)} packed coefficients, got {x.shape[-1]}"
+        )
+    gap2 = (x[..., 0] - x[..., 2]) ** 2 + 4.0 * x[..., 1] ** 2
     if beta == 2:
-        off = M[..., 0, 1]
-        return np.sqrt(diff**2 + 4.0 * np.real(off) ** 2 + 4.0 * np.imag(off) ** 2)
-    raise ValueError(f"symmetry class beta must be 1 or 2, got {beta}")
+        gap2 += 4.0 * x[..., 3] ** 2
+    return np.sqrt(gap2)
 
 
 def adjacent_gaps(eigs: np.ndarray) -> np.ndarray:

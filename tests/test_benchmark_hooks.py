@@ -1,0 +1,48 @@
+"""The benchmark's traced run patches eigencollide attributes by name.
+
+perfbench/tracing.py replaces named module attributes with timing wrappers
+and restores them afterwards. A refactor that renames or drops one of those
+names must fail here rather than in the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from eigencollide import capacity, cli, config, experiments
+from eigencollide.config import ExperimentConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tracing_patch_points_exist_and_are_restored(d):
+    tracing = _load_tracing()
+    modules = (capacity, cli, config, experiments)
+    before = [dict(vars(m)) for m in modules]
+    dispatch = dict(cli._DISPATCH)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert experiments._gaps_from_fields is not before[-1]["_gaps_from_fields"]
+        cfg = ExperimentConfig(d=d, intervals=16, mesh_ladder=(8, 16), replicas=2)
+        experiments.refinement_study(cfg)
+    for module, saved in zip(modules, before):
+        for name, value in saved.items():
+            assert getattr(module, name) is value, f"{module.__name__}.{name} not restored"
+    assert cli._DISPATCH == dispatch
+    names = {span[1] for span in tracer.spans}
+    assert {"experiments.field_batch", "fields.fgn_from_normals", "experiments.gap_kernel"} <= names
+    if d == 2:
+        # one gap kernel, and no 2x2 matrices materialized for it
+        assert "spectral.gap_closed_form_2x2" in names
+        assert "ensembles.vec_to_matrix" not in names
+    else:
+        assert {"ensembles.vec_to_matrix", "spectral.adjacent_gaps"} <= names

@@ -72,7 +72,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         ExperimentConfig(kappa=0.0)
     with pytest.raises(ValueError):
-        ExperimentConfig(mesh_ladder=(64, 48))  # finest must be divisible
+        ExperimentConfig(mesh_ladder=(64, 48))  # must be increasing
+    with pytest.raises(ValueError, match="mesh_ladder"):
+        ExperimentConfig(mesh_ladder=(64, 64))  # duplicates
+    with pytest.raises(ValueError, match="mesh_ladder"):
+        ExperimentConfig(mesh_ladder=(48, 64))  # finest must be divisible
     with pytest.raises(ValueError):
         ExperimentConfig(shift=np.zeros((3, 3)))  # d = 2 by default
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from eigencollide.config import ExperimentConfig
-from eigencollide.ensembles import vec_to_matrix
+from eigencollide.ensembles import build_ensemble_path, n_beta, validate_shift, vec_to_matrix
 from eigencollide.experiments import (
     BATCH,
+    _gaps_from_fields,
     _min_gaps_ladder,
     degenerate_point_cloud,
     estimate_collision_probability,
@@ -18,6 +19,8 @@ from eigencollide.experiments import (
     small_time_study,
     wilson_interval,
 )
+from eigencollide.fields import fbm_model, interval, sample_field_exact
+from eigencollide.spectral import gap_series, spectrum_path
 from eigencollide.streams import substream
 
 
@@ -66,6 +69,29 @@ def test_wilson_coverage_meta():
         lo, hi = wilson_interval(int(h), n)
         covered += lo <= p <= hi
     assert covered / sims > 0.92
+
+
+# -- gap kernel -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gap_kernel_matches_reference_pipeline(d, beta):
+    # the experiments' gap kernel (closed form at d = 2) against the reference
+    # pipeline (assemble Y = A + X, diagonalize) on identical coefficients,
+    # with a nonzero Hermitian shift
+    m, nt = 3, 9
+    nf = n_beta(beta, d)
+    fields = sample_field_exact(interval(1.0, 2.0, nt), fbm_model(0.3), 17, m * nf)
+    rng = np.random.default_rng(10 * beta + d)
+    G = rng.standard_normal((d, d))
+    if beta == 2:
+        G = G + 1j * rng.standard_normal((d, d))
+    A = 0.5 * (G + G.conj().T)
+    fast = _gaps_from_fields(fields.values.reshape(m, nf, nt), beta, d, validate_shift(A, beta, d))
+    ref, _ = gap_series(spectrum_path(build_ensemble_path(fields, beta, d, A)))
+    assert fast.shape == (m, nt)
+    np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-10)
 
 
 # -- nested-grid coupling --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Covariance models, grids, exact and circulant samplers, Volterra cross-check."""
+"""Covariance models, grids, exact sampler, circulant engine and window sampler, Volterra."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from eigencollide import experiments
+from eigencollide.experiments import _field_path_batch
 from eigencollide.fields import (
     CovarianceModel,
     GridSpec,
@@ -18,7 +20,6 @@ from eigencollide.fields import (
     fgn_from_normals,
     fgn_sqrt_eigenvalues,
     interval,
-    sample_fgn_circulant,
     sample_field_exact,
     sheet_covariance,
     sheet_model,
@@ -239,19 +240,26 @@ def test_circulant_increments_match_fgn_autocovariance():
         assert abs(est - gamma[lag]) < 5 * se
 
 
+# The batch window sampler of the experiments: beta = 1, d = 2 gives three
+# independent scalar fBm paths per replica, at times (i0 + k) * step.
+
+
+def _window_paths(H, step, i0, npoints, seed, replicas):
+    fields = _field_path_batch(1, 2, H, step, i0, npoints, seed, (), 0, replicas)
+    return fields.reshape(-1, npoints)
+
+
 def test_circulant_marginal_is_gaussian():
     # KS test of the first increment against N(0,1); pinned seed
-    inc = np.array([sample_fgn_circulant(64, 0.35, 1.0, seed) [0] for seed in range(400)])
+    inc = _field_path_batch(1, 2, 0.35, 1.0, 1, 64, 0, (), 0, 400)[:, 0, 0]
     pval = stats.kstest(inc, "norm").pvalue
     assert pval > 0.01
 
 
-def test_sample_fgn_circulant_cumsum_variance():
+def test_field_path_batch_cumsum_variance():
     # cumulative sums form fBm: Var(sum of first k) = (k dt)^(2H)
     n, H, dt = 64, 0.4, 0.125
-    paths = np.array(
-        [np.cumsum(sample_fgn_circulant(n, H, dt, seed)) for seed in range(1500)]
-    )
+    paths = _window_paths(H, dt, 1, n, 0, 500)
     for k in (1, 8, 64):
         var = paths[:, k - 1].var(ddof=1)
         expected = (k * dt) ** (2 * H)
@@ -259,10 +267,33 @@ def test_sample_fgn_circulant_cumsum_variance():
         assert abs(var - expected) / expected < 0.2
 
 
-def test_sample_fgn_circulant_deterministic():
-    a = sample_fgn_circulant(32, 0.3, 1.0, 5)
-    b = sample_fgn_circulant(32, 0.3, 1.0, 5)
+def test_field_path_batch_deterministic():
+    a = _field_path_batch(1, 2, 0.3, 1.0, 1, 32, 5, (), 0, 4)
+    b = _field_path_batch(1, 2, 0.3, 1.0, 1, 32, 5, (), 0, 4)
     np.testing.assert_array_equal(a, b)
+
+
+def _window_law_error(H):
+    # the path every experiment samples, on the window [1, 2] at N = 16 cells
+    # (a = i0 * step with i0 = 16): known-mean sample covariance against the
+    # exact fbm covariance, in Monte Carlo standard errors as in criterion 01
+    R = covariance_matrix(interval(1.0, 2.0, 17), fbm_model(H))
+    X = _window_paths(H, 1.0 / 16, 16, 17, 2024, 3400)
+    S = X.T @ X / X.shape[0]
+    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / X.shape[0])
+    return np.max(np.abs(S - R) / se)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+def test_field_path_batch_window_law(H):
+    assert _window_law_error(H) <= 5.0
+
+
+def test_field_path_batch_dense_fallback_law(monkeypatch):
+    # an invalid embedding switches to exact dense increments, with a warning
+    monkeypatch.setattr(experiments, "fgn_sqrt_eigenvalues", lambda n, H, dt: None)
+    with pytest.warns(RuntimeWarning, match="exact fallback"):
+        assert _window_law_error(0.7) <= 5.0
 
 
 # -- Volterra cross-check ---------------------------------------------------

@@ -73,18 +73,16 @@ def test_ordered_eigenvalues_rejects_non_hermitian():
 @settings(max_examples=60)
 def test_gap_closed_form_matches_solver(beta, seed):
     x = np.random.default_rng(seed).standard_normal(n_beta(beta, 2))
-    M = vec_to_matrix(x, beta, 2)
-    lam = ordered_eigenvalues(M)
-    assert gap_closed_form_2x2(M, beta) == pytest.approx(lam[0] - lam[1], rel=1e-10, abs=1e-12)
+    lam = ordered_eigenvalues(vec_to_matrix(x, beta, 2))
+    assert gap_closed_form_2x2(x, beta) == pytest.approx(lam[0] - lam[1], rel=1e-10, abs=1e-12)
 
 
 def test_gap_closed_form_batched():
     x = np.random.default_rng(8).standard_normal((10, n_beta(2, 2)))
-    M = vec_to_matrix(x, 2, 2)
-    gaps = gap_closed_form_2x2(M, 2)
+    gaps = gap_closed_form_2x2(x, 2)
     assert gaps.shape == (10,)
     for k in range(10):
-        assert gaps[k] == pytest.approx(gap_closed_form_2x2(M[k], 2))
+        assert gaps[k] == pytest.approx(gap_closed_form_2x2(x[k], 2))
 
 
 def test_adjacent_gaps():
