@@ -43,7 +43,7 @@ from .experiments import (
 )
 from .fields import covariance_matrix, fbm_model, interval, sample_field_exact
 from .spectral import eigenprojection_contour, ordered_eigenvalues
-from .streams import substream
+from .streams import STREAM_VERSION, substream
 
 _SUBCOMMANDS = ("simulate", "sweep", "gapfit", "capacity", "boxdim", "selfcheck")
 _ENV_PREFIX = "EIGENCOLLIDE_"
@@ -110,6 +110,7 @@ def _write_manifest(out_dir, subcommand, config, seed, threads, fmt, started, fi
     manifest = {
         "subcommand": subcommand,
         "artifact_version": __version__,
+        "stream_version": STREAM_VERSION,
         "master_seed": seed,
         "worker_count": threads,
         "format": fmt,

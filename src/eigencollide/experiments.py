@@ -10,6 +10,14 @@ is drawn from per-replica counter-based substreams in fixed-size batches
 BATCH is part of the output contract: changing it reshuffles nothing
 statistically but changes nothing bitwise either (draws are per replica);
 it is fixed to keep fft batch shapes, and therefore float rounding, stable.
+
+The path sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta:
+eigenvalue gaps are invariant under Y -> Y + cI, so the trace direction is
+never sampled. The diagonal is written from d - 1 Helmert coordinates, which
+has the law of iid diagonal fields projected onto trace zero
+(_traceless_fields); the gap process keeps its law exactly. Each path costs
+2M normals and one real-input inverse FFT of length 2M (fields.fgn_from_normals),
+where M is the number of increments from the origin to the window's end.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 from .capacity import collision_regime
 from .ensembles import (
     coefficient_scale,
+    diagonal_positions,
     matrix_to_vec,
     n_beta,
     validate_shift,
@@ -161,8 +170,7 @@ def _run_batches(replicas: int, threads: int, work) -> None:
 
 
 def _field_path_batch(
-    beta: int,
-    d: int,
+    nf: int,
     H: float,
     step: float,
     i0: int,
@@ -172,39 +180,63 @@ def _field_path_batch(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Sample field paths for replicas [lo, hi): shape (hi-lo, nfields, npoints).
+    """Sample nf iid fBm paths for replicas [lo, hi): shape (hi-lo, nf, npoints).
 
-    Each matrix replica consumes one standard_normal((nfields, 2M)) block from
-    its own substream; the circulant embedding maps them to fGn increments
-    whose cumulative sums give the field path on the uniform grid
-    a + k*step (k = 0..npoints-1) with a = i0*step.
+    Each replica consumes one standard_normal((nf, 2M)) block from its own
+    substream; the circulant embedding maps them to fGn increments whose
+    cumulative sums give the paths on the uniform grid a + k*step
+    (k = 0..npoints-1) with a = i0*step. The matrix experiments pass
+    nf = n_beta - 1 (see _traceless_fields).
     """
-    nf = n_beta(beta, d)
     M = i0 + npoints - 1
     sqrt_eigs = fgn_sqrt_eigenvalues(M, H, step)
-    m = hi - lo
     if sqrt_eigs is None:
         # embedding failure: exact dense fallback, reported not fatal
         warnings.warn(
             "circulant embedding not nonnegative definite; exact fallback",
             RuntimeWarning,
         )
-        out = np.empty((m, nf, npoints))
-        for r in range(lo, hi):
-            rng = substream(seed, *prefix, r)
-            for f in range(nf):
-                inc = _fgn_exact(M, H, step, rng)
-                out[r - lo, f] = np.cumsum(inc)[i0 - 1 : i0 - 1 + npoints]
-        return out
-    L = 2 * M
-    z = np.empty((m, nf, L))
+    width = M if sqrt_eigs is None else 2 * M
+    m = hi - lo
+    z = np.empty((m, nf, width))
     for r in range(lo, hi):
-        z[r - lo] = substream(seed, *prefix, r).standard_normal((nf, L))
+        z[r - lo] = substream(seed, *prefix, r).standard_normal((nf, width))
     out = np.empty((m, nf, npoints))
+    if sqrt_eigs is None:
+        inc = _fgn_exact(M, H, step, z.reshape(m * nf, M)).reshape(m, nf, M)
+        np.cumsum(inc, axis=2, out=inc)
+        out[:] = inc[:, :, i0 - 1 : i0 - 1 + npoints]
+        return out
     for f in range(nf):
         inc = fgn_from_normals(z[:, f, :], sqrt_eigs)
         np.cumsum(inc, axis=1, out=inc)
         out[:, f, :] = inc[:, i0 - 1 : i0 - 1 + npoints]
+    return out
+
+
+def _helmert(d: int) -> np.ndarray:
+    """(d-1, d) Helmert matrix: orthonormal rows, each orthogonal to the ones vector."""
+    out = np.zeros((d - 1, d))
+    for k in range(1, d):
+        out[k - 1, :k] = 1.0
+        out[k - 1, k] = -float(k)
+        out[k - 1] /= np.sqrt(k * (k + 1.0))
+    return out
+
+
+def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
+    """Expand n_beta - 1 iid paths (m, n_beta - 1, T) to the fields (m, n_beta, T).
+
+    paths[:, :d-1] are Helmert coordinates g of the diagonal, which becomes
+    _helmert(d)^T g; the rest are the off-diagonal coefficients in packing
+    order. The result has the law of iid fields projected onto trace zero,
+    and gaps are invariant under Y -> Y + cI, so the gap process keeps its law.
+    """
+    nb = n_beta(beta, d)
+    diag = diagonal_positions(d)
+    out = np.empty(paths.shape[:1] + (nb,) + paths.shape[2:])
+    out[:, np.setdiff1d(np.arange(nb), diag)] = paths[:, d - 1 :]
+    out[:, diag] = np.matmul(_helmert(d).T, paths[:, : d - 1])
     return out
 
 
@@ -280,10 +312,14 @@ def _min_gaps_ladder(
     Nmax = ladder[-1]
     step, i0 = _window_start(a, b, Nmax)
     strides = [Nmax // N for N in ladder]
+    nf = n_beta(beta, d) - 1
     minima = np.empty((replicas, len(ladder)))
 
     def work(lo: int, hi: int) -> None:
-        fields = _field_path_batch(beta, d, H, step, i0, Nmax + 1, seed, prefix, lo, hi)
+        # the paths are freed before the gap kernel runs
+        fields = _traceless_fields(
+            _field_path_batch(nf, H, step, i0, Nmax + 1, seed, prefix, lo, hi), beta, d
+        )
         gaps = _gaps_from_fields(fields, beta, d, A)
         for col, s in enumerate(strides):
             minima[lo:hi, col] = gaps[:, ::s].min(axis=1)
@@ -476,14 +512,16 @@ def small_time_study(
     Ts = [float(T) for T in T_values]
     if any(T <= 0 for T in Ts) or sorted(Ts, reverse=True) != Ts:
         raise ValueError("T ladder must be positive and decreasing")
+    nf = n_beta(beta, d) - 1
     out = []
     for ti, T in enumerate(Ts):
         step = T / intervals
         minima = np.empty((replicas, 1))
 
         def work(lo: int, hi: int) -> None:
-            fields = _field_path_batch(
-                beta, d, H, step, 1, intervals, seed, (TAG_SMALLTIME, ti), lo, hi
+            fields = _traceless_fields(
+                _field_path_batch(nf, H, step, 1, intervals, seed, (TAG_SMALLTIME, ti), lo, hi),
+                beta, d,
             )
             gaps = _gaps_from_fields(fields, beta, d, A)
             minima[lo:hi, 0] = gaps.min(axis=1)
@@ -514,8 +552,11 @@ def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
     worst = np.zeros(int(np.ceil(config.replicas / BATCH)))
 
     def work(lo: int, hi: int) -> None:
-        fields = _field_path_batch(
-            beta, 2, H, step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
+        fields = _traceless_fields(
+            _field_path_batch(
+                n_beta(beta, 2) - 1, H, step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
+            ),
+            beta, 2,
         )
         formula = _gaps_from_fields(fields, beta, 2, A)
         coeffs = fields.transpose(0, 2, 1) * coefficient_scale(beta, 2)

@@ -4,9 +4,9 @@ Fractional Brownian motion and its multiparameter product-kernel sheet, with:
 
 * exact dense factorization on arbitrary grids (the reference sampler),
 * the circulant embedding of stationary fGn increments on uniform 1-d grids
-  (embedding eigenvalues and the normals-to-increments map); the batch
-  window sampler built on it, used by every Monte Carlo experiment, is
-  experiments._field_path_batch,
+  (embedding eigenvalues, and the normals-to-increments map by a real-input
+  inverse FFT); the batch window sampler built on it, used by every Monte
+  Carlo experiment, is experiments._field_path_batch,
 * a Volterra-kernel quadrature used purely as a covariance cross-check.
 
 All sampling is deterministic given (seed, replica index); see streams.py.
@@ -303,27 +303,37 @@ def fgn_from_normals(z: np.ndarray, sqrt_eigs: np.ndarray) -> np.ndarray:
     """Map standard normals (m, 2n) to fGn increments (m, n).
 
     Consumes exactly 2n normals per path in a fixed order, so per-replica
-    substreams stay aligned regardless of batching.
+    substreams stay aligned regardless of batching: z[:, 0] and z[:, 1] drive
+    the real frequencies 0 and n, and the pairs z[:, 2k], z[:, 2k+1] the real
+    and imaginary parts of frequency k (k = 1..n-1). The spectrum is
+    Hermitian, so a real-input inverse FFT of its n+1 half does the synthesis.
     """
-    z = np.atleast_2d(z)
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     m, L = z.shape
     n = L // 2
     if L != 2 * n or L != sqrt_eigs.shape[0]:
         raise ValueError("normals must have shape (m, 2n) matching the embedding")
-    Z = np.zeros((m, L), dtype=complex)
-    Z[:, 0] = z[:, 0]
-    Z[:, n] = z[:, 1]
-    if n > 1:
-        Z[:, 1:n] = (z[:, 2::2] + 1j * z[:, 3::2]) / np.sqrt(2.0)
-        Z[:, n + 1 :] = np.conj(Z[:, 1:n])[:, ::-1]
-    inc = np.sqrt(L) * np.fft.ifft(sqrt_eigs * Z, axis=1).real
-    return inc[:, :n]
+    if z.strides[-1] != z.itemsize:
+        z = np.ascontiguousarray(z)  # the complex view needs contiguous rows
+    weights = np.sqrt(L) * sqrt_eigs[: n + 1]
+    weights[1:n] /= np.sqrt(2.0)
+    half = np.empty((m, n + 1), dtype=complex)
+    half[:, 0] = z[:, 0]
+    half[:, n] = z[:, 1]
+    half[:, 1:n] = z[:, 2:].view(complex)
+    half *= weights
+    return np.fft.irfft(half, n=L, axis=1)[:, :n]
 
 
-def _fgn_exact(n: int, H: float, dt: float, rng: np.random.Generator) -> np.ndarray:
+def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
+    """Exact fGn increments (k, n) from normals z (k, n), one path per row.
+
+    The n x n Toeplitz covariance is factored once per call; each row is
+    mapped on its own, so a path does not depend on the other rows.
+    """
     g = _fgn_autocov(n - 1, H) * float(dt) ** (2.0 * H)
     L = cholesky_with_jitter(toeplitz(g))
-    return L @ rng.standard_normal(n)
+    return np.stack([L @ row for row in z])
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,19 @@ a small integer path (experiment tag, replica index, ...). Streams depend only
 on the key, never on scheduling, so results are bit-identical for any worker
 count. Philox is counter-based: independent keys give independent streams
 without coordination.
+
+STREAM_VERSION names the contract between a key and the samples made from
+its stream (which normals are drawn, in which order, and how they are mapped
+to fields). A change that keeps the law but changes realizations bumps it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# 1: the path sampler drew n_beta fields per replica;
+# 2: it draws n_beta - 1, the diagonal in traceless Helmert coordinates
+STREAM_VERSION = 2
 
 # experiment tags, part of the stream key; never reorder or reuse
 TAG_FIELD = 0

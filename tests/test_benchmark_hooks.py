@@ -12,6 +12,7 @@ import pytest
 
 from eigencollide import capacity, cli, config, experiments
 from eigencollide.config import ExperimentConfig
+from eigencollide.ensembles import n_beta
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +47,19 @@ def test_tracing_patch_points_exist_and_are_restored(d):
         assert "ensembles.vec_to_matrix" not in names
     else:
         assert {"ensembles.vec_to_matrix", "spectral.adjacent_gaps"} <= names
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_traced_normals_count_is_the_sampler_work(beta):
+    # n_beta - 1 paths per replica (no trace field), 2M normals per path,
+    # with M = i0 + N increments from the origin to the window's end
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    replicas, N = 3, 16
+    cfg = ExperimentConfig(beta=beta, d=2, intervals=N, mesh_ladder=(8, N), replicas=replicas)
+    with tracing.installed(tracer):
+        experiments.refinement_study(cfg)
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    i0 = N  # window [1, 2]: a = i0 * step with step = 1/N
+    assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * 2 * (i0 + N)
+    assert metrics["fields.embedding_fallbacks"] == 0

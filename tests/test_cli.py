@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eigencollide.cli import main
+from eigencollide.streams import STREAM_VERSION
 
 
 @pytest.fixture
@@ -52,6 +53,7 @@ def test_simulate_writes_results_and_manifest(tmp_path, small_config):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 4242
     assert manifest["subcommand"] == "simulate"
+    assert manifest["stream_version"] == STREAM_VERSION == 2
     assert manifest["config"]["replicas"] == 150
     assert "started" in manifest and "finished" in manifest
 
@@ -171,3 +173,12 @@ def test_invalid_format_env_errors(tmp_path, small_config, monkeypatch, capsys):
     monkeypatch.setenv("EIGENCOLLIDE_FORMAT", "xml")
     assert run(["simulate", "--config", small_config, "--out", str(tmp_path)]) == 1
     assert "format" in capsys.readouterr().err
+
+
+def test_window_off_the_mesh_errors(tmp_path, capsys):
+    # a*N/(b-a) = 0.5*64/1.5 is not an integer: rejected when the config is read
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"interval": [0.5, 2.0], "intervals": 64, "replicas": 4}))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "interval:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

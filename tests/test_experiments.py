@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from eigencollide.config import ExperimentConfig
-from eigencollide.ensembles import build_ensemble_path, n_beta, validate_shift, vec_to_matrix
+from eigencollide.ensembles import (
+    build_ensemble_path,
+    diagonal_positions,
+    n_beta,
+    validate_shift,
+    vec_to_matrix,
+)
 from eigencollide.experiments import (
     BATCH,
     _gaps_from_fields,
+    _helmert,
     _min_gaps_ladder,
+    _traceless_fields,
     degenerate_point_cloud,
     estimate_collision_probability,
     flattened_degenerate_sampler,
@@ -92,6 +100,42 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
     ref, _ = gap_series(spectrum_path(build_ensemble_path(fields, beta, d, A)))
     assert fast.shape == (m, nt)
     np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-10)
+
+
+# -- traceless sampling ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_helmert_rows_orthonormal_and_traceless(d):
+    H = _helmert(d)
+    assert H.shape == (d - 1, d)
+    np.testing.assert_allclose(H @ H.T, np.eye(d - 1), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(H @ np.ones(d), 0.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_traceless_fields_keep_gaps(d, beta):
+    # Helmert coordinates of iid fields, expanded back, differ from them only
+    # by a multiple of the identity: same gaps, zero trace
+    m, nt = 4, 7
+    nb = n_beta(beta, d)
+    F = np.random.default_rng(100 * beta + d).standard_normal((m, nb, nt))
+    diag = diagonal_positions(d)
+    off = np.setdiff1d(np.arange(nb), diag)
+    coords = np.concatenate([np.matmul(_helmert(d), F[:, diag]), F[:, off]], axis=1)
+    expanded = _traceless_fields(coords, beta, d)
+    rng = np.random.default_rng(7 * d + beta)
+    G = rng.standard_normal((d, d))
+    if beta == 2:
+        G = G + 1j * rng.standard_normal((d, d))
+    A = validate_shift(0.5 * (G + G.conj().T), beta, d)
+    np.testing.assert_allclose(
+        _gaps_from_fields(expanded, beta, d, A), _gaps_from_fields(F, beta, d, A),
+        rtol=0.0, atol=1e-10,
+    )
+    np.testing.assert_allclose(expanded[:, diag].sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(expanded[:, off], F[:, off])
 
 
 # -- nested-grid coupling --------------------------------------------------------

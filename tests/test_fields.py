@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from eigencollide import experiments
+from eigencollide import experiments, fields
 from eigencollide.experiments import _field_path_batch
 from eigencollide.fields import (
     CovarianceModel,
@@ -218,6 +218,28 @@ def test_fgn_from_normals_consumes_2n():
         fgn_from_normals(z[:, :30], sq)
 
 
+def _fgn_complex_ifft(z, sqrt_eigs):
+    # the full Hermitian spectrum built by hand, then a complex inverse FFT
+    m, L = z.shape
+    n = L // 2
+    Z = np.zeros((m, L), dtype=complex)
+    Z[:, 0] = z[:, 0]
+    Z[:, n] = z[:, 1]
+    if n > 1:
+        Z[:, 1:n] = (z[:, 2::2] + 1j * z[:, 3::2]) / np.sqrt(2.0)
+        Z[:, n + 1 :] = np.conj(Z[:, 1:n])[:, ::-1]
+    return (np.sqrt(L) * np.fft.ifft(sqrt_eigs * Z, axis=1).real)[:, :n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 4096])
+def test_fgn_from_normals_matches_complex_ifft(n):
+    # the real-input inverse FFT maps the same normals to the same increments
+    sq = fgn_sqrt_eigenvalues(n, 0.3, 1.0 / n)
+    z = np.random.default_rng(n).standard_normal((3, 2 * n))
+    ref = _fgn_complex_ifft(z, sq)
+    assert np.max(np.abs(fgn_from_normals(z, sq) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_fgn_dt_scaling_exact():
     # dt enters as the deterministic factor dt^H
     sq1 = fgn_sqrt_eigenvalues(32, 0.3, 1.0)
@@ -240,18 +262,18 @@ def test_circulant_increments_match_fgn_autocovariance():
         assert abs(est - gamma[lag]) < 5 * se
 
 
-# The batch window sampler of the experiments: beta = 1, d = 2 gives three
-# independent scalar fBm paths per replica, at times (i0 + k) * step.
+# The batch window sampler of the experiments: nf = 3 gives three independent
+# scalar fBm paths per replica, at times (i0 + k) * step.
 
 
 def _window_paths(H, step, i0, npoints, seed, replicas):
-    fields = _field_path_batch(1, 2, H, step, i0, npoints, seed, (), 0, replicas)
-    return fields.reshape(-1, npoints)
+    paths = _field_path_batch(3, H, step, i0, npoints, seed, (), 0, replicas)
+    return paths.reshape(-1, npoints)
 
 
 def test_circulant_marginal_is_gaussian():
     # KS test of the first increment against N(0,1); pinned seed
-    inc = _field_path_batch(1, 2, 0.35, 1.0, 1, 64, 0, (), 0, 400)[:, 0, 0]
+    inc = _field_path_batch(3, 0.35, 1.0, 1, 64, 0, (), 0, 400)[:, 0, 0]
     pval = stats.kstest(inc, "norm").pvalue
     assert pval > 0.01
 
@@ -268,8 +290,8 @@ def test_field_path_batch_cumsum_variance():
 
 
 def test_field_path_batch_deterministic():
-    a = _field_path_batch(1, 2, 0.3, 1.0, 1, 32, 5, (), 0, 4)
-    b = _field_path_batch(1, 2, 0.3, 1.0, 1, 32, 5, (), 0, 4)
+    a = _field_path_batch(3, 0.3, 1.0, 1, 32, 5, (), 0, 4)
+    b = _field_path_batch(3, 0.3, 1.0, 1, 32, 5, (), 0, 4)
     np.testing.assert_array_equal(a, b)
 
 
@@ -290,10 +312,19 @@ def test_field_path_batch_window_law(H):
 
 
 def test_field_path_batch_dense_fallback_law(monkeypatch):
-    # an invalid embedding switches to exact dense increments, with a warning
+    # an invalid embedding switches to exact dense increments, with a warning;
+    # the Toeplitz covariance is factored once per batch, not once per path
+    factorizations = []
+
+    def counting_cholesky(C):
+        factorizations.append(C.shape)
+        return cholesky_with_jitter(C)
+
     monkeypatch.setattr(experiments, "fgn_sqrt_eigenvalues", lambda n, H, dt: None)
+    monkeypatch.setattr(fields, "cholesky_with_jitter", counting_cholesky)
     with pytest.warns(RuntimeWarning, match="exact fallback"):
         assert _window_law_error(0.7) <= 5.0
+    assert factorizations == [(32, 32)]  # one _field_path_batch call, M = 16 + 17 - 1
 
 
 # -- Volterra cross-check ---------------------------------------------------
