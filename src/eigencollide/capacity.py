@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .ensembles import _check_beta
+from .fields import _check_hurst
 from .streams import TAG_CAPACITY, substream
 
 __all__ = [
@@ -64,9 +66,7 @@ def f_alpha(r, alpha: float):
 
 def q_index(H) -> float:
     """Q = sum_j 1/H_j, the roughness index of a Hurst vector."""
-    H = np.atleast_1d(np.asarray(H, dtype=float))
-    if np.any(H <= 0) or np.any(H >= 1):
-        raise ValueError("Hurst components must lie in (0,1)")
+    H = np.array([_check_hurst(h) for h in np.atleast_1d(H)])
     return float(np.sum(1.0 / H))
 
 
@@ -77,8 +77,7 @@ def collision_regime(beta: int, H) -> str:
     away from 0, almost surely); Q > beta+1 -> "collision" (positive
     probability); Q = beta+1 -> "critical", which is left undecided.
     """
-    if beta not in (1, 2):
-        raise ValueError(f"symmetry class beta must be 1 or 2, got {beta}")
+    beta = _check_beta(beta)
     Q = q_index(H)
     if abs(Q - (beta + 1)) <= _CRITICAL_TOL:
         return "critical"

@@ -28,7 +28,6 @@ from .capacity import (
     capacity_lower_bound,
     collision_regime,
     energy_integral,
-    f_alpha,
     uniform_unit_interval,
 )
 from .config import ExperimentConfig, config_to_dict, parse_config
@@ -125,15 +124,12 @@ def _write_manifest(out_dir, subcommand, config, seed, threads, fmt, started, fi
     return path
 
 
-def _resolve(flag_val, env_key, file_val, default, cast):
+def _resolve(flag_val, env_key, default, cast):
+    """Flag, else environment variable, else default (the config value, if any)."""
     if flag_val is not None:
         return cast(flag_val)
     env = os.environ.get(_ENV_PREFIX + env_key)
-    if env is not None:
-        return cast(env)
-    if file_val is not None:
-        return cast(file_val)
-    return cast(default)
+    return cast(env if env is not None else default)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +279,7 @@ def _cmd_boxdim(config: ExperimentConfig, threads: int) -> list:
             "nscales": nscales,
             "slope": res.slope,
             "fit_residual": res.residual,
-            "expected_slope": float(n_beta(1, config.d) - 2) if config.beta == 1 else float(n_beta(2, config.d) - 3),
+            "expected_slope": float(n_beta(config.beta, config.d) - config.beta - 1),
         }
     ]
 
@@ -401,11 +397,11 @@ def main(argv=None) -> int:
     try:
         config_path = args.config or os.environ.get(_ENV_PREFIX + "CONFIG")
         config = parse_config(config_path) if config_path else ExperimentConfig()
-        seed = _resolve(args.seed, "SEED", config.seed, config.seed, int)
-        replicas = _resolve(args.replicas, "REPLICAS", config.replicas, config.replicas, int)
-        threads = _resolve(args.threads, "THREADS", None, 1, int)
-        out_dir = _resolve(args.out, "OUT", None, ".", str)
-        fmt = _resolve(args.format, "FORMAT", None, "csv", str)
+        seed = _resolve(args.seed, "SEED", config.seed, int)
+        replicas = _resolve(args.replicas, "REPLICAS", config.replicas, int)
+        threads = _resolve(args.threads, "THREADS", 1, int)
+        out_dir = _resolve(args.out, "OUT", ".", str)
+        fmt = _resolve(args.format, "FORMAT", "csv", str)
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"format: must be csv or jsonl, got {fmt}")
         config = config.replace(seed=seed, replicas=replicas)

@@ -2,7 +2,8 @@
 
 Config files are JSON with a flat core (beta, d, hurst, interval, intervals,
 replicas, kappa, seed, shift, mesh_ladder) plus optional per-subcommand
-sections (sweep, gapfit, capacity, boxdim, smalltime) that are validated by
+sections (sweep, gapfit, capacity, boxdim, smalltime). A section must be an
+object with only the keys in _SECTION_KEYS; its values are validated by
 their consumers. parse(emit(config)) round-trips exactly: Python's float
 repr is shortest-exact, so JSON serialization loses nothing.
 """
@@ -23,7 +24,13 @@ from .experiments import _window_start, validate_ladder
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "config_to_dict"]
 
-_SECTION_KEYS = ("sweep", "gapfit", "capacity", "boxdim", "smalltime")
+_SECTION_KEYS = {
+    "sweep": ("hurst_values",),
+    "gapfit": ("t0", "samples", "window"),
+    "capacity": ("alpha", "pairs", "divergent_alpha", "oracle_pairs"),
+    "boxdim": ("points", "nscales"),
+    "smalltime": ("T_values",),
+}
 _CORE_KEYS = (
     "beta",
     "d",
@@ -165,6 +172,12 @@ def parse_config(path: str) -> ExperimentConfig:
     if "hurst" in kw and np.isscalar(kw["hurst"]):
         kw["hurst"] = (kw["hurst"],)
     extras = {k: raw[k] for k in _SECTION_KEYS if k in raw}
+    for name, section in extras.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config {path}: section {name} must be an object")
+        unknown = set(section) - set(_SECTION_KEYS[name])
+        if unknown:
+            raise ValueError(f"config {path}: section {name}: unknown keys {sorted(unknown)}")
     try:
         return ExperimentConfig(**kw, extras=extras)
     except ValueError as e:

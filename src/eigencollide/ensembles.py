@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import FieldSample, GridSpec
+from .fields import FieldSample, _check_hurst
 
 __all__ = [
     "n_beta",
@@ -35,10 +35,22 @@ __all__ = [
 
 
 def _check_beta(beta: int) -> int:
-    beta = int(beta)
     if beta not in (1, 2):
         raise ValueError(f"symmetry class beta must be 1 or 2, got {beta}")
-    return beta
+    return int(beta)
+
+
+def _check_hermitian(M: np.ndarray, beta: Optional[int] = None) -> np.ndarray:
+    """Square, Hermitian within 1e-12 over the last two axes, and real for beta = 1."""
+    M = np.asarray(M)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("matrix must be square")
+    defect = np.max(np.abs(M - np.swapaxes(M, -1, -2).conj()))
+    if defect > 1e-12:
+        raise ValueError(f"input not Hermitian within 1e-12 (defect {defect:.3g})")
+    if beta == 1 and np.iscomplexobj(M) and np.max(np.abs(M.imag)) > 1e-12:
+        raise ValueError("beta = 1 requires a real symmetric matrix")
+    return M
 
 
 def n_beta(beta: int, d: int) -> int:
@@ -115,15 +127,8 @@ def matrix_to_vec(M: np.ndarray, beta: int) -> np.ndarray:
     symmetrized exactly before packing so the round trip is an identity.
     """
     beta = _check_beta(beta)
-    M = np.asarray(M)
+    M = _check_hermitian(M, beta)
     d = M.shape[-1]
-    if M.shape[-2] != d:
-        raise ValueError("matrix must be square")
-    herm_err = np.max(np.abs(M - np.swapaxes(M, -1, -2).conj()))
-    if herm_err > 1e-12:
-        raise ValueError(f"input not Hermitian within 1e-12 (defect {herm_err:.3g})")
-    if beta == 1 and np.iscomplexobj(M) and np.max(np.abs(M.imag)) > 1e-12:
-        raise ValueError("beta = 1 requires a real symmetric matrix")
     Mh = 0.5 * (M + np.swapaxes(M, -1, -2).conj())
     iu, ju = upper_indices(d)
     real_part = np.real(Mh[..., iu, ju])
@@ -141,13 +146,8 @@ def validate_shift(A: Optional[np.ndarray], beta: int, d: int) -> np.ndarray:
     A = np.asarray(A)
     if A.shape != (d, d):
         raise ValueError(f"shift matrix must be {d}x{d}, got {A.shape}")
-    if np.max(np.abs(A - A.conj().T)) > 1e-12:
-        raise ValueError("shift matrix must be Hermitian")
-    if beta == 1:
-        if np.iscomplexobj(A) and np.max(np.abs(A.imag)) > 1e-12:
-            raise ValueError("beta = 1 shift matrix must be real")
-        return np.real(A).astype(float)
-    return A.astype(complex)
+    A = _check_hermitian(A, beta)
+    return np.real(A).astype(float) if beta == 1 else A.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,6 @@ def build_ensemble_path(
     beta: int,
     d: int,
     A: Optional[np.ndarray],
-    grid: Optional[GridSpec] = None,
 ) -> EnsemblePath:
     """Assemble matrix replicas from a block of independent scalar field copies.
 
@@ -197,8 +196,7 @@ def build_ensemble_path(
     """
     beta = _check_beta(beta)
     A = validate_shift(A, beta, d)
-    grid = grid if grid is not None else fields.grid
-    if grid.r != 1:
+    if fields.grid.r != 1:
         raise ValueError("matrix paths are indexed by a 1-d time grid")
     nf = n_beta(beta, d)
     total = fields.values.shape[0]
@@ -211,7 +209,7 @@ def build_ensemble_path(
     # (m, nf, nt) -> (m, nt, nf), then scale the diagonal copies
     coeffs = fields.values.reshape(m, nf, nt).transpose(0, 2, 1).copy()
     coeffs *= coefficient_scale(beta, d)
-    times = grid.axes()[0]
+    times = fields.grid.axes()[0]
     return EnsemblePath(times=times, coeffs=coeffs, beta=beta, d=d, A=A)
 
 
@@ -226,8 +224,7 @@ def rescale_self_similar(path: EnsemblePath, c: float, H: float) -> EnsemblePath
         raise ValueError("scale must be positive")
     if np.any(path.A != 0):
         raise ValueError("self-similar rescaling requires A = 0")
-    if not 0.0 < H < 1.0:
-        raise ValueError("Hurst parameter must lie in (0,1)")
+    H = _check_hurst(H)
     return EnsemblePath(
         times=path.times / c,
         coeffs=path.coeffs * c ** (-H),

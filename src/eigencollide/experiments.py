@@ -38,7 +38,7 @@ from .ensembles import (
     validate_shift,
     vec_to_matrix,
 )
-from .fields import _fgn_exact, fgn_from_normals, fgn_sqrt_eigenvalues
+from .fields import _check_hurst, _fgn_exact, fgn_from_normals, fgn_sqrt_eigenvalues
 from .spectral import adjacent_gaps, gap_closed_form_2x2, ordered_eigenvalues
 from .geometry import sample_degenerate
 from .streams import (
@@ -73,12 +73,13 @@ BATCH = 32
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple:
+def wilson_interval(hits: int, n: int) -> tuple:
     """Wilson 95% score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
     if not 0 <= hits <= n:
         raise ValueError("hits must lie in [0, n]")
+    z = _Z95
     denom = n + z * z
     center = (hits + 0.5 * z * z) / denom
     half = z * np.sqrt(hits * (n - hits) / n + 0.25 * z * z) / denom
@@ -293,32 +294,30 @@ def _min_gaps_ladder(
     beta: int,
     d: int,
     H: float,
-    a: float,
-    b: float,
-    mesh_ladder: Sequence[int],
+    step: float,
+    i0: int,
+    npoints: int,
+    strides: Sequence[int],
     A: np.ndarray,
     replicas: int,
     seed: int,
     prefix: tuple,
     threads: int,
 ) -> np.ndarray:
-    """Per-replica minimum gaps on every ladder subgrid: (replicas, len(ladder)).
+    """Per-replica minimum gaps on strided subgrids: (replicas, len(strides)).
 
-    Samples once at the finest mesh; coarser meshes reuse strided subgrids of
+    Samples each replica once on the grid (i0 + k) * step, k < npoints, and
+    takes the minimum over every strides[j]-th point. Coarser subgrids reuse
     the same paths (nested-grid coupling), so the reported minimum never
     increases under refinement, replica by replica.
     """
-    ladder = validate_ladder(mesh_ladder)
-    Nmax = ladder[-1]
-    step, i0 = _window_start(a, b, Nmax)
-    strides = [Nmax // N for N in ladder]
     nf = n_beta(beta, d) - 1
-    minima = np.empty((replicas, len(ladder)))
+    minima = np.empty((replicas, len(strides)))
 
     def work(lo: int, hi: int) -> None:
         # the paths are freed before the gap kernel runs
         fields = _traceless_fields(
-            _field_path_batch(nf, H, step, i0, Nmax + 1, seed, prefix, lo, hi), beta, d
+            _field_path_batch(nf, H, step, i0, npoints, seed, prefix, lo, hi), beta, d
         )
         gaps = _gaps_from_fields(fields, beta, d, A)
         for col, s in enumerate(strides):
@@ -358,11 +357,13 @@ def refinement_study(
     across the ladder make the trend ratios low-variance.
     """
     H = _require_r1(config.hurst)
-    ladder = list(mesh_ladder if mesh_ladder is not None else config.ladder())
+    ladder = validate_ladder(mesh_ladder if mesh_ladder is not None else config.ladder())
     a, b = config.interval
+    Nmax = ladder[-1]
+    step, i0 = _window_start(a, b, Nmax)
     A = validate_shift(config.shift, config.beta, config.d)
     minima = _min_gaps_ladder(
-        config.beta, config.d, H, a, b, ladder, A,
+        config.beta, config.d, H, step, i0, Nmax + 1, [Nmax // N for N in ladder], A,
         config.replicas, config.seed, (TAG_COLLISION,) + _prefix, threads,
     )
     stats = []
@@ -433,7 +434,6 @@ def gap_exponent_fit(
     window: tuple,
     seed: int,
     hurst: float = 0.5,
-    grid_points: int = 12,
 ) -> ExponentFit:
     """Small-gap CDF slope of X(t0) from i.i.d. samples, log-log regression.
 
@@ -459,7 +459,7 @@ def gap_exponent_fit(
         fields = rng.standard_normal((stop - start, nf, 1)) * scale
         gaps[start:stop] = _gaps_from_fields(fields, beta, d, A)[:, 0]
     gaps.sort()
-    eps = np.geomspace(lo, hi, grid_points)
+    eps = np.geomspace(lo, hi, 12)
     cdf = np.searchsorted(gaps, eps, side="left") / samples
     mask = cdf > 0
     if mask.sum() < 2:
@@ -475,11 +475,6 @@ def gap_exponent_fit(
         eps=eps,
         cdf=cdf,
     )
-
-
-def _spectrum_cardinality(A: np.ndarray, tol: float = 1e-9) -> int:
-    lam = np.linalg.eigvalsh(A)
-    return int(1 + np.count_nonzero(np.diff(lam) > tol))
 
 
 def small_time_study(
@@ -501,54 +496,44 @@ def small_time_study(
     repeated pair). The grid is t = k*T/N (k = 1..N); the origin is excluded
     because X(0) = 0 exactly.
     """
-    H = float(hurst)
+    H = _check_hurst(hurst)
     if not H < 1.0 / (1.0 + beta):
         raise ValueError("small-time study requires the collision regime H < 1/(1+beta)")
     A = validate_shift(A, beta, d)
-    if np.any(A != 0) and _spectrum_cardinality(A) != d - 1:
+    distinct = 1 + np.count_nonzero(np.diff(np.linalg.eigvalsh(A)) > 1e-9)
+    if np.any(A != 0) and distinct != d - 1:
         raise ValueError(
             "shift must be 0 or have spectrum cardinality d-1 (one repeated pair)"
         )
     Ts = [float(T) for T in T_values]
     if any(T <= 0 for T in Ts) or sorted(Ts, reverse=True) != Ts:
         raise ValueError("T ladder must be positive and decreasing")
-    nf = n_beta(beta, d) - 1
     out = []
     for ti, T in enumerate(Ts):
         step = T / intervals
-        minima = np.empty((replicas, 1))
-
-        def work(lo: int, hi: int) -> None:
-            fields = _traceless_fields(
-                _field_path_batch(nf, H, step, 1, intervals, seed, (TAG_SMALLTIME, ti), lo, hi),
-                beta, d,
-            )
-            gaps = _gaps_from_fields(fields, beta, d, A)
-            minima[lo:hi, 0] = gaps.min(axis=1)
-
-        _run_batches(replicas, threads, work)
+        minima = _min_gaps_ladder(
+            beta, d, H, step, 1, intervals, (1,), A, replicas, seed, (TAG_SMALLTIME, ti), threads
+        )
         delta = _threshold(kappa, step, H)
         out.append(_stats_from_minima(minima[:, 0], delta, intervals, (0.0, T)))
     return out
 
 
 def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
-    """Max pathwise |eigensolver gap - closed-form gap| for d = 2 paths.
+    """Max pathwise |eigensolver gap - closed-form gap| for d = 2 paths Y = A + X.
 
-    Rebuilds the gap path straight from the retained scalar fields and
-    compares with the full pipeline (pack, materialize, diagonalize). The two
-    agree up to eigensolver tolerance; anything above 1e-10 indicates a
-    packing or assembly bug.
+    Rebuilds the gap path straight from the retained scalar fields and the
+    shift A = config.shift, and compares with the full pipeline (pack,
+    materialize, add A, diagonalize). The two agree up to eigensolver
+    tolerance; anything above 1e-10 indicates a packing or assembly bug.
     """
     if config.d != 2:
         raise ValueError("the vector-reduction oracle is a d = 2 construction")
-    if config.shift is not None and np.any(np.asarray(config.shift) != 0):
-        raise ValueError("oracle requires A = 0")
     H = _require_r1(config.hurst)
     a, b = config.interval
     N = config.intervals
     step, i0 = _window_start(a, b, N)
-    A = validate_shift(None, beta, config.d)
+    A = validate_shift(config.shift, beta, 2)
     worst = np.zeros(int(np.ceil(config.replicas / BATCH)))
 
     def work(lo: int, hi: int) -> None:
@@ -560,7 +545,7 @@ def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
         )
         formula = _gaps_from_fields(fields, beta, 2, A)
         coeffs = fields.transpose(0, 2, 1) * coefficient_scale(beta, 2)
-        mats = vec_to_matrix(coeffs, beta, 2)
+        mats = vec_to_matrix(coeffs, beta, 2) + A
         eigs = ordered_eigenvalues(mats)
         pipeline = eigs[..., 0] - eigs[..., 1]
         worst[lo // BATCH] = np.max(np.abs(pipeline - formula))
@@ -583,16 +568,9 @@ def _degenerate_points(n: int, d: int, beta: int, rng, draw) -> np.ndarray:
         out[:, 0] = c
         out[:, 2] = c
         return out
-
-    def levels(r: np.random.Generator) -> np.ndarray:
-        while True:
-            ls = np.sort(draw(r, d - 1))[::-1]
-            if np.min(-np.diff(ls)) > 1e-12:
-                return ls
-
     out = np.empty((n, nb))
     for i in range(n):
-        M = sample_degenerate(d, beta, rng=rng, level_sampler=levels)
+        M = sample_degenerate(d, beta, rng=rng, level_draw=draw)
         out[i] = matrix_to_vec(M, beta)
     return out
 

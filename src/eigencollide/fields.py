@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,11 +144,11 @@ def interval(a: float, b: float, n: int) -> GridSpec:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """A covariance kernel plus the metadata needed to route fast paths.
+    """A covariance kernel: the fractional sheet with its Hurst vector, or a custom one.
 
-    kind is one of {"fbm", "fractional_sheet", "custom"}. Evaluating the
-    kernel on any finite grid must give a symmetric PSD matrix; this is
-    checked operationally by factorization with bounded jitter.
+    kind is "fractional_sheet" (fBm is the one-parameter sheet) or "custom".
+    Evaluating the kernel on any finite grid must give a symmetric PSD
+    matrix; this is checked operationally by factorization with bounded jitter.
     """
 
     kind: str
@@ -156,16 +157,14 @@ class CovarianceModel:
 
     def k(self, s, t):
         """Kernel value at r-vector arguments (scalars allowed for r = 1)."""
-        if self.kind == "fbm":
-            (H,) = self.hurst
-            return fbm_covariance(np.squeeze(s), np.squeeze(t), H)
         if self.kind == "fractional_sheet":
             return sheet_covariance(s, t, self.hurst)
         return self.kernel(s, t)
 
 
 def fbm_model(H: float) -> CovarianceModel:
-    return CovarianceModel("fbm", (_check_hurst(H),))
+    """fBm as the one-parameter sheet (at r = 1 the two kernels agree exactly)."""
+    return sheet_model((H,))
 
 
 def sheet_model(H) -> CovarianceModel:
@@ -179,10 +178,6 @@ def custom_model(kernel: Callable) -> CovarianceModel:
 def covariance_matrix(grid: GridSpec, cov: CovarianceModel) -> np.ndarray:
     """Dense covariance matrix of the field on grid.points()."""
     pts = grid.points()
-    if cov.kind == "fbm":
-        (H,) = cov.hurst
-        t = pts[:, 0]
-        return np.asarray(fbm_covariance(t[:, None], t[None, :], H))
     if cov.kind == "fractional_sheet":
         out = np.ones((len(pts), len(pts)))
         for j, h in enumerate(cov.hurst):
@@ -263,9 +258,6 @@ def sample_field_exact(
 # circulant embedding of fractional Gaussian noise
 # ---------------------------------------------------------------------------
 
-_FGN_EIG_CACHE: dict = {}
-
-
 def _fgn_autocov(n: int, H: float) -> np.ndarray:
     """gamma(0..n) for unit-step fGn: gamma(k) = (1/2)(|k+1|^2H - 2|k|^2H + |k-1|^2H)."""
     k = np.arange(n + 1, dtype=float)
@@ -281,22 +273,20 @@ def fgn_sqrt_eigenvalues(n: int, H: float, dt: float) -> Optional[np.ndarray]:
     clipped to zero. Cached per (n, H); dt enters as the exact scale dt^H.
     """
     H = _check_hurst(H)
-    key = (int(n), float(H))
-    unit = _FGN_EIG_CACHE.get(key)
-    if unit is None:
-        g = _fgn_autocov(n, H)
-        # first circulant row: g_0 .. g_{n-1}, g_n, g_{n-1} .. g_1
-        row = np.concatenate([g[:n], [g[n]], g[n - 1 : 0 : -1]])
-        eigs = np.fft.fft(row).real
-        if eigs.min() < -1e-8 * eigs.max():
-            unit = (False, None)
-        else:
-            unit = (True, np.sqrt(np.clip(eigs, 0.0, None)))
-        _FGN_EIG_CACHE[key] = unit
-    ok, sqrt_eigs = unit
-    if not ok:
+    unit = _fgn_unit_sqrt_eigenvalues(int(n), H)
+    return None if unit is None else float(dt) ** H * unit
+
+
+@lru_cache(maxsize=64)
+def _fgn_unit_sqrt_eigenvalues(n: int, H: float) -> Optional[np.ndarray]:
+    """fgn_sqrt_eigenvalues at dt = 1; callers must not write to the result."""
+    g = _fgn_autocov(n, H)
+    # first circulant row: g_0 .. g_{n-1}, g_n, g_{n-1} .. g_1
+    row = np.concatenate([g[:n], [g[n]], g[n - 1 : 0 : -1]])
+    eigs = np.fft.fft(row).real
+    if eigs.min() < -1e-8 * eigs.max():
         return None
-    return float(dt) ** H * sqrt_eigs
+    return np.sqrt(np.clip(eigs, 0.0, None))
 
 
 def fgn_from_normals(z: np.ndarray, sqrt_eigs: np.ndarray) -> np.ndarray:
@@ -340,9 +330,7 @@ def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
 # Volterra kernel (H < 1/2), used as a covariance cross-check only
 # ---------------------------------------------------------------------------
 
-_VOLTERRA_CONST_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _volterra_constant(H: float) -> float:
     """Normalization making int_0^(s^t) K(u,s)K(u,t)du equal the fBm covariance.
 
@@ -350,15 +338,11 @@ def _volterra_constant(H: float) -> float:
     once per H by adaptive quadrature (weighted rule handles both endpoint
     singularities exactly); the constant is sqrt(2H / ((1-2H) I_H)).
     """
-    c = _VOLTERRA_CONST_CACHE.get(H)
-    if c is None:
-        I_H, _ = integrate.quad(
-            lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(H - 0.5, -2.0 * H),
-            epsabs=0.0, epsrel=1e-12, limit=200,
-        )
-        c = np.sqrt(2.0 * H / ((1.0 - 2.0 * H) * I_H))
-        _VOLTERRA_CONST_CACHE[H] = c
-    return c
+    I_H, _ = integrate.quad(
+        lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(H - 0.5, -2.0 * H),
+        epsabs=0.0, epsrel=1e-12, limit=200,
+    )
+    return np.sqrt(2.0 * H / ((1.0 - 2.0 * H) * I_H))
 
 
 def _check_volterra_hurst(H: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ensembles import _check_beta
 from .streams import TAG_GEOMETRY, substream
 
 __all__ = [
@@ -41,8 +42,8 @@ def lambda_matrix(levels, d: int) -> np.ndarray:
     return np.diag(np.concatenate([levels, levels[-1:]]))
 
 
-def check_frame(R: np.ndarray, tol: float = _FRAME_TOL) -> np.ndarray:
-    """Validate orthonormal columns (A*A = I within tol)."""
+def check_frame(R: np.ndarray) -> np.ndarray:
+    """Validate orthonormal columns (A*A = I within 1e-12)."""
     R = np.asarray(R)
     if R.ndim != 2:
         raise ValueError("frame must be a 2-d array")
@@ -50,8 +51,8 @@ def check_frame(R: np.ndarray, tol: float = _FRAME_TOL) -> np.ndarray:
         return R  # empty frame is trivially orthonormal (the d = 2 chart)
     gram = R.conj().T @ R
     defect = np.max(np.abs(gram - np.eye(R.shape[1])))
-    if defect > tol:
-        raise ValueError(f"columns not orthonormal within {tol:g} (defect {defect:.3g})")
+    if defect > _FRAME_TOL:
+        raise ValueError(f"columns not orthonormal within {_FRAME_TOL:g} (defect {defect:.3g})")
     return R
 
 
@@ -151,25 +152,24 @@ def random_stiefel(d: int, k: int, field: str, seed=None, rng=None) -> np.ndarra
     return Q
 
 
-def _default_levels(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d-1 distinct levels, sorted descending."""
+def _levels(d: int, rng: np.random.Generator, draw) -> np.ndarray:
+    """d-1 distinct levels from draw(rng, d-1), sorted descending; redrawn on a tie."""
     while True:
-        levels = np.sort(rng.standard_normal(d - 1))[::-1]
+        levels = np.sort(draw(rng, d - 1))[::-1]
         if d == 2 or np.min(-np.diff(levels)) > 1e-12:
             return levels
 
 
-def sample_degenerate(d: int, beta: int, seed=None, rng=None, level_sampler=None) -> np.ndarray:
+def sample_degenerate(d: int, beta: int, seed=None, rng=None, level_draw=None) -> np.ndarray:
     """Random matrix with exactly one repeated eigenvalue pair (|spectrum| = d-1).
 
     Chart construction: Haar frame of d-2 columns, completion against the
     identity basis (random reference on the rare completion failure), and
-    distinct descending levels from level_sampler (standard normals by
-    default). For d = 2 the real degenerate set is just the scalar matrices,
-    and the construction reduces to c * I.
+    distinct descending levels from level_draw(rng, size) (standard normals
+    by default). For d = 2 the real degenerate set is just the scalar
+    matrices, and the construction reduces to c * I.
     """
-    if beta not in (1, 2):
-        raise ValueError(f"symmetry class beta must be 1 or 2, got {beta}")
+    beta = _check_beta(beta)
     if rng is None:
         rng = substream(seed, TAG_GEOMETRY)
     field = "real" if beta == 1 else "complex"
@@ -179,7 +179,8 @@ def sample_degenerate(d: int, beta: int, seed=None, rng=None, level_sampler=None
         frame = complete_frame(R, eye)
     except ValueError:
         frame = complete_frame(R, random_stiefel(d, d, field, rng=rng))
-    levels = _default_levels(d, rng) if level_sampler is None else level_sampler(rng)
+    draw = level_draw or (lambda r, size: r.standard_normal(size))
+    levels = _levels(d, rng, draw)
     return chart_matrix(frame, levels)
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import EnsemblePath, n_beta
+from .ensembles import EnsemblePath, _check_hermitian, n_beta
 
 __all__ = [
     "SpectrumPath",
@@ -29,19 +29,6 @@ __all__ = [
     "eigenprojection_contour",
     "detect_collisions",
 ]
-
-_HERM_TOL = 1e-12
-
-
-def _check_hermitian(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M)
-    if M.shape[-1] != M.shape[-2]:
-        raise ValueError("matrix must be square")
-    defect = np.max(np.abs(M - np.swapaxes(M, -1, -2).conj()))
-    if defect > _HERM_TOL:
-        raise ValueError(f"input not Hermitian within {_HERM_TOL:g} (defect {defect:.3g})")
-    return M
-
 
 def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Real spectrum in descending order; ties kept as equal values.
@@ -68,11 +55,11 @@ class SpectrumPath:
         return self.eigs.shape[-1]
 
 
-def spectrum_path(path: EnsemblePath, chunk: int = 256) -> SpectrumPath:
-    """Eigendecompose every stored matrix, chunked over replicas to bound memory."""
+def spectrum_path(path: EnsemblePath) -> SpectrumPath:
+    """Eigendecompose every stored matrix, 256 replicas at a time to bound memory."""
     out = np.empty((path.replicas, path.ntimes, path.d))
-    for lo in range(0, path.replicas, chunk):
-        hi = min(lo + chunk, path.replicas)
+    for lo in range(0, path.replicas, 256):
+        hi = min(lo + 256, path.replicas)
         out[lo:hi] = ordered_eigenvalues(path.matrices(slice(lo, hi)))
     return SpectrumPath(times=path.times, eigs=out)
 

@@ -192,10 +192,12 @@ def _assert_phase_transition(capsys, num, beta, h_low, h_high, budget):
     assert dt < budget
 
 
+@pytest.mark.slow
 def test_criterion_05_phase_transition_beta1(capsys):
     _assert_phase_transition(capsys, 5, 1, 0.3, 0.7, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_06_phase_transition_beta2(capsys):
     _assert_phase_transition(capsys, 6, 2, 0.25, 0.45, 900.0)
 

@@ -80,6 +80,19 @@ def test_collision_regime_multiparameter():
 def test_collision_regime_rejects_bad_beta():
     with pytest.raises(ValueError):
         collision_regime(3, 0.5)
+    with pytest.raises(ValueError):
+        collision_regime(1.5, 0.5)
+
+
+def test_decision_rule_rejects_nan_hurst():
+    # NaN fails every comparison, so a range check written as two rejections
+    # lets it through; the decision rule must not read it as "no_collision"
+    with pytest.raises(ValueError, match="Hurst"):
+        q_index(np.nan)
+    with pytest.raises(ValueError, match="Hurst"):
+        q_index((0.5, np.nan))
+    with pytest.raises(ValueError, match="Hurst"):
+        collision_regime(1, (np.nan,))
 
 
 # -- energy -------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 import json
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigencollide.cli import main
+from eigencollide.config import parse_config
 from eigencollide.streams import STREAM_VERSION
 
 
@@ -182,3 +187,59 @@ def test_window_off_the_mesh_errors(tmp_path, capsys):
     assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "interval:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_section_key_errors(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gapfit": {"sampels": 10}}))
+    assert run(["gapfit", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gapfit" in err and "sampels" in err
+    assert not (tmp_path / "out").exists()
+
+
+# -- every config that parses runs ----------------------------------------------
+
+_POWERS = [2**k for k in range(7)]  # 1 .. 64
+
+
+@given(
+    beta=st.sampled_from([1, 2]),
+    d=st.sampled_from([2, 3]),
+    hurst=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    a=st.one_of(st.floats(0.01, 4.0), st.integers(1, 64).map(lambda k: k / 16)),
+    length=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+    ladder=st.lists(st.sampled_from(_POWERS), min_size=1, max_size=4, unique=True).map(sorted),
+    kappa=st.floats(0.1, 4.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_parsed_config_simulates(beta, d, hurst, a, length, ladder, kappa):
+    cfg = {
+        "beta": beta, "d": d, "hurst": [hurst], "interval": [a, a + length],
+        "intervals": ladder[-1], "mesh_ladder": ladder, "kappa": kappa, "seed": 5,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the critical-case warning
+            try:
+                parse_config(path)
+            except ValueError:
+                return
+            out = os.path.join(tmp, "out")
+            rc = main(["simulate", "--config", path, "--replicas", "1", "--out", out])
+        assert rc == 0, cfg
+
+
+def test_configs_that_parse_but_do_not_simulate(tmp_path, capsys):
+    # a = 0 windows and multi-entry Hurst vectors are valid configs (gapfit,
+    # capacity and boxdim start at the origin; the decision rule reads the
+    # vector), but the collision loop needs a > 0 and one Hurst entry
+    for name, cfg in (("origin", {"interval": [0.0, 1.0]}), ("sheet", {"hurst": [0.3, 0.4]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        parse_config(str(path))
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 1
+        assert capsys.readouterr().err.startswith("error:")

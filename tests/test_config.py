@@ -58,6 +58,40 @@ def test_parse_collects_experiment_sections(tmp_path):
     assert cfg.extras["gapfit"]["t0"] == 2.0
 
 
+def test_parse_rejects_unknown_section_keys(tmp_path):
+    # a misspelt key must not be dropped silently (gapfit would run its default size)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"gapfit": {"sampels": 10}}))
+    with pytest.raises(ValueError, match=r"c\.json.*section gapfit.*sampels"):
+        parse_config(str(path))
+    path.write_text(json.dumps({"sweep": [0.2, 0.8]}))
+    with pytest.raises(ValueError, match=r"c\.json.*section sweep must be an object"):
+        parse_config(str(path))
+
+
+def test_parse_accepts_every_section_key_the_benchmark_writes(tmp_path, monkeypatch):
+    # perfbench/workloads.py writes the configs of every workload at full and
+    # at warm-up size; each must parse
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", source)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass needs it
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        workloads.round_ops(name, 1, 0, str(tmp_path / name), {})
+        workloads.warmup_ops(name, 1, str(tmp_path / name))
+    written = sorted(tmp_path.rglob("*.json"))
+    sections = set()
+    for path in written:
+        sections |= set(parse_config(str(path)).extras)
+    assert len(written) == 10
+    assert sections == {"sweep", "gapfit", "capacity", "boxdim", "smalltime"}
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         ExperimentConfig(beta=3)

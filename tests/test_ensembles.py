@@ -44,6 +44,13 @@ def test_n_beta_rejects():
         n_beta(1, 1)
 
 
+@pytest.mark.parametrize("beta", [1.5, 2.9, 0.5, float("nan")])
+def test_beta_checked_before_the_integer_cast(beta):
+    # int(2.9) would be 2, a valid class; the class itself must be 1 or 2
+    with pytest.raises(ValueError, match="beta"):
+        n_beta(beta, 2)
+
+
 @given(dims)
 @settings(max_examples=20)
 def test_packing_matches_closed_form_index(d):
@@ -137,6 +144,27 @@ def test_validate_shift_rejects():
         validate_shift(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2)  # not symmetric
     with pytest.raises(ValueError):
         validate_shift(np.array([[0.0, 1j], [-1j, 0.0]]), 1, 2)  # complex for beta=1
+
+
+def test_one_hermitian_check_for_every_entry_point():
+    # matrix_to_vec, validate_shift and the spectral entry points share one check
+    from eigencollide.spectral import eigenprojection_contour, ordered_eigenvalues
+
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for call in (
+        lambda: matrix_to_vec(skew, 1),
+        lambda: validate_shift(skew, 1, 2),
+        lambda: ordered_eigenvalues(skew),
+        lambda: eigenprojection_contour(skew, (0,)),
+    ):
+        with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
+            call()
+    complex_sym = np.array([[0.0, 1j], [-1j, 0.0]])
+    for call in (lambda: matrix_to_vec(complex_sym, 1), lambda: validate_shift(complex_sym, 1, 2)):
+        with pytest.raises(ValueError, match="beta = 1 requires a real"):
+            call()
+    with pytest.raises(ValueError, match="square"):
+        ordered_eigenvalues(np.zeros((2, 3)))
 
 
 def test_validate_shift_hermitian_complex():

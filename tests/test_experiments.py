@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eigencollide import experiments
 from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import (
     build_ensemble_path,
@@ -142,9 +143,10 @@ def test_traceless_fields_keep_gaps(d, beta):
 
 
 def test_minima_never_increase_under_refinement():
-    ladder = [32, 64, 128, 256]
+    # ladder 32..256 on [1, 2]: step 1/256, window start i0 = 256
+    strides = [8, 4, 2, 1]
     minima = _min_gaps_ladder(
-        1, 2, 0.3, 1.0, 2.0, ladder, np.zeros((2, 2)), 64, 5, (9,), 1
+        1, 2, 0.3, 1.0 / 256, 256, 257, strides, np.zeros((2, 2)), 64, 5, (9,), 1
     )
     assert minima.shape == (64, 4)
     # finer mesh minimizes over a superset of times, elementwise
@@ -153,13 +155,13 @@ def test_minima_never_increase_under_refinement():
 
 
 def test_min_gaps_ladder_validation():
-    A = np.zeros((2, 2))
+    # the collision loop's ladder and window checks run in refinement_study
     with pytest.raises(ValueError):
-        _min_gaps_ladder(1, 2, 0.3, 1.0, 2.0, [64, 32], A, 8, 5, (), 1)
+        refinement_study(_cfg(replicas=8), [64, 32])
     with pytest.raises(ValueError):
-        _min_gaps_ladder(1, 2, 0.3, 1.0, 2.0, [48, 64], A, 8, 5, (), 1)
+        refinement_study(_cfg(replicas=8), [48, 64])
     with pytest.raises(ValueError):
-        _min_gaps_ladder(1, 2, 0.3, 0.0, 1.0, [32, 64], A, 8, 5, (), 1)
+        refinement_study(_cfg(interval=(0.0, 1.0), replicas=8), [32, 64])
 
 
 def test_refinement_study_consistency():
@@ -260,6 +262,16 @@ def test_small_time_validation():
         small_time_study(1, 2, None, [0.5, 1.0], 0.3, 64, 50, seed=1)  # increasing T
 
 
+def test_small_time_rejects_hurst_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the Hurst check")
+
+    monkeypatch.setattr(experiments, "_field_path_batch", no_sampling)
+    for H in (-0.1, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="Hurst|regime"):
+            small_time_study(1, 2, None, [1.0], H, 64, 50, seed=1, threads=2)
+
+
 # -- oracle and degenerate samplers ------------------------------------------------
 
 
@@ -270,10 +282,13 @@ def test_oracle_vector_reduction_small(beta):
 
 
 def test_oracle_requires_d2_and_zero_shift():
+    # d = 3 raises; a nonzero shift is compared against vec_to_matrix(coeffs) + A
     with pytest.raises(ValueError):
         oracle_vector_reduction(1, _cfg(d=3))
-    with pytest.raises(ValueError):
-        oracle_vector_reduction(1, _cfg(shift=np.eye(2)))
+    real = np.array([[1.0, 0.3], [0.3, -0.2]])
+    assert oracle_vector_reduction(1, _cfg(shift=real, replicas=64)) < 1e-10
+    herm = real + 1j * np.array([[0.0, 0.4], [-0.4, 0.0]])
+    assert oracle_vector_reduction(2, _cfg(beta=2, shift=herm, replicas=64)) < 1e-10
 
 
 @pytest.mark.parametrize("beta,d", [(1, 2), (2, 2), (1, 3), (2, 3)])

@@ -145,6 +145,16 @@ def test_covariance_matrix_psd_and_symmetric():
         assert w.min() >= -1e-9 * w.max()
 
 
+def test_fbm_model_is_the_one_parameter_sheet():
+    assert fbm_model(0.3) == sheet_model((0.3,))
+    g = interval(0.5, 2.0, 9)
+    t = g.axes()[0]
+    np.testing.assert_array_equal(
+        covariance_matrix(g, fbm_model(0.3)), fbm_covariance(t[:, None], t[None, :], 0.3)
+    )
+    assert fbm_model(0.3).k(1.0, 1.5) == fbm_covariance(1.0, 1.5, 0.3)
+
+
 def test_covariance_matrix_custom_kernel_matches_fbm():
     g = interval(1.0, 2.0, 5)
     C1 = covariance_matrix(g, fbm_model(0.3))
@@ -325,6 +335,23 @@ def test_field_path_batch_dense_fallback_law(monkeypatch):
     with pytest.warns(RuntimeWarning, match="exact fallback"):
         assert _window_law_error(0.7) <= 5.0
     assert factorizations == [(32, 32)]  # one _field_path_batch call, M = 16 + 17 - 1
+
+
+def test_embedding_cache_is_bounded_and_shared_by_threads():
+    # worker threads share the (n, H) eigenvalue cache; it holds at most 64 entries
+    from concurrent.futures import ThreadPoolExecutor
+
+    module_dicts = [k for k, v in vars(fields).items() if isinstance(v, dict) and k[:2] != "__"]
+    assert module_dicts == []
+    keys = [(n, H) for n in range(8, 48) for H in (0.3, 0.7)]
+    serial = [fgn_sqrt_eigenvalues(n, H, 0.5) for n, H in keys]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda k: fgn_sqrt_eigenvalues(k[0], k[1], 0.5), keys))
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)
+    for cached in (fields._fgn_unit_sqrt_eigenvalues, fields._volterra_constant):
+        info = cached.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64
 
 
 # -- Volterra cross-check ---------------------------------------------------

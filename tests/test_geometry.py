@@ -149,6 +149,18 @@ def test_sample_degenerate_has_repeated_pair(d, beta, seed):
         assert np.sort(gaps)[1] > 1e-9
 
 
+def test_sample_degenerate_level_draw_and_beta_check():
+    def uniform(r, size):
+        return r.uniform(-1.0, 1.0, size)
+
+    M = sample_degenerate(4, 1, rng=np.random.default_rng(3), level_draw=uniform)
+    lam = np.linalg.eigvalsh(M)
+    assert np.all(np.abs(lam) <= 1.0 + 1e-12)
+    assert np.min(np.diff(lam)) < 1e-10  # the doubled level
+    with pytest.raises(ValueError, match="beta"):
+        sample_degenerate(3, 1.5, seed=1)
+
+
 def test_sample_degenerate_deterministic():
     a = sample_degenerate(4, 2, seed=17)
     b = sample_degenerate(4, 2, seed=17)
