@@ -65,9 +65,17 @@ def f_alpha(r, alpha: float):
 
 
 def q_index(H) -> float:
-    """Q = sum_j 1/H_j, the roughness index of a Hurst vector."""
+    """Q = sum_j 1/H_j, the roughness index of a Hurst vector.
+
+    Subnormal H_j pass the (0, 1) check but overflow 1/H_j; a Q that is not
+    finite raises instead of classifying the vector.
+    """
     H = np.array([_check_hurst(h) for h in np.atleast_1d(H)])
-    return float(np.sum(1.0 / H))
+    with np.errstate(over="ignore", divide="ignore"):
+        Q = float(np.sum(1.0 / H))
+    if not np.isfinite(Q):
+        raise ValueError(f"Q = sum 1/H_j is not finite for H = {tuple(H.tolist())}")
+    return Q
 
 
 def collision_regime(beta: int, H) -> str:

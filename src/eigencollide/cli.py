@@ -17,10 +17,12 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .capacity import (
@@ -116,6 +118,14 @@ def _write_manifest(out_dir, subcommand, config, seed, threads, fmt, started, fi
         "started": started,
         "finished": finished,
         "config": config_to_dict(config),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "nproc": (
+                len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            ),
+        },
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:

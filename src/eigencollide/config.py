@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .capacity import collision_regime, q_index
-from .ensembles import validate_shift
+from .ensembles import _check_integral, validate_shift
 from .experiments import _window_start, validate_ladder
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "config_to_dict"]
@@ -70,28 +70,32 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.beta not in (1, 2):
             raise ValueError(f"beta: must be 1 or 2, got {self.beta}")
-        if int(self.d) < 2:
+        if _check_integral(self.d, "d") < 2:
             raise ValueError(f"d: matrix dimension must be >= 2, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
         hurst = tuple(float(h) for h in np.atleast_1d(self.hurst))
         for h in hurst:
             if not 0.0 < h < 1.0:
                 raise ValueError(f"hurst: components must lie strictly in (0,1), got {h}")
+        try:
+            Q = q_index(hurst)
+        except ValueError as e:
+            raise ValueError(f"hurst: {e}") from e
         object.__setattr__(self, "hurst", hurst)
         a, b = (float(x) for x in self.interval)
         if not 0.0 <= a < b:
             raise ValueError(f"interval: need 0 <= a < b, got ({a}, {b})")
         object.__setattr__(self, "interval", (a, b))
-        if int(self.intervals) < 1:
+        if _check_integral(self.intervals, "intervals") < 1:
             raise ValueError(f"intervals: need >= 1 mesh cell, got {self.intervals}")
         object.__setattr__(self, "intervals", int(self.intervals))
-        if int(self.replicas) < 1:
+        if _check_integral(self.replicas, "replicas") < 1:
             raise ValueError(f"replicas: need >= 1, got {self.replicas}")
         object.__setattr__(self, "replicas", int(self.replicas))
         if not float(self.kappa) > 0.0:
             raise ValueError(f"kappa: threshold scale must be positive, got {self.kappa}")
         object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_integral(self.seed, "seed"))
         if self.shift is not None:
             try:
                 validate_shift(self.shift, self.beta, self.d)
@@ -109,7 +113,7 @@ class ExperimentConfig:
                 raise ValueError(f"interval: {e}") from e
         if collision_regime(self.beta, self.hurst) == "critical":
             warnings.warn(
-                f"Q = {q_index(self.hurst):.6g} equals beta+1 = {self.beta + 1}: "
+                f"Q = {Q:.6g} equals beta+1 = {self.beta + 1}: "
                 "critical case, the collision dichotomy is undecided here",
                 UserWarning,
             )
@@ -168,7 +172,7 @@ def parse_config(path: str) -> ExperimentConfig:
         if key in raw:
             kw[key] = raw[key]
     if "shift" in kw:
-        kw["shift"] = _parse_shift(kw["shift"], int(raw.get("d", 2)))
+        kw["shift"] = _parse_shift(kw["shift"], _check_integral(raw.get("d", 2), "d"))
     if "hurst" in kw and np.isscalar(kw["hurst"]):
         kw["hurst"] = (kw["hurst"],)
     extras = {k: raw[k] for k in _SECTION_KEYS if k in raw}

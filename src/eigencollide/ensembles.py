@@ -40,6 +40,17 @@ def _check_beta(beta: int) -> int:
     return int(beta)
 
 
+def _check_integral(x, name: str) -> int:
+    """x as an int; integral floats such as 2.0 pass, 2.7 and non-numbers raise."""
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name}: must be an integer, got {x!r}") from None
+    if k != x:
+        raise ValueError(f"{name}: must be an integer, got {x!r}")
+    return k
+
+
 def _check_hermitian(M: np.ndarray, beta: Optional[int] = None) -> np.ndarray:
     """Square, Hermitian within 1e-12 over the last two axes, and real for beta = 1."""
     M = np.asarray(M)
@@ -56,7 +67,7 @@ def _check_hermitian(M: np.ndarray, beta: Optional[int] = None) -> np.ndarray:
 def n_beta(beta: int, d: int) -> int:
     """Real dimension of the symmetric (d(d+1)/2) or Hermitian (d^2) matrices."""
     beta = _check_beta(beta)
-    d = int(d)
+    d = _check_integral(d, "d")
     if d < 2:
         raise ValueError("matrix dimension must be >= 2")
     return d * (d + 1) // 2 if beta == 1 else d * d

@@ -15,9 +15,12 @@ The path sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta:
 eigenvalue gaps are invariant under Y -> Y + cI, so the trace direction is
 never sampled. The diagonal is written from d - 1 Helmert coordinates, which
 has the law of iid diagonal fields projected onto trace zero
-(_traceless_fields); the gap process keeps its law exactly. Each path costs
-2M normals and one real-input inverse FFT of length 2M (fields.fgn_from_normals),
-where M is the number of increments from the origin to the window's end.
+(_traceless_fields); the gap process keeps its law exactly. Only the window
+is synthesized: a path on npoints grid points costs 2L + 1 normals and one
+real-input inverse FFT of length 2L (fields.fgn_from_normals), L the smallest
+power of two >= npoints - 1, whatever the window's distance from the origin.
+Its value at the window's start is drawn from its law given the increments,
+with weights solved once per (npoints, H, a/step) and cached.
 """
 
 from __future__ import annotations
@@ -38,7 +41,14 @@ from .ensembles import (
     validate_shift,
     vec_to_matrix,
 )
-from .fields import _check_hurst, _fgn_exact, fgn_from_normals, fgn_sqrt_eigenvalues
+from .fields import (
+    _check_hurst,
+    _fgn_anchor_weights,
+    _fgn_exact,
+    _fgn_half_length,
+    fgn_from_normals,
+    fgn_sqrt_eigenvalues,
+)
 from .spectral import adjacent_gaps, gap_closed_form_2x2, ordered_eigenvalues
 from .geometry import sample_degenerate
 from .streams import (
@@ -183,35 +193,43 @@ def _field_path_batch(
 ) -> np.ndarray:
     """Sample nf iid fBm paths for replicas [lo, hi): shape (hi-lo, nf, npoints).
 
-    Each replica consumes one standard_normal((nf, 2M)) block from its own
-    substream; the circulant embedding maps them to fGn increments whose
-    cumulative sums give the paths on the uniform grid a + k*step
-    (k = 0..npoints-1) with a = i0*step. The matrix experiments pass
+    The paths live on the uniform grid a + k*step (k = 0..npoints-1) with
+    a = i0*step, and only that window is synthesized. Each replica draws
+    standard_normal((nf, 2L)) and then standard_normal(nf) from its own
+    substream. The first block drives the circulant embedding of half-length
+    L = fields._fgn_half_length(n), whose first n = npoints - 1 outputs are
+    the path's increments; the second draws the anchor X(a) from its law
+    given those increments, X(a) = w . inc + step^H sqrt(v) z
+    (fields._fgn_anchor_weights). The matrix experiments pass
     nf = n_beta - 1 (see _traceless_fields).
     """
-    M = i0 + npoints - 1
-    sqrt_eigs = fgn_sqrt_eigenvalues(M, H, step)
+    n = npoints - 1
+    L = _fgn_half_length(n)
+    sqrt_eigs = fgn_sqrt_eigenvalues(L, H, step)
     if sqrt_eigs is None:
         # embedding failure: exact dense fallback, reported not fatal
         warnings.warn(
             "circulant embedding not nonnegative definite; exact fallback",
             RuntimeWarning,
         )
-    width = M if sqrt_eigs is None else 2 * M
+    w, v = _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
+    width = n if sqrt_eigs is None else 2 * L
     m = hi - lo
     z = np.empty((m, nf, width))
-    for r in range(lo, hi):
-        z[r - lo] = substream(seed, *prefix, r).standard_normal((nf, width))
     out = np.empty((m, nf, npoints))
+    for r in range(lo, hi):
+        rng = substream(seed, *prefix, r)
+        rng.standard_normal(out=z[r - lo])
+        out[r - lo, :, 0] = rng.standard_normal(nf)
+    out[:, :, 0] *= step**H * np.sqrt(v)
     if sqrt_eigs is None:
-        inc = _fgn_exact(M, H, step, z.reshape(m * nf, M)).reshape(m, nf, M)
-        np.cumsum(inc, axis=2, out=inc)
-        out[:] = inc[:, :, i0 - 1 : i0 - 1 + npoints]
-        return out
-    for f in range(nf):
-        inc = fgn_from_normals(z[:, f, :], sqrt_eigs)
-        np.cumsum(inc, axis=1, out=inc)
-        out[:, f, :] = inc[:, i0 - 1 : i0 - 1 + npoints]
+        out[:, :, 1:] = _fgn_exact(n, H, step, z.reshape(m * nf, n)).reshape(m, nf, n)
+    else:
+        for f in range(nf):
+            out[:, f, 1:] = fgn_from_normals(z[:, f, :], sqrt_eigs)[:, :n]
+    # anchors in column 0, increments after them: one cumsum gives the paths
+    out[:, :, 0] += out[:, :, 1:] @ w
+    np.cumsum(out, axis=2, out=out)
     return out
 
 

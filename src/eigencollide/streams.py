@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 # 1: the path sampler drew n_beta fields per replica;
-# 2: it draws n_beta - 1, the diagonal in traceless Helmert coordinates
-STREAM_VERSION = 2
+# 2: it draws n_beta - 1, the diagonal in traceless Helmert coordinates;
+# 3: window increments plus a conditional anchor
+STREAM_VERSION = 3
 
 # experiment tags, part of the stream key; never reorder or reuse
 TAG_FIELD = 0

@@ -51,8 +51,9 @@ def test_tracing_patch_points_exist_and_are_restored(d):
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_traced_normals_count_is_the_sampler_work(beta):
-    # n_beta - 1 paths per replica (no trace field), 2M normals per path,
-    # with M = i0 + N increments from the origin to the window's end
+    # n_beta - 1 paths per replica (no trace field); each path draws 2L
+    # normals for the N window increments (L = N, a power of two) and one for
+    # its value at the window's start, nothing for the part before it
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     replicas, N = 3, 16
@@ -60,6 +61,6 @@ def test_traced_normals_count_is_the_sampler_work(beta):
     with tracing.installed(tracer):
         experiments.refinement_study(cfg)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
-    i0 = N  # window [1, 2]: a = i0 * step with step = 1/N
-    assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * 2 * (i0 + N)
+    L = N
+    assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * (2 * L + 1)
     assert metrics["fields.embedding_fallbacks"] == 0

@@ -84,6 +84,15 @@ def test_collision_regime_rejects_bad_beta():
         collision_regime(1.5, 0.5)
 
 
+def test_q_index_rejects_overflow():
+    # subnormal H lies in (0, 1), but 1/H overflows to inf
+    with pytest.raises(ValueError, match="not finite"):
+        q_index((5e-324,))
+    with pytest.raises(ValueError, match="not finite"):
+        collision_regime(1, (0.3, 5e-324))
+    assert q_index((1e-300,)) == pytest.approx(1e300)
+
+
 def test_decision_rule_rejects_nan_hurst():
     # NaN fails every comparison, so a range check written as two rejections
     # lets it through; the decision rule must not read it as "no_collision"

@@ -58,9 +58,18 @@ def test_simulate_writes_results_and_manifest(tmp_path, small_config):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 4242
     assert manifest["subcommand"] == "simulate"
-    assert manifest["stream_version"] == STREAM_VERSION == 2
+    assert manifest["stream_version"] == STREAM_VERSION == 3
     assert manifest["config"]["replicas"] == 150
     assert "started" in manifest and "finished" in manifest
+
+
+def test_manifest_records_the_environment(tmp_path, small_config):
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "nproc"}
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert isinstance(env["nproc"], int) and env["nproc"] >= 1
 
 
 def test_results_have_no_timestamps(tmp_path, small_config):

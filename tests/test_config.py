@@ -118,6 +118,21 @@ def test_validation_errors():
     ExperimentConfig(interval=(0.0, 2.0), intervals=64)  # windows from the origin pass
 
 
+@pytest.mark.parametrize("field", ["d", "intervals", "replicas", "seed"])
+def test_integer_fields_reject_fractions(field):
+    # int() would truncate 2.7 to 2; integral floats such as 4.0 stay accepted
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+        ExperimentConfig(**{field: 2.7})
+    cfg = ExperimentConfig(**{field: 4.0})
+    assert getattr(cfg, field) == 4 and type(getattr(cfg, field)) is int
+
+
+def test_subnormal_hurst_rejected():
+    # 1/5e-324 overflows, so Q is not finite and no regime can be read off
+    with pytest.raises(ValueError, match="^hurst:.*not finite"):
+        ExperimentConfig(hurst=(5e-324,))
+
+
 def test_critical_hurst_warns():
     with pytest.warns(UserWarning):
         ExperimentConfig(beta=1, hurst=(0.5,))

@@ -51,6 +51,13 @@ def test_beta_checked_before_the_integer_cast(beta):
         n_beta(beta, 2)
 
 
+def test_dimension_checked_before_the_integer_cast():
+    # int(2.7) would be 2; an integral float is the integer it names
+    with pytest.raises(ValueError, match="d: must be an integer"):
+        n_beta(1, 2.7)
+    assert n_beta(1, 3.0) == 6 and n_beta(2, 3.0) == 9
+
+
 @given(dims)
 @settings(max_examples=20)
 def test_packing_matches_closed_form_index(d):

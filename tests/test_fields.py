@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_toeplitz
 
 from eigencollide import experiments, fields
 from eigencollide.experiments import _field_path_batch
@@ -57,8 +58,11 @@ def test_fbm_increment_stationarity(s, t, H):
     assert lhs == pytest.approx(abs(t - s) ** (2 * H), rel=1e-9, abs=1e-12)
 
 
-@given(times, times, hursts, st.floats(0.1, 5.0))
+@given(times, times, hursts, st.integers(-3, 2).map(lambda k: 2.0**k))
+@example(s=0.010000000000000002, t=0.01, H=0.25, c=0.125)
 def test_fbm_self_similarity(s, t, H, c):
+    # c is a power of two, so c*s and c*t are exact and c*s - c*t = c*(s - t);
+    # any other c rounds them, and |s - t|^2H amplifies that when s ~ t
     lhs = fbm_covariance(c * s, c * t, H)
     assert lhs == pytest.approx(c ** (2 * H) * fbm_covariance(s, t, H), rel=1e-10)
 
@@ -305,12 +309,13 @@ def test_field_path_batch_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def _window_law_error(H):
-    # the path every experiment samples, on the window [1, 2] at N = 16 cells
-    # (a = i0 * step with i0 = 16): known-mean sample covariance against the
-    # exact fbm covariance, in Monte Carlo standard errors as in criterion 01
-    R = covariance_matrix(interval(1.0, 2.0, 17), fbm_model(H))
-    X = _window_paths(H, 1.0 / 16, 16, 17, 2024, 3400)
+def _window_law_error(H, a=1.0, seed=2024):
+    # the path every experiment samples, on the window [a, a + 1] at N = 16
+    # cells (a = i0 * step with i0 = 16 a): known-mean sample covariance
+    # against the exact fbm covariance, in Monte Carlo standard errors as in
+    # criterion 01
+    R = covariance_matrix(interval(a, a + 1.0, 17), fbm_model(H))
+    X = _window_paths(H, 1.0 / 16, int(16 * a), 17, seed, 3400)
     S = X.T @ X / X.shape[0]
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / X.shape[0])
     return np.max(np.abs(S - R) / se)
@@ -319,6 +324,41 @@ def _window_law_error(H):
 @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
 def test_field_path_batch_window_law(H):
     assert _window_law_error(H) <= 5.0
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+def test_field_path_batch_far_window_law(H):
+    # the anchor X(4) carries four times the window's length of history
+    assert _window_law_error(H, a=4.0, seed=4045) <= 5.0
+
+
+@pytest.mark.parametrize("n", [16, 1023, 16384])
+@pytest.mark.parametrize("H", [0.25, 0.7])
+def test_anchor_weights_match_levinson(n, H):
+    # conjugate gradients on the embedding against a direct Toeplitz solve
+    for i0 in (1, n):
+        w, v = fields._fgn_anchor_weights(n, H, i0, False)
+        k = np.arange(n, dtype=float)
+        c = 0.5 * ((i0 + k + 1) ** (2 * H) - (i0 + k) ** (2 * H) - (k + 1) ** (2 * H) + k ** (2 * H))
+        ref = solve_toeplitz(fields._fgn_autocov(n - 1, H), c)
+        assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert v == pytest.approx(i0 ** (2 * H) - c @ ref, rel=1e-10)
+        assert not w.flags.writeable
+
+
+def test_anchor_weights_vanish_for_brownian_motion():
+    # H = 1/2: increments are independent of X(a), so w = 0 and v = i0
+    w, v = fields._fgn_anchor_weights(64, 0.5, 8, False)
+    assert not w.any() and v == 8.0
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_field_path_batch_single_point_is_the_anchor(H):
+    # npoints = 1: no increments, X(a) ~ N(0, a^2H) with a = i0 * step = 1.5
+    x = _field_path_batch(3, H, 0.5, 3, 1, 11, (), 0, 4000)
+    assert x.shape == (4000, 3, 1)
+    var = x.var()
+    assert abs(var - 1.5 ** (2 * H)) / 1.5 ** (2 * H) < 5 * np.sqrt(2.0 / x.size)
 
 
 def test_field_path_batch_dense_fallback_law(monkeypatch):
@@ -334,7 +374,21 @@ def test_field_path_batch_dense_fallback_law(monkeypatch):
     monkeypatch.setattr(fields, "cholesky_with_jitter", counting_cholesky)
     with pytest.warns(RuntimeWarning, match="exact fallback"):
         assert _window_law_error(0.7) <= 5.0
-    assert factorizations == [(32, 32)]  # one _field_path_batch call, M = 16 + 17 - 1
+    assert factorizations == [(16, 16)]  # one _field_path_batch call, 16 window increments
+
+
+def test_dense_fallback_weights_do_not_use_the_embedding(monkeypatch):
+    # with the weight cache cleared, the fallback solves for the anchor
+    # weights directly; the (broken) embedding is never consulted for them
+    def no_embedding(*args):
+        raise AssertionError("embedding used by the exact fallback")
+
+    fields._fgn_anchor_weights.cache_clear()
+    monkeypatch.setattr(experiments, "fgn_sqrt_eigenvalues", lambda n, H, dt: None)
+    monkeypatch.setattr(fields, "_fgn_unit_sqrt_eigenvalues", no_embedding)
+    with pytest.warns(RuntimeWarning, match="exact fallback"):
+        assert _window_law_error(0.3) <= 5.0
+    fields._fgn_anchor_weights.cache_clear()
 
 
 def test_embedding_cache_is_bounded_and_shared_by_threads():
@@ -349,7 +403,11 @@ def test_embedding_cache_is_bounded_and_shared_by_threads():
         threaded = list(pool.map(lambda k: fgn_sqrt_eigenvalues(k[0], k[1], 0.5), keys))
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
-    for cached in (fields._fgn_unit_sqrt_eigenvalues, fields._volterra_constant):
+    for cached in (
+        fields._fgn_unit_sqrt_eigenvalues,
+        fields._fgn_anchor_weights,
+        fields._volterra_constant,
+    ):
         info = cached.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
 
