@@ -293,8 +293,8 @@ def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
 def _window_start(a: float, b: float, N: int) -> tuple:
     """(step, i0) of the N-cell mesh on [a, b], where a = i0 * step.
 
-    The fast path samples the field from the origin on the same mesh, so i0
-    must be a positive integer.
+    The window starts on the mesh: i0 must be a positive integer (the
+    sampler's anchor weights are computed and cached per integer i0).
     """
     if not 0.0 < a < b:
         raise ValueError("collision window requires 0 < a < b")

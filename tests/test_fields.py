@@ -388,7 +388,6 @@ def test_dense_fallback_weights_do_not_use_the_embedding(monkeypatch):
     monkeypatch.setattr(fields, "_fgn_unit_sqrt_eigenvalues", no_embedding)
     with pytest.warns(RuntimeWarning, match="exact fallback"):
         assert _window_law_error(0.3) <= 5.0
-    fields._fgn_anchor_weights.cache_clear()
 
 
 def test_embedding_cache_is_bounded_and_shared_by_threads():
