@@ -20,7 +20,7 @@ import numpy as np
 
 from .capacity import collision_regime, q_index
 from .ensembles import _check_integral, validate_shift
-from .experiments import _window_start, validate_ladder
+from .experiments import validate_ladder
 
 __all__ = ["ExperimentConfig", "parse_config", "emit_config", "config_to_dict"]
 
@@ -104,13 +104,6 @@ class ExperimentConfig:
             object.__setattr__(self, "shift", np.asarray(self.shift))
         if self.mesh_ladder is not None:
             object.__setattr__(self, "mesh_ladder", validate_ladder(self.mesh_ladder))
-        if a > 0.0:
-            # collision windows start on the finest mesh; a = 0 is the origin
-            # (gapfit, capacity, boxdim and small-time configs start there)
-            try:
-                _window_start(a, b, self.ladder()[-1])
-            except ValueError as e:
-                raise ValueError(f"interval: {e}") from e
         if collision_regime(self.beta, self.hurst) == "critical":
             warnings.warn(
                 f"Q = {Q:.6g} equals beta+1 = {self.beta + 1}: "

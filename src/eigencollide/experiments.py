@@ -20,7 +20,14 @@ is synthesized: a path on npoints grid points costs 2L + 1 normals and one
 real-input inverse FFT of length 2L (fields.fgn_from_normals), L the smallest
 power of two >= npoints - 1, whatever the window's distance from the origin.
 Its value at the window's start is drawn from its law given the increments,
-with weights solved once per (npoints, H, a/step) and cached.
+with weights solved once per (npoints, H, a/step) and cached; a/step need
+not be an integer.
+
+A collision run over several Hurst values (phase_sweep) draws each
+replica's normals once and maps them through every H's embedding and
+anchor weights (common random numbers). The stream key does not name H, so
+each H's estimate keeps its law and equals its one-H run bit for bit, while
+estimates across H are positively correlated.
 """
 
 from __future__ import annotations
@@ -79,6 +86,8 @@ __all__ = [
 
 # replica batch size; fixed (see module docstring)
 BATCH = 32
+# replicas per gap-kernel call within a batch; any value gives the same bits
+KERNEL_BLOCK = 8
 
 _Z95 = 1.959963984540054
 
@@ -182,54 +191,62 @@ def _run_batches(replicas: int, threads: int, work) -> None:
 
 def _field_path_batch(
     nf: int,
-    H: float,
+    hs: Sequence[float],
     step: float,
-    i0: int,
+    i0: float,
     npoints: int,
     seed: int,
     prefix: tuple,
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    """Sample nf iid fBm paths for replicas [lo, hi): shape (hi-lo, nf, npoints).
+    """nf iid fBm paths per H for replicas [lo, hi): shape (len(hs), hi-lo, nf, npoints).
 
     The paths live on the uniform grid a + k*step (k = 0..npoints-1) with
-    a = i0*step, and only that window is synthesized. Each replica draws
-    standard_normal((nf, 2L)) and then standard_normal(nf) from its own
-    substream. The first block drives the circulant embedding of half-length
+    a = i0*step, and only that window is synthesized. Every H maps the same
+    normals (common random numbers): each replica draws nf rows of 2L
+    normals and then nf more from its own substream, in that order. Row f
+    drives field f's circulant embedding of half-length
     L = fields._fgn_half_length(n), whose first n = npoints - 1 outputs are
-    the path's increments; the second draws the anchor X(a) from its law
+    the path's increments; the last nf draw the anchors X(a) from their law
     given those increments, X(a) = w . inc + step^H sqrt(v) z
-    (fields._fgn_anchor_weights). The matrix experiments pass
-    nf = n_beta - 1 (see _traceless_fields).
+    (fields._fgn_anchor_weights). An H whose embedding fails uses the first
+    n normals of each row for exact dense increments; the rows are n wide
+    only if every H fails. The matrix experiments pass nf = n_beta - 1 (see
+    _traceless_fields).
     """
     n = npoints - 1
     L = _fgn_half_length(n)
-    sqrt_eigs = fgn_sqrt_eigenvalues(L, H, step)
-    if sqrt_eigs is None:
+    roots = [fgn_sqrt_eigenvalues(L, H, step) for H in hs]
+    failed = [r is None for r in roots]
+    if any(failed):
         # embedding failure: exact dense fallback, reported not fatal
         warnings.warn(
             "circulant embedding not nonnegative definite; exact fallback",
             RuntimeWarning,
         )
-    w, v = _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
-    width = n if sqrt_eigs is None else 2 * L
     m = hi - lo
-    z = np.empty((m, nf, width))
-    out = np.empty((m, nf, npoints))
-    for r in range(lo, hi):
-        rng = substream(seed, *prefix, r)
-        rng.standard_normal(out=z[r - lo])
-        out[r - lo, :, 0] = rng.standard_normal(nf)
-    out[:, :, 0] *= step**H * np.sqrt(v)
-    if sqrt_eigs is None:
-        out[:, :, 1:] = _fgn_exact(n, H, step, z.reshape(m * nf, n)).reshape(m, nf, n)
-    else:
-        for f in range(nf):
-            out[:, f, 1:] = fgn_from_normals(z[:, f, :], sqrt_eigs)[:, :n]
-    # anchors in column 0, increments after them: one cumsum gives the paths
-    out[:, :, 0] += out[:, :, 1:] @ w
-    np.cumsum(out, axis=2, out=out)
+    rngs = [substream(seed, *prefix, r) for r in range(lo, hi)]
+    z = np.empty((m, n if all(failed) else 2 * L))
+    dense = np.empty((m, nf, n)) if any(failed) else None
+    out = np.empty((len(hs), m, nf, npoints))
+    for f in range(nf):
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+        if dense is not None:
+            dense[:, f] = z[:, :n]
+        for k, sqrt_eigs in enumerate(roots):
+            if sqrt_eigs is not None:
+                out[k, :, f, 1:] = fgn_from_normals(z, sqrt_eigs)[:, :n]
+    anchors = np.array([rng.standard_normal(nf) for rng in rngs])
+    for k, (H, sqrt_eigs) in enumerate(zip(hs, roots)):
+        if sqrt_eigs is None:
+            out[k, :, :, 1:] = _fgn_exact(n, H, step, dense.reshape(m * nf, n)).reshape(m, nf, n)
+        w, v = _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
+        # anchors in column 0, increments after them: one cumsum gives the paths
+        out[k, :, :, 0] = anchors * (step**H * np.sqrt(v))
+        out[k, :, :, 0] += out[k, :, :, 1:] @ w
+    np.cumsum(out, axis=3, out=out)
     return out
 
 
@@ -293,27 +310,25 @@ def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
 def _window_start(a: float, b: float, N: int) -> tuple:
     """(step, i0) of the N-cell mesh on [a, b], where a = i0 * step.
 
-    The window starts on the mesh: i0 must be a positive integer (the
-    sampler's anchor weights are computed and cached per integer i0).
+    i0 is real: the anchor law holds off the mesh too. Within 1e-9 of an
+    integer it is snapped to it, so on-mesh windows do not depend on how
+    a/step rounds.
     """
     if not 0.0 < a < b:
         raise ValueError("collision window requires 0 < a < b")
     step = (b - a) / N
-    i0f = a / step
-    i0 = int(round(i0f))
-    if abs(i0f - i0) > 1e-9 or i0 < 1:
-        raise ValueError(
-            "fast path needs a/step integral (a*N/(b-a) must be an integer)"
-        )
+    i0 = a / step
+    if abs(i0 - round(i0)) <= 1e-9:
+        i0 = float(round(i0))
     return step, i0
 
 
 def _min_gaps_ladder(
     beta: int,
     d: int,
-    H: float,
+    hs: Sequence[float],
     step: float,
-    i0: int,
+    i0: float,
     npoints: int,
     strides: Sequence[int],
     A: np.ndarray,
@@ -322,24 +337,27 @@ def _min_gaps_ladder(
     prefix: tuple,
     threads: int,
 ) -> np.ndarray:
-    """Per-replica minimum gaps on strided subgrids: (replicas, len(strides)).
+    """Per-replica minimum gaps on strided subgrids: (len(hs), replicas, len(strides)).
 
-    Samples each replica once on the grid (i0 + k) * step, k < npoints, and
-    takes the minimum over every strides[j]-th point. Coarser subgrids reuse
-    the same paths (nested-grid coupling), so the reported minimum never
+    Samples each replica once on the grid (i0 + k) * step, k < npoints, from
+    one set of normals mapped through every H (_field_path_batch), and takes
+    the minimum over every strides[j]-th point. Coarser subgrids reuse the
+    same paths (nested-grid coupling), so the reported minimum never
     increases under refinement, replica by replica.
     """
     nf = n_beta(beta, d) - 1
-    minima = np.empty((replicas, len(strides)))
+    minima = np.empty((len(hs), replicas, len(strides)))
 
     def work(lo: int, hi: int) -> None:
-        # the paths are freed before the gap kernel runs
-        fields = _traceless_fields(
-            _field_path_batch(nf, H, step, i0, npoints, seed, prefix, lo, hi), beta, d
-        )
-        gaps = _gaps_from_fields(fields, beta, d, A)
-        for col, s in enumerate(strides):
-            minima[lo:hi, col] = gaps[:, ::s].min(axis=1)
+        paths = _field_path_batch(nf, hs, step, i0, npoints, seed, prefix, lo, hi)
+        # the kernel is per replica: sub-blocks bound its temporaries
+        for k in range(len(hs)):
+            for s in range(lo, hi, KERNEL_BLOCK):
+                e = min(s + KERNEL_BLOCK, hi)
+                fields = _traceless_fields(paths[k, s - lo : e - lo], beta, d)
+                gaps = _gaps_from_fields(fields, beta, d, A)
+                for col, stride in enumerate(strides):
+                    minima[k, s:e, col] = gaps[:, ::stride].min(axis=1)
 
     _run_batches(replicas, threads, work)
     return minima
@@ -363,39 +381,45 @@ def _stats_from_minima(
     )
 
 
-def refinement_study(
-    config,
-    mesh_ladder: Optional[Sequence[int]] = None,
-    threads: int = 1,
-    _prefix: tuple = (),
-) -> RefinementResult:
-    """Collision probability across a mesh ladder with nested-grid coupling.
-
-    The threshold at mesh N is delta_N = kappa * ((b-a)/N)^H. Shared replicas
-    across the ladder make the trend ratios low-variance.
-    """
-    H = _require_r1(config.hurst)
+def _refinement_studies(config, hs: Sequence[float], mesh_ladder, threads: int) -> list:
+    """One RefinementResult per H in hs, every H mapping the same normals."""
     ladder = validate_ladder(mesh_ladder if mesh_ladder is not None else config.ladder())
     a, b = config.interval
     Nmax = ladder[-1]
     step, i0 = _window_start(a, b, Nmax)
     A = validate_shift(config.shift, config.beta, config.d)
     minima = _min_gaps_ladder(
-        config.beta, config.d, H, step, i0, Nmax + 1, [Nmax // N for N in ladder], A,
-        config.replicas, config.seed, (TAG_COLLISION,) + _prefix, threads,
+        config.beta, config.d, hs, step, i0, Nmax + 1, [Nmax // N for N in ladder], A,
+        config.replicas, config.seed, (TAG_COLLISION,), threads,
     )
-    stats = []
-    for col, N in enumerate(ladder):
-        delta = _threshold(config.kappa, (b - a) / N, H)
-        stats.append(_stats_from_minima(minima[:, col], delta, N, (a, b)))
-    p = [s.p_hat for s in stats]
-    first = p[0] if p[0] > 0 else np.nan
-    second = p[-2] if len(p) > 1 and p[-2] > 0 else np.nan
-    return RefinementResult(
-        stats=tuple(stats),
-        trend_last_over_first=p[-1] / first,
-        trend_top_pair=p[-1] / second if len(p) > 1 else np.nan,
-    )
+    studies = []
+    for H, per_h in zip(hs, minima):
+        stats = [
+            _stats_from_minima(per_h[:, col], _threshold(config.kappa, (b - a) / N, H), N, (a, b))
+            for col, N in enumerate(ladder)
+        ]
+        p = [s.p_hat for s in stats]
+        first = p[0] if p[0] > 0 else np.nan
+        second = p[-2] if len(p) > 1 and p[-2] > 0 else np.nan
+        studies.append(RefinementResult(
+            stats=tuple(stats),
+            trend_last_over_first=p[-1] / first,
+            trend_top_pair=p[-1] / second if len(p) > 1 else np.nan,
+        ))
+    return studies
+
+
+def refinement_study(
+    config,
+    mesh_ladder: Optional[Sequence[int]] = None,
+    threads: int = 1,
+) -> RefinementResult:
+    """Collision probability across a mesh ladder with nested-grid coupling.
+
+    The threshold at mesh N is delta_N = kappa * ((b-a)/N)^H. Shared replicas
+    across the ladder make the trend ratios low-variance.
+    """
+    return _refinement_studies(config, (_require_r1(config.hurst),), mesh_ladder, threads)[0]
 
 
 def estimate_collision_probability(config, threads: int = 1) -> CollisionStats:
@@ -412,22 +436,21 @@ def phase_sweep(
     """One refinement study per Hurst value, on a shared mesh ladder.
 
     Every H must stay at least 0.02 away from the critical value 1/(1+beta),
-    where the dichotomy is undecided. The summary ratio compares finest-mesh
-    estimates across the threshold.
+    where the dichotomy is undecided. All H share each replica's normals
+    (common random numbers): study k is bit-identical to
+    refinement_study(config.with_hurst((hurst_values[k],))), and estimates
+    across H are positively correlated, so the summary ratio, which compares
+    finest-mesh estimates across the threshold, is a paired comparison.
     """
     critical = 1.0 / (1.0 + config.beta)
-    hs = [float(h) for h in hurst_values]
+    hs = tuple(_check_hurst(h) for h in hurst_values)
     for h in hs:
         if abs(h - critical) < 0.02:
             raise ValueError(
                 f"H={h} is within 0.02 of the critical value {critical:.4g}"
             )
-    studies = []
-    regimes = []
-    for idx, h in enumerate(hs):
-        cfg = config.with_hurst((h,))
-        studies.append(refinement_study(cfg, mesh_ladder, threads, _prefix=(idx,)))
-        regimes.append(collision_regime(config.beta, (h,)))
+    studies = _refinement_studies(config, hs, mesh_ladder, threads)
+    regimes = [collision_regime(config.beta, (h,)) for h in hs]
     coll = [s.stats[-1].p_hat for s, r in zip(studies, regimes) if r == "collision"]
     none = [s.stats[-1].p_hat for s, r in zip(studies, regimes) if r == "no_collision"]
     if coll and none:
@@ -437,7 +460,7 @@ def phase_sweep(
     else:
         sep = np.nan
     return PhaseSweepResult(
-        hurst_values=tuple(hs),
+        hurst_values=hs,
         regimes=tuple(regimes),
         studies=tuple(studies),
         separation_ratio=float(sep),
@@ -530,10 +553,11 @@ def small_time_study(
     for ti, T in enumerate(Ts):
         step = T / intervals
         minima = _min_gaps_ladder(
-            beta, d, H, step, 1, intervals, (1,), A, replicas, seed, (TAG_SMALLTIME, ti), threads
+            beta, d, (H,), step, 1.0, intervals, (1,), A, replicas, seed, (TAG_SMALLTIME, ti),
+            threads,
         )
         delta = _threshold(kappa, step, H)
-        out.append(_stats_from_minima(minima[:, 0], delta, intervals, (0.0, T)))
+        out.append(_stats_from_minima(minima[0, :, 0], delta, intervals, (0.0, T)))
     return out
 
 
@@ -557,8 +581,8 @@ def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
     def work(lo: int, hi: int) -> None:
         fields = _traceless_fields(
             _field_path_batch(
-                n_beta(beta, 2) - 1, H, step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
-            ),
+                n_beta(beta, 2) - 1, (H,), step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
+            )[0],
             beta, 2,
         )
         formula = _gaps_from_fields(fields, beta, 2, A)

@@ -298,10 +298,11 @@ def _fgn_half_length(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _fgn_anchor_weights(n: int, H: float, i0: int, exact: bool) -> tuple:
+def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
     """(w, v): the law of B(i0) given the n unit-step fGn increments after it.
 
-    With inc_k = B(i0+k+1) - B(i0+k), E[B(i0) | inc] = w . inc and
+    i0 > 0 is real, so a window need not start on the mesh. With
+    inc_k = B(i0+k+1) - B(i0+k), E[B(i0) | inc] = w . inc and
     Var[B(i0) | inc] = v, where w = Gamma^-1 c, v = i0^2H - c . w, Gamma is
     the n x n fGn Toeplitz covariance and c_k = Cov(inc_k, B(i0)). At a step
     dt the increments scale by dt^H, so w is unchanged and v scales by

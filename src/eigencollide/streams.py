@@ -6,6 +6,10 @@ on the key, never on scheduling, so results are bit-identical for any worker
 count. Philox is counter-based: independent keys give independent streams
 without coordination.
 
+A collision replica's key is (seed, TAG_COLLISION, replica) whatever the
+Hurst value, so a sweep maps the same normals through each H (common random
+numbers).
+
 STREAM_VERSION names the contract between a key and the samples made from
 its stream (which normals are drawn, in which order, and how they are mapped
 to fields). A change that keeps the law but changes realizations bumps it.
@@ -17,8 +21,9 @@ import numpy as np
 
 # 1: the path sampler drew n_beta fields per replica;
 # 2: it draws n_beta - 1, the diagonal in traceless Helmert coordinates;
-# 3: window increments plus a conditional anchor
-STREAM_VERSION = 3
+# 3: window increments plus a conditional anchor;
+# 4: a sweep's H values share each replica's normals
+STREAM_VERSION = 4
 
 # experiment tags, part of the stream key; never reorder or reuse
 TAG_FIELD = 0

@@ -25,7 +25,7 @@ from eigencollide.experiments import (
     flattened_degenerate_sampler,
     gap_exponent_fit,
     oracle_vector_reduction,
-    refinement_study,
+    phase_sweep,
 )
 from eigencollide.fields import (
     covariance_matrix,
@@ -157,13 +157,14 @@ def test_criterion_04_gap_exponent(capsys):
 
 
 def _phase_transition(beta, h_low, h_high):
+    # one sweep: both H map the same normals, as two refinement studies at
+    # this seed would
     base = ExperimentConfig(
         beta=beta, d=2, hurst=(h_low,), interval=(1.0, 2.0),
         intervals=LADDER[-1], replicas=10_000, kappa=1.0, seed=SEED,
         mesh_ladder=LADDER,
     )
-    low = refinement_study(base, LADDER)
-    high = refinement_study(base.with_hurst((h_high,)), LADDER)
+    low, high = phase_sweep((h_low, h_high), base, LADDER).studies
     return low, high
 
 

@@ -64,3 +64,21 @@ def test_traced_normals_count_is_the_sampler_work(beta):
     L = N
     assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * (2 * L + 1)
     assert metrics["fields.embedding_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_traced_sweep_draws_each_replica_once(beta):
+    # a two-H sweep maps each replica's normals through both H: one
+    # substream and one set of draws per replica, not one per (H, replica)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    replicas, N = 3, 16
+    hs = (0.3, 0.7) if beta == 1 else (0.25, 0.45)
+    cfg = ExperimentConfig(beta=beta, d=2, intervals=N, mesh_ladder=(8, N), replicas=replicas)
+    with tracing.installed(tracer):
+        experiments.phase_sweep(hs, cfg)
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    L = N
+    assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * (2 * L + 1)
+    assert metrics["streams.substream.calls"] == replicas
+    assert metrics["fields.fgn_from_normals.calls"] == len(hs) * (n_beta(beta, 2) - 1)

@@ -58,7 +58,7 @@ def test_simulate_writes_results_and_manifest(tmp_path, small_config):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 4242
     assert manifest["subcommand"] == "simulate"
-    assert manifest["stream_version"] == STREAM_VERSION == 3
+    assert manifest["stream_version"] == STREAM_VERSION == 4
     assert manifest["config"]["replicas"] == 150
     assert "started" in manifest and "finished" in manifest
 
@@ -189,13 +189,15 @@ def test_invalid_format_env_errors(tmp_path, small_config, monkeypatch, capsys):
     assert "format" in capsys.readouterr().err
 
 
-def test_window_off_the_mesh_errors(tmp_path, capsys):
-    # a*N/(b-a) = 0.5*64/1.5 is not an integer: rejected when the config is read
+def test_window_off_the_mesh_simulates(tmp_path):
+    # a*N/(b-a) = 0.5*64/1.5 is not an integer: the window starts between
+    # mesh points, which the conditional anchor samples exactly
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"interval": [0.5, 2.0], "intervals": 64, "replicas": 4}))
-    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "interval:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    parse_config(str(path))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "results.csv")
+    assert len(rows) == 1 and float(rows[0]["a"]) == 0.5 and int(rows[0]["replicas"]) == 4
 
 
 def test_unknown_section_key_errors(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Monte Carlo studies: refinement coupling, sweeps, exponent fits, samplers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,9 +148,10 @@ def test_minima_never_increase_under_refinement():
     # ladder 32..256 on [1, 2]: step 1/256, window start i0 = 256
     strides = [8, 4, 2, 1]
     minima = _min_gaps_ladder(
-        1, 2, 0.3, 1.0 / 256, 256, 257, strides, np.zeros((2, 2)), 64, 5, (9,), 1
+        1, 2, (0.3,), 1.0 / 256, 256.0, 257, strides, np.zeros((2, 2)), 64, 5, (9,), 1
     )
-    assert minima.shape == (64, 4)
+    assert minima.shape == (1, 64, 4)
+    minima = minima[0]
     # finer mesh minimizes over a superset of times, elementwise
     for c in range(3):
         assert np.all(minima[:, c + 1] <= minima[:, c] + 1e-15)
@@ -206,6 +209,29 @@ def test_phase_sweep_regimes_and_separation():
     assert sw.separation_ratio > 1.0
     with pytest.raises(ValueError):
         phase_sweep([0.2, 0.505], cfg, (64, 256))  # too close to critical
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "beta,d,hs,shift",
+    [
+        (1, 2, (0.3, 0.7), None),
+        (2, 2, (0.25, 0.45), None),
+        (2, 3, (0.25, 0.45), np.diag([0.5, 0.0, -0.5]) + np.array(
+            [[0, 0.2j, 0.1], [-0.2j, 0, 0.3 - 0.1j], [0.1, 0.3 + 0.1j, 0]]
+        )),
+    ],
+)
+def test_sweep_equals_per_hurst_refinement(beta, d, hs, shift, threads):
+    # common random numbers: the sweep maps each replica's normals through
+    # every H, and its stream key (seed, TAG_COLLISION, replica) does not
+    # name H, so each study is the one-H run of its H, field for field
+    cfg = _cfg(beta=beta, d=d, shift=shift, replicas=70)
+    sweep = phase_sweep(hs, cfg, (64, 256), threads=threads)
+    for h, study in zip(hs, sweep.studies):
+        alone = refinement_study(cfg.with_hurst((h,)), (64, 256), threads=threads)
+        np.testing.assert_equal(dataclasses.asdict(study), dataclasses.asdict(alone))
+    assert sweep.studies[0].stats[-1].hits > 0  # the collision side is not empty
 
 
 # -- exponent fit ----------------------------------------------------------------

@@ -281,13 +281,13 @@ def test_circulant_increments_match_fgn_autocovariance():
 
 
 def _window_paths(H, step, i0, npoints, seed, replicas):
-    paths = _field_path_batch(3, H, step, i0, npoints, seed, (), 0, replicas)
+    paths = _field_path_batch(3, (H,), step, i0, npoints, seed, (), 0, replicas)
     return paths.reshape(-1, npoints)
 
 
 def test_circulant_marginal_is_gaussian():
     # KS test of the first increment against N(0,1); pinned seed
-    inc = _field_path_batch(3, 0.35, 1.0, 1, 64, 0, (), 0, 400)[:, 0, 0]
+    inc = _field_path_batch(3, (0.35,), 1.0, 1.0, 64, 0, (), 0, 400)[0, :, 0, 0]
     pval = stats.kstest(inc, "norm").pvalue
     assert pval > 0.01
 
@@ -304,18 +304,24 @@ def test_field_path_batch_cumsum_variance():
 
 
 def test_field_path_batch_deterministic():
-    a = _field_path_batch(3, 0.3, 1.0, 1, 32, 5, (), 0, 4)
-    b = _field_path_batch(3, 0.3, 1.0, 1, 32, 5, (), 0, 4)
+    a = _field_path_batch(3, (0.3,), 1.0, 1.0, 32, 5, (), 0, 4)
+    b = _field_path_batch(3, (0.3,), 1.0, 1.0, 32, 5, (), 0, 4)
     np.testing.assert_array_equal(a, b)
 
 
-def _window_law_error(H, a=1.0, seed=2024):
-    # the path every experiment samples, on the window [a, a + 1] at N = 16
-    # cells (a = i0 * step with i0 = 16 a): known-mean sample covariance
-    # against the exact fbm covariance, in Monte Carlo standard errors as in
-    # criterion 01
-    R = covariance_matrix(interval(a, a + 1.0, 17), fbm_model(H))
-    X = _window_paths(H, 1.0 / 16, int(16 * a), 17, seed, 3400)
+def _window_law_error(H, a=1.0, b=None, seed=2024, replicas=3400):
+    # the path every experiment samples, on the window [a, b] (default
+    # [a, a + 1]) at N = 16 cells (a = i0 * step): known-mean sample
+    # covariance against the exact fbm covariance, in Monte Carlo standard
+    # errors as in criterion 01
+    b = a + 1.0 if b is None else b
+    step, i0 = experiments._window_start(a, b, 16)
+    return _law_error(_window_paths(H, step, i0, 17, seed, replicas), H, a, b)
+
+
+def _law_error(X, H, a, b):
+    # max |S - R| / SE over the covariance entries of paths X (rows) on [a, b]
+    R = covariance_matrix(interval(a, b, X.shape[1]), fbm_model(H))
     S = X.T @ X / X.shape[0]
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / X.shape[0])
     return np.max(np.abs(S - R) / se)
@@ -330,6 +336,16 @@ def test_field_path_batch_window_law(H):
 def test_field_path_batch_far_window_law(H):
     # the anchor X(4) carries four times the window's length of history
     assert _window_law_error(H, a=4.0, seed=4045) <= 5.0
+
+
+@pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+def test_field_path_batch_off_mesh_window_law(H):
+    # [0.5, 2] at N = 16 starts between mesh points: i0 = 16/3. Rounding
+    # i0 to 5 moves the window by a third of a step, which changes Var X(a)
+    # by 4-9 % over these H; with 6e4 paths a sampler that rounds reads
+    # 5.3, 9.4 and 13.7 SE here
+    assert experiments._window_start(0.5, 2.0, 16)[1] == pytest.approx(16 / 3, abs=1e-12)
+    assert _window_law_error(H, a=0.5, b=2.0, seed=6061, replicas=20_000) <= 5.0
 
 
 @pytest.mark.parametrize("n", [16, 1023, 16384])
@@ -355,8 +371,8 @@ def test_anchor_weights_vanish_for_brownian_motion():
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_field_path_batch_single_point_is_the_anchor(H):
     # npoints = 1: no increments, X(a) ~ N(0, a^2H) with a = i0 * step = 1.5
-    x = _field_path_batch(3, H, 0.5, 3, 1, 11, (), 0, 4000)
-    assert x.shape == (4000, 3, 1)
+    x = _field_path_batch(3, (H,), 0.5, 3.0, 1, 11, (), 0, 4000)
+    assert x.shape == (1, 4000, 3, 1)
     var = x.var()
     assert abs(var - 1.5 ** (2 * H)) / 1.5 ** (2 * H) < 5 * np.sqrt(2.0 / x.size)
 
@@ -375,6 +391,26 @@ def test_field_path_batch_dense_fallback_law(monkeypatch):
     with pytest.warns(RuntimeWarning, match="exact fallback"):
         assert _window_law_error(0.7) <= 5.0
     assert factorizations == [(16, 16)]  # one _field_path_batch call, 16 window increments
+
+
+def test_mixed_fallback_sweep_keeps_each_law(monkeypatch):
+    # one H's embedding fails, the other's does not: each row of normals is
+    # 2L wide for the circulant H, the fallback H reads its first n, and
+    # both keep their window law
+    embedding = experiments.fgn_sqrt_eigenvalues
+    monkeypatch.setattr(
+        experiments, "fgn_sqrt_eigenvalues",
+        lambda n, H, dt: None if H == 0.7 else embedding(n, H, dt),
+    )
+    hs = (0.3, 0.7)
+    with pytest.warns(RuntimeWarning, match="exact fallback"):
+        paths = _field_path_batch(3, hs, 1.0 / 16, 16.0, 17, 7170, (), 0, 3400)
+    for H, per_h in zip(hs, paths):
+        assert _law_error(per_h.reshape(-1, 17), H, 1.0, 2.0) <= 5.0
+    # the circulant H maps the same normals as in a run of its own
+    np.testing.assert_array_equal(
+        paths[0], _field_path_batch(3, hs[:1], 1.0 / 16, 16.0, 17, 7170, (), 0, 3400)[0]
+    )
 
 
 def test_dense_fallback_weights_do_not_use_the_embedding(monkeypatch):
