@@ -320,7 +320,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
     for beta in (1, 2):
         cfg = config.replace(
             beta=beta, d=2, hurst=(0.3,), interval=(1.0, 2.0),
-            intervals=256, replicas=100, shift=None,
+            intervals=256, mesh_ladder=None, replicas=100, shift=None,
         )
         disc = oracle_vector_reduction(beta, cfg, threads=threads)
         records.append(

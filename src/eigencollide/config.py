@@ -1,11 +1,12 @@
-"""Experiment configuration: dataclass, JSON parsing, and emission.
+"""Experiment configuration: dataclass, JSON parsing, and the manifest's config block.
 
 Config files are JSON with a flat core (beta, d, hurst, interval, intervals,
 replicas, kappa, seed, shift, mesh_ladder) plus optional per-subcommand
 sections (sweep, gapfit, capacity, boxdim, smalltime). A section must be an
 object with only the keys in _SECTION_KEYS; its values are validated by
-their consumers. parse(emit(config)) round-trips exactly: Python's float
-repr is shortest-exact, so JSON serialization loses nothing.
+their consumers. config_to_dict gives the JSON form the manifest records,
+and parsing it back gives the same config: Python's float repr is
+shortest-exact, so JSON serialization loses nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .capacity import collision_regime, q_index
 from .ensembles import _check_integral, validate_shift
 from .experiments import validate_ladder
 
-__all__ = ["ExperimentConfig", "parse_config", "emit_config", "config_to_dict"]
+__all__ = ["ExperimentConfig", "parse_config", "config_to_dict"]
 
 _SECTION_KEYS = {
     "sweep": ("hurst_values",),
@@ -50,9 +51,10 @@ class ExperimentConfig:
     """Everything a collision experiment needs, validated at construction.
 
     intervals is the mesh cell count N on [a, b] (grid of N+1 points);
-    mesh_ladder optionally lists the N values of a refinement ladder; kappa
-    scales the threshold delta = kappa * mesh^H. extras holds the optional
-    per-subcommand sections untouched.
+    mesh_ladder optionally lists the N values of a refinement ladder, whose
+    finest entry must equal intervals; kappa scales the threshold
+    delta = kappa * mesh^H. extras holds the optional per-subcommand
+    sections untouched.
     """
 
     beta: int = 1
@@ -104,6 +106,11 @@ class ExperimentConfig:
             object.__setattr__(self, "shift", np.asarray(self.shift))
         if self.mesh_ladder is not None:
             object.__setattr__(self, "mesh_ladder", validate_ladder(self.mesh_ladder))
+            if self.mesh_ladder[-1] != self.intervals:
+                raise ValueError(
+                    f"intervals: must equal the finest mesh_ladder entry "
+                    f"{self.mesh_ladder[-1]}, got {self.intervals}"
+                )
         if collision_regime(self.beta, self.hurst) == "critical":
             warnings.warn(
                 f"Q = {Q:.6g} equals beta+1 = {self.beta + 1}: "
@@ -113,9 +120,6 @@ class ExperimentConfig:
 
     def ladder(self) -> tuple:
         return self.mesh_ladder if self.mesh_ladder is not None else (self.intervals,)
-
-    def with_hurst(self, hurst) -> "ExperimentConfig":
-        return dataclasses.replace(self, hurst=tuple(hurst))
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -204,9 +208,3 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     out["mesh_ladder"] = list(config.mesh_ladder) if config.mesh_ladder else None
     out.update(config.extras)
     return out
-
-
-def emit_config(config: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,31 +1,26 @@
-"""GOE/GUE-type matrix paths built from independent scalar field copies.
+"""Packing of GOE/GUE-type matrices into their independent real coefficients.
 
 A path is Y(t) = A + X(t) where X(t) is symmetric (beta = 1) or Hermitian
 (beta = 2) with entries driven by independent copies of a scalar Gaussian
 field: off-diagonal entries xi_ij(t) (+ i eta_ij(t) for beta = 2), diagonal
 sqrt(2) xi_ii(t) for beta = 1 and real xi_ii(t) for beta = 2.
 
-Storage keeps only the independent coefficients (the flat vector); full
-matrices are materialized on demand, which makes Hermitianity exact by
-construction rather than approximate.
+The sampler keeps only the independent coefficients (the flat vector); the
+gap kernel materializes full matrices from them with vec_to_matrix, which
+makes Hermitianity exact by construction rather than approximate. The shift
+A is validated here as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .fields import FieldSample, _check_hurst
 
 __all__ = [
     "n_beta",
     "vec_to_matrix",
     "matrix_to_vec",
-    "EnsemblePath",
-    "build_ensemble_path",
-    "rescale_self_similar",
     "upper_indices",
     "strict_upper_indices",
     "diagonal_positions",
@@ -159,87 +154,3 @@ def validate_shift(A: Optional[np.ndarray], beta: int, d: int) -> np.ndarray:
         raise ValueError(f"shift matrix must be {d}x{d}, got {A.shape}")
     A = _check_hermitian(A, beta)
     return np.real(A).astype(float) if beta == 1 else A.astype(complex)
-
-
-@dataclass(frozen=True)
-class EnsemblePath:
-    """Matrix path stored as packed coefficients of X plus the shift A.
-
-    coeffs has shape (replicas, ntimes, n_beta(beta, d)) and holds X only;
-    matrices materialize Y = A + X.
-    """
-
-    times: np.ndarray
-    coeffs: np.ndarray
-    beta: int
-    d: int
-    A: np.ndarray
-
-    @property
-    def replicas(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def ntimes(self) -> int:
-        return self.coeffs.shape[1]
-
-    def matrices(self, replica=None) -> np.ndarray:
-        """Materialize Y(t) as (replicas, ntimes, d, d), or one replica's slice."""
-        c = self.coeffs if replica is None else self.coeffs[replica]
-        return vec_to_matrix(c, self.beta, self.d) + self.A
-
-    def matrix(self, replica: int, k: int) -> np.ndarray:
-        return vec_to_matrix(self.coeffs[replica, k], self.beta, self.d) + self.A
-
-
-def build_ensemble_path(
-    fields: FieldSample,
-    beta: int,
-    d: int,
-    A: Optional[np.ndarray],
-) -> EnsemblePath:
-    """Assemble matrix replicas from a block of independent scalar field copies.
-
-    fields.values must hold m * n_beta(beta, d) field replicas (m matrix
-    replicas of n_beta(beta, d) consecutive copies each), ordered per replica
-    as: the d(d+1)/2 xi copies in row-major upper-triangle order, then for
-    beta = 2 the d(d-1)/2 eta copies in row-major strict-upper order.
-    """
-    beta = _check_beta(beta)
-    A = validate_shift(A, beta, d)
-    if fields.grid.r != 1:
-        raise ValueError("matrix paths are indexed by a 1-d time grid")
-    nf = n_beta(beta, d)
-    total = fields.values.shape[0]
-    if total % nf != 0:
-        raise ValueError(
-            f"need a multiple of {nf} field replicas per matrix replica, got {total}"
-        )
-    m = total // nf
-    nt = fields.values.shape[1]
-    # (m, nf, nt) -> (m, nt, nf), then scale the diagonal copies
-    coeffs = fields.values.reshape(m, nf, nt).transpose(0, 2, 1).copy()
-    coeffs *= coefficient_scale(beta, d)
-    times = fields.grid.axes()[0]
-    return EnsemblePath(times=times, coeffs=coeffs, beta=beta, d=d, A=A)
-
-
-def rescale_self_similar(path: EnsemblePath, c: float, H: float) -> EnsemblePath:
-    """Self-similar rescaling s -> c^(-H) X(cs): new grid times/c, coefficients x c^(-H).
-
-    Valid only for shift-free paths (A = 0): the scaling acts on X, and the
-    rescaled path equals the original in law on the rescaled grid.
-    """
-    c = float(c)
-    if c <= 0.0:
-        raise ValueError("scale must be positive")
-    if np.any(path.A != 0):
-        raise ValueError("self-similar rescaling requires A = 0")
-    H = _check_hurst(H)
-    return EnsemblePath(
-        times=path.times / c,
-        coeffs=path.coeffs * c ** (-H),
-        beta=path.beta,
-        d=path.d,
-        A=path.A,
-    )

@@ -73,7 +73,6 @@ __all__ = [
     "PhaseSweepResult",
     "ExponentFit",
     "wilson_interval",
-    "estimate_collision_probability",
     "refinement_study",
     "gap_exponent_fit",
     "phase_sweep",
@@ -422,11 +421,6 @@ def refinement_study(
     return _refinement_studies(config, (_require_r1(config.hurst),), mesh_ladder, threads)[0]
 
 
-def estimate_collision_probability(config, threads: int = 1) -> CollisionStats:
-    """Fraction of replicas whose path minimum gap falls below the threshold."""
-    return refinement_study(config, [config.intervals], threads=threads).stats[0]
-
-
 def phase_sweep(
     hurst_values: Sequence[float],
     config,
@@ -438,7 +432,7 @@ def phase_sweep(
     Every H must stay at least 0.02 away from the critical value 1/(1+beta),
     where the dichotomy is undecided. All H share each replica's normals
     (common random numbers): study k is bit-identical to
-    refinement_study(config.with_hurst((hurst_values[k],))), and estimates
+    refinement_study(config.replace(hurst=(hurst_values[k],))), and estimates
     across H are positively correlated, so the summary ratio, which compares
     finest-mesh estimates across the threshold, is a paired comparison.
     """

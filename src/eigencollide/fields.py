@@ -16,13 +16,13 @@ All sampling is deterministic given (seed, replica index); see streams.py.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import solve_toeplitz, toeplitz
+from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
 
 from .streams import TAG_FIELD, substream
 
@@ -35,14 +35,12 @@ __all__ = [
     "sheet_covariance",
     "fbm_model",
     "sheet_model",
-    "custom_model",
     "covariance_matrix",
     "sample_field_exact",
     "fgn_sqrt_eigenvalues",
     "fgn_from_normals",
     "volterra_kernel",
     "volterra_covariance_quadrature",
-    "conditional_variance",
     "verify_regularity_bounds",
     "cholesky_with_jitter",
 ]
@@ -145,22 +143,9 @@ def interval(a: float, b: float, n: int) -> GridSpec:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """A covariance kernel: the fractional sheet with its Hurst vector, or a custom one.
+    """The fractional sheet's product kernel with its Hurst vector (fBm is r = 1)."""
 
-    kind is "fractional_sheet" (fBm is the one-parameter sheet) or "custom".
-    Evaluating the kernel on any finite grid must give a symmetric PSD
-    matrix; this is checked operationally by factorization with bounded jitter.
-    """
-
-    kind: str
-    hurst: Optional[tuple] = None
-    kernel: Optional[Callable] = field(default=None, compare=False)
-
-    def k(self, s, t):
-        """Kernel value at r-vector arguments (scalars allowed for r = 1)."""
-        if self.kind == "fractional_sheet":
-            return sheet_covariance(s, t, self.hurst)
-        return self.kernel(s, t)
+    hurst: tuple
 
 
 def fbm_model(H: float) -> CovarianceModel:
@@ -169,28 +154,16 @@ def fbm_model(H: float) -> CovarianceModel:
 
 
 def sheet_model(H) -> CovarianceModel:
-    return CovarianceModel("fractional_sheet", tuple(_check_hurst(h) for h in H))
-
-
-def custom_model(kernel: Callable) -> CovarianceModel:
-    return CovarianceModel("custom", None, kernel)
+    return CovarianceModel(tuple(_check_hurst(h) for h in H))
 
 
 def covariance_matrix(grid: GridSpec, cov: CovarianceModel) -> np.ndarray:
     """Dense covariance matrix of the field on grid.points()."""
     pts = grid.points()
-    if cov.kind == "fractional_sheet":
-        out = np.ones((len(pts), len(pts)))
-        for j, h in enumerate(cov.hurst):
-            tj = pts[:, j]
-            out *= fbm_covariance(tj[:, None], tj[None, :], h)
-        return out
-    n = len(pts)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            # custom kernels see coordinate arrays even for r = 1
-            out[i, j] = out[j, i] = float(np.asarray(cov.kernel(pts[i], pts[j])).reshape(()))
+    out = np.ones((len(pts), len(pts)))
+    for j, h in enumerate(cov.hurst):
+        tj = pts[:, j]
+        out *= fbm_covariance(tj[:, None], tj[None, :], h)
     return out
 
 
@@ -321,7 +294,7 @@ def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
         # n = 0, or H = 1/2 (independent increments): nothing to condition on
         w = np.zeros(n)
     elif exact:
-        w = solve_toeplitz(_fgn_autocov(n - 1, H), c)
+        w = _solve_fgn_toeplitz(_fgn_autocov(n - 1, H), c)
     else:
         w = _fgn_toeplitz_cg(n, H, c)
     w.flags.writeable = False
@@ -352,7 +325,24 @@ def _fgn_toeplitz_cg(n: int, H: float, c: np.ndarray) -> np.ndarray:
         z = np.fft.irfft(np.fft.rfft(r) / precond, n)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    return solve_toeplitz(g, c)
+    return _solve_fgn_toeplitz(g, c)
+
+
+def _solve_fgn_toeplitz(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Gamma^-1 c by Levinson recursion, Gamma = toeplitz(g).
+
+    As H -> 1, Gamma rounds to a singular or indefinite matrix, where Levinson
+    raises or returns noise; the diagonal then gets cholesky_with_jitter's
+    jitter until the residual is within 1e-6 of |c|.
+    """
+    for j in _JITTERS:
+        try:
+            w = solve_toeplitz(np.concatenate([[g[0] + j], g[1:]]), c)
+        except np.linalg.LinAlgError:
+            continue
+        if np.linalg.norm(matmul_toeplitz(g, w) - c) <= 1e-6 * np.linalg.norm(c):
+            return w
+    raise np.linalg.LinAlgError("fGn Toeplitz solve failed with jitter up to 1e-10 (H near 1)")
 
 
 def fgn_from_normals(z: np.ndarray, sqrt_eigs: np.ndarray) -> np.ndarray:
@@ -460,16 +450,6 @@ def volterra_covariance_quadrature(s: float, t: float, H: float) -> float:
             lo, hi, epsabs=0.0, epsrel=1e-8, limit=300,
         )
     return val
-
-
-def conditional_variance(s, t, cov: CovarianceModel) -> float:
-    """Var[xi(t) | xi(s)] = R(t,t) - R(s,t)^2 / R(s,s) for the Gaussian pair."""
-    rss = float(cov.k(s, s))
-    if rss <= 0.0:
-        raise ValueError("conditioning point has zero variance (on the axes)")
-    rtt = float(cov.k(t, t))
-    rst = float(cov.k(s, t))
-    return rtt - rst * rst / rss
 
 
 @dataclass(frozen=True)

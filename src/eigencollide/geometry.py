@@ -4,7 +4,7 @@ The degenerate set (symmetric or Hermitian matrices whose spectrum has at
 most d-1 distinct values) is parametrized locally by a Stiefel frame of d-2
 orthonormal columns, a completion to a full basis, and d-1 eigenvalue levels
 with the last one doubled. These charts supply random degenerate samples for
-dimension estimation and exact collision witnesses for the detectors.
+the box-counting dimension and capacity experiments.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ __all__ = [
     "check_frame",
     "complete_frame",
     "chart_matrix",
-    "phase_fix",
     "random_stiefel",
     "sample_degenerate",
-    "distance_to_degenerate_upper",
-    "merged_degenerate_witness",
 ]
 
 _FRAME_TOL = 1e-12
@@ -111,24 +108,6 @@ def chart_matrix(frame: np.ndarray, levels) -> np.ndarray:
     return M
 
 
-def phase_fix(A: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Rotate each column of A by the unit scalar making <A_j, R_j> real positive.
-
-    The inner products must stay away from zero (within 1e-10). Fixing is
-    idempotent and preserves the column span and the frame property exactly
-    (columns are multiplied by unit-modulus scalars).
-    """
-    A = np.asarray(A)
-    R = np.asarray(R)
-    if A.shape != R.shape:
-        raise ValueError("frames must have matching shapes")
-    ips = np.sum(R.conj() * A, axis=0)
-    mags = np.abs(ips)
-    if np.any(mags < 1e-10):
-        raise ValueError("vanishing column inner product; phase undefined")
-    return A * (np.conj(ips) / mags)
-
-
 def random_stiefel(d: int, k: int, field: str, seed=None, rng=None) -> np.ndarray:
     """Haar-distributed d x k orthonormal frame, real or complex.
 
@@ -182,33 +161,3 @@ def sample_degenerate(d: int, beta: int, seed=None, rng=None, level_draw=None) -
     draw = level_draw or (lambda r, size: r.standard_normal(size))
     levels = _levels(d, rng, draw)
     return chart_matrix(frame, levels)
-
-
-def distance_to_degenerate_upper(M: np.ndarray) -> float:
-    """Certified upper bound on the operator-norm distance to the degenerate set.
-
-    Merging the closest adjacent eigenvalue pair at its midpoint perturbs M
-    by half that gap in operator norm, so min_i (lambda_i - lambda_(i+1)) / 2
-    is always achievable.
-    """
-    M = np.asarray(M)
-    lam = np.linalg.eigvalsh(M)[::-1]
-    return float(np.min(lam[:-1] - lam[1:]) / 2.0)
-
-
-def merged_degenerate_witness(M: np.ndarray) -> np.ndarray:
-    """The degenerate matrix achieving distance_to_degenerate_upper.
-
-    Same eigenvectors, with the closest adjacent pair replaced by its
-    midpoint. Eigensolving the output confirms the bound constructively.
-    """
-    M = np.asarray(M)
-    lam, V = np.linalg.eigh(M)
-    lam = lam[::-1].copy()
-    V = V[:, ::-1]
-    i = int(np.argmin(lam[:-1] - lam[1:]))
-    mid = 0.5 * (lam[i] + lam[i + 1])
-    lam[i] = lam[i + 1] = mid
-    W = (V * lam) @ V.conj().T
-    W = 0.5 * (W + W.conj().T)
-    return W.real if not np.iscomplexobj(M) else W

@@ -1,9 +1,8 @@
-"""Ordered spectra, gap series, contour eigenprojections, collision detection.
+"""Ordered spectra, adjacent gaps, the closed-form 2 x 2 gap, contour eigenprojections.
 
 Eigenvalues are always reported in descending order; cluster indices are
-0-based positions into that descending order. Collision detection on a grid
-is a (grid, threshold) statement: the reported minimum is over stored times,
-not a continuum minimum.
+0-based positions into that descending order. The collision loop that takes
+path minima of these gaps on a grid is experiments._min_gaps_ladder.
 """
 
 from __future__ import annotations
@@ -13,22 +12,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import EnsemblePath, _check_hermitian, n_beta
+from .ensembles import _check_hermitian, n_beta
 
 __all__ = [
-    "SpectrumPath",
-    "MinGapResult",
     "Projector",
-    "CollisionEvent",
     "ordered_eigenvalues",
-    "spectrum_path",
     "gap_closed_form_2x2",
     "adjacent_gaps",
-    "gap_series",
-    "min_gap",
     "eigenprojection_contour",
-    "detect_collisions",
 ]
+
 
 def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Real spectrum in descending order; ties kept as equal values.
@@ -37,31 +30,6 @@ def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
     """
     M = _check_hermitian(M)
     return np.linalg.eigvalsh(M)[..., ::-1]
-
-
-@dataclass(frozen=True)
-class SpectrumPath:
-    """Descending eigenvalues along a path: eigs has shape (replicas, ntimes, d)."""
-
-    times: np.ndarray
-    eigs: np.ndarray
-
-    @property
-    def replicas(self) -> int:
-        return self.eigs.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.eigs.shape[-1]
-
-
-def spectrum_path(path: EnsemblePath) -> SpectrumPath:
-    """Eigendecompose every stored matrix, 256 replicas at a time to bound memory."""
-    out = np.empty((path.replicas, path.ntimes, path.d))
-    for lo in range(0, path.replicas, 256):
-        hi = min(lo + 256, path.replicas)
-        out[lo:hi] = ordered_eigenvalues(path.matrices(slice(lo, hi)))
-    return SpectrumPath(times=path.times, eigs=out)
 
 
 def gap_closed_form_2x2(x: np.ndarray, beta: int) -> np.ndarray:
@@ -86,39 +54,6 @@ def gap_closed_form_2x2(x: np.ndarray, beta: int) -> np.ndarray:
 def adjacent_gaps(eigs: np.ndarray) -> np.ndarray:
     """lambda_i - lambda_(i+1) for a descending spectrum; shape (..., d-1)."""
     return eigs[..., :-1] - eigs[..., 1:]
-
-
-def gap_series(spath: SpectrumPath):
-    """Minimum adjacent gap and its achieving pair index at every (replica, time).
-
-    Returns (gaps, pairs): gaps[r, k] = min_i adjacent gap, pairs[r, k] = the
-    0-based i attaining it (ties resolved to the smallest i).
-    """
-    g = adjacent_gaps(spath.eigs)
-    return g.min(axis=-1), g.argmin(axis=-1)
-
-
-@dataclass(frozen=True)
-class MinGapResult:
-    """Per-replica minimum adjacent gap over the stored grid, with argmin data."""
-
-    values: np.ndarray  # (replicas,)
-    times: np.ndarray  # (replicas,) argmin time
-    pairs: np.ndarray  # (replicas,) 0-based adjacent pair index at the argmin
-
-
-def min_gap(spath: SpectrumPath) -> MinGapResult:
-    """Exact minimum over the stored grid (not a continuum minimum)."""
-    if spath.eigs.shape[1] == 0:
-        raise ValueError("empty path")
-    gaps, pairs = gap_series(spath)
-    k = gaps.argmin(axis=1)
-    rows = np.arange(gaps.shape[0])
-    return MinGapResult(
-        values=gaps[rows, k],
-        times=np.asarray(spath.times)[k],
-        pairs=pairs[rows, k],
-    )
 
 
 @dataclass(frozen=True)
@@ -185,31 +120,3 @@ def eigenprojection_contour(
     if not np.iscomplexobj(M):
         P = P.real
     return Projector(matrix=P, cluster=cluster, center=center, radius=radius, points=points)
-
-
-@dataclass(frozen=True)
-class CollisionEvent:
-    replica: int
-    time_index: int
-    time: float
-    pair: int
-    gap: float
-
-
-def detect_collisions(spath: SpectrumPath, delta: float) -> list:
-    """All grid times where the minimum adjacent gap falls below delta."""
-    if not delta > 0.0:
-        raise ValueError("threshold must be positive")
-    gaps, pairs = gap_series(spath)
-    times = np.asarray(spath.times)
-    hits = np.argwhere(gaps < delta)
-    return [
-        CollisionEvent(
-            replica=int(r),
-            time_index=int(k),
-            time=float(times[k]),
-            pair=int(pairs[r, k]),
-            gap=float(gaps[r, k]),
-        )
-        for r, k in hits
-    ]

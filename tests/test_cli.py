@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigencollide.cli import main
@@ -209,6 +209,24 @@ def test_unknown_section_key_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_intervals_off_the_ladder_top_errors(tmp_path, capsys):
+    # the run samples at the ladder's top; a different intervals would be
+    # recorded in the manifest for a mesh that never ran
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"intervals": 1024, "mesh_ladder": [64, 128], "replicas": 4}))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {path}: intervals:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_selfcheck_on_a_ladder_config(tmp_path, small_config):
+    # selfcheck's oracle runs its own mesh, not the config's ladder
+    out = tmp_path / "out"
+    assert run(["selfcheck", "--config", small_config, "--out", str(out)]) == 0
+    rows = read_csv(out / "results.csv")
+    assert all(r["passed"] == "true" for r in rows)
+
+
 # -- every config that parses runs ----------------------------------------------
 
 _POWERS = [2**k for k in range(7)]  # 1 .. 64
@@ -224,6 +242,8 @@ _POWERS = [2**k for k in range(7)]  # 1 .. 64
     kappa=st.floats(0.1, 4.0),
 )
 @settings(max_examples=150, deadline=None)
+# H one ulp below 1: the window's conditional start solves a singular system
+@example(beta=1, d=2, hurst=0.9999999999999999, a=1.0, length=0.25, ladder=[8], kappa=1.0)
 def test_every_parsed_config_simulates(beta, d, hurst, a, length, ladder, kappa):
     cfg = {
         "beta": beta, "d": d, "hurst": [hurst], "interval": [a, a + length],

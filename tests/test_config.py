@@ -1,11 +1,11 @@
-"""JSON experiment configs: parsing, validation, emission round trip."""
+"""JSON experiment configs: parsing, validation, the manifest's config block round trip."""
 
 import json
 
 import numpy as np
 import pytest
 
-from eigencollide.config import ExperimentConfig, config_to_dict, emit_config, parse_config
+from eigencollide.config import ExperimentConfig, config_to_dict, parse_config
 
 
 def test_defaults():
@@ -23,7 +23,7 @@ def test_round_trip(tmp_path):
         replicas=777, kappa=1.5, seed=99, mesh_ladder=(128, 256, 512),
     )
     path = tmp_path / "cfg.json"
-    emit_config(cfg, str(path))
+    path.write_text(json.dumps(config_to_dict(cfg)))
     assert parse_config(str(path)) == cfg
 
 
@@ -31,7 +31,7 @@ def test_round_trip_with_complex_shift(tmp_path):
     A = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, -1.0]])
     cfg = ExperimentConfig(beta=2, d=2, shift=A)
     path = tmp_path / "cfg.json"
-    emit_config(cfg, str(path))
+    path.write_text(json.dumps(config_to_dict(cfg)))
     back = parse_config(str(path))
     assert back == cfg
     np.testing.assert_array_equal(back.shift, A)
@@ -144,9 +144,18 @@ def test_ladder_defaults_to_intervals():
     assert tuple(cfg.ladder()) == (128, 512)
 
 
-def test_with_hurst_and_replace():
+@pytest.mark.parametrize(
+    "intervals,ladder", [(1024, (64, 128)), (64, (64, 128)), (1024, (1024, 2048))]
+)
+def test_intervals_must_be_the_finest_mesh(intervals, ladder):
+    # a run samples at the ladder's top, so intervals must name that mesh
+    with pytest.raises(ValueError, match=f"^intervals: .*{ladder[-1]}, got {intervals}"):
+        ExperimentConfig(intervals=intervals, mesh_ladder=ladder)
+
+
+def test_replace_hurst_and_replicas():
     cfg = ExperimentConfig(hurst=(0.3,))
-    c2 = cfg.with_hurst((0.7,))
+    c2 = cfg.replace(hurst=(0.7,))
     assert c2.hurst == (0.7,) and c2.seed == cfg.seed
     c3 = cfg.replace(replicas=5)
     assert c3.replicas == 5 and c3.hurst == cfg.hurst

@@ -1,4 +1,4 @@
-"""Packing isomorphisms, ensemble assembly, self-similar rescaling."""
+"""Packing isomorphisms, coefficient scales and shift validation."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.ensembles import (
-    build_ensemble_path,
     coefficient_scale,
     diagonal_positions,
     matrix_to_vec,
     n_beta,
-    rescale_self_similar,
     validate_shift,
     vec_to_matrix,
 )
-from eigencollide.fields import fbm_model, interval, sample_field_exact
 
 dims = st.integers(2, 6)
 betas = st.sampled_from([1, 2])
@@ -179,70 +176,3 @@ def test_validate_shift_hermitian_complex():
     out = validate_shift(A, 2, 2)
     assert out.dtype == complex
     np.testing.assert_array_equal(out, A)
-
-
-# -- path assembly ------------------------------------------------------------
-
-
-def test_build_ensemble_path_layout():
-    # replica r, field copy f, time k must land at coeffs[r, k, f] * scale[f]
-    g = interval(1.0, 2.0, 4)
-    nf = n_beta(1, 2)
-    fields = sample_field_exact(g, fbm_model(0.3), 21, 2 * nf)
-    path = build_ensemble_path(fields, 1, 2, None)
-    assert path.coeffs.shape == (2, 4, nf)
-    scale = coefficient_scale(1, 2)
-    for r in range(2):
-        for f in range(nf):
-            np.testing.assert_allclose(
-                path.coeffs[r, :, f], fields.values[r * nf + f] * scale[f], rtol=1e-15
-            )
-
-
-def test_build_ensemble_path_matrices_hermitian():
-    g = interval(1.0, 2.0, 3)
-    for beta in (1, 2):
-        nf = n_beta(beta, 3)
-        fields = sample_field_exact(g, fbm_model(0.4), 5, 2 * nf)
-        A = np.diag([1.0, 0.0, -1.0])
-        path = build_ensemble_path(fields, beta, 3, A)
-        mats = path.matrices()
-        assert mats.shape == (2, 3, 3, 3)
-        np.testing.assert_array_equal(mats, np.swapaxes(mats, -1, -2).conj())
-        # shift enters additively
-        np.testing.assert_allclose(
-            path.matrix(0, 0), vec_to_matrix(path.coeffs[0, 0], beta, 3) + A
-        )
-
-
-def test_build_ensemble_path_rejects_partial_blocks():
-    g = interval(1.0, 2.0, 3)
-    fields = sample_field_exact(g, fbm_model(0.4), 5, 4)  # not a multiple of 3
-    with pytest.raises(ValueError):
-        build_ensemble_path(fields, 1, 2, None)
-
-
-def test_build_ensemble_path_diagonal_variance():
-    # diagonal entries carry variance 2 t^(2H) for beta = 1, off-diagonal t^(2H)
-    g = interval(1.0, 1.0, 1)
-    nf = n_beta(1, 2)
-    fields = sample_field_exact(g, fbm_model(0.5), 99, 3000 * nf)
-    path = build_ensemble_path(fields, 1, 2, None)
-    mats = path.matrices()[:, 0]
-    assert mats[:, 0, 0].var(ddof=1) == pytest.approx(2.0, rel=0.15)
-    assert mats[:, 0, 1].var(ddof=1) == pytest.approx(1.0, rel=0.15)
-
-
-def test_rescale_self_similar():
-    g = interval(1.0, 2.0, 4)
-    nf = n_beta(1, 2)
-    fields = sample_field_exact(g, fbm_model(0.3), 11, nf)
-    path = build_ensemble_path(fields, 1, 2, None)
-    scaled = rescale_self_similar(path, 2.0, 0.3)
-    np.testing.assert_allclose(scaled.times, path.times / 2.0)
-    np.testing.assert_allclose(scaled.coeffs, path.coeffs * 2.0 ** (-0.3))
-    with pytest.raises(ValueError):
-        rescale_self_similar(path, -1.0, 0.3)
-    shifted = build_ensemble_path(fields, 1, 2, np.eye(2))
-    with pytest.raises(ValueError):
-        rescale_self_similar(shifted, 2.0, 0.3)

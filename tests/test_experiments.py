@@ -8,7 +8,6 @@ import pytest
 from eigencollide import experiments
 from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import (
-    build_ensemble_path,
     diagonal_positions,
     n_beta,
     validate_shift,
@@ -21,7 +20,6 @@ from eigencollide.experiments import (
     _min_gaps_ladder,
     _traceless_fields,
     degenerate_point_cloud,
-    estimate_collision_probability,
     flattened_degenerate_sampler,
     gap_exponent_fit,
     oracle_vector_reduction,
@@ -31,7 +29,6 @@ from eigencollide.experiments import (
     wilson_interval,
 )
 from eigencollide.fields import fbm_model, interval, sample_field_exact
-from eigencollide.spectral import gap_series, spectrum_path
 from eigencollide.streams import substream
 
 
@@ -85,12 +82,45 @@ def test_wilson_coverage_meta():
 # -- gap kernel -----------------------------------------------------------------
 
 
+def _reference_gaps(F: np.ndarray, beta: int, d: int, A: np.ndarray) -> np.ndarray:
+    """Minimum adjacent gap of A + X(t), X built entry by entry from F (m, nf, nt).
+
+    Packing: the d(d+1)/2 upper-triangle copies row-major, then for beta = 2
+    the d(d-1)/2 strict-upper imaginary copies row-major.
+    """
+    m, _, nt = F.shape
+    out = np.empty((m, nt))
+    for r in range(m):
+        for k in range(nt):
+            X = np.zeros((d, d), dtype=complex)
+            f = 0
+            for i in range(d):
+                for j in range(i, d):
+                    x = F[r, f, k]
+                    f += 1
+                    if i == j:
+                        X[i, i] = np.sqrt(2.0) * x if beta == 1 else x
+                    else:
+                        X[i, j] += x
+                        X[j, i] += x
+            if beta == 2:
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        x = F[r, f, k]
+                        f += 1
+                        X[i, j] += 1j * x
+                        X[j, i] -= 1j * x
+            lam = np.linalg.eigvalsh(A + X)
+            out[r, k] = np.min(np.diff(lam))
+    return out
+
+
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gap_kernel_matches_reference_pipeline(d, beta):
-    # the experiments' gap kernel (closed form at d = 2) against the reference
-    # pipeline (assemble Y = A + X, diagonalize) on identical coefficients,
-    # with a nonzero Hermitian shift
+    # the experiments' gap kernel (closed form at d = 2) against an explicit
+    # per-entry matrix build and eigvalsh on identical coefficients, with a
+    # nonzero Hermitian shift; the reference shares no packing helper with it
     m, nt = 3, 9
     nf = n_beta(beta, d)
     fields = sample_field_exact(interval(1.0, 2.0, nt), fbm_model(0.3), 17, m * nf)
@@ -99,8 +129,9 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
     if beta == 2:
         G = G + 1j * rng.standard_normal((d, d))
     A = 0.5 * (G + G.conj().T)
-    fast = _gaps_from_fields(fields.values.reshape(m, nf, nt), beta, d, validate_shift(A, beta, d))
-    ref, _ = gap_series(spectrum_path(build_ensemble_path(fields, beta, d, A)))
+    F = fields.values.reshape(m, nf, nt)
+    fast = _gaps_from_fields(F, beta, d, validate_shift(A, beta, d))
+    ref = _reference_gaps(F, beta, d, A)
     assert fast.shape == (m, nt)
     np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-10)
 
@@ -177,7 +208,7 @@ def test_refinement_study_consistency():
     np.testing.assert_allclose(
         [s.delta for s in st.stats], [(1 / 64) ** 0.25, (1 / 128) ** 0.25, (1 / 256) ** 0.25]
     )
-    one = estimate_collision_probability(_cfg(intervals=256))
+    one = refinement_study(_cfg(), [256]).stats[0]
     assert one.p_hat == st.stats[-1].p_hat  # same substream prefix, same mesh
 
 
@@ -197,8 +228,8 @@ def test_refinement_study_rejects_multiparameter():
 def test_shift_changes_hits():
     # a large split shift suppresses collisions entirely at moderate thresholds
     split = np.diag([10.0, -10.0])
-    st0 = refinement_study(_cfg(mesh_ladder=(128,)))
-    st1 = refinement_study(_cfg(mesh_ladder=(128,), shift=split))
+    st0 = refinement_study(_cfg(intervals=128, mesh_ladder=(128,)))
+    st1 = refinement_study(_cfg(intervals=128, mesh_ladder=(128,), shift=split))
     assert st1.stats[0].hits < st0.stats[0].hits
 
 
@@ -229,7 +260,7 @@ def test_sweep_equals_per_hurst_refinement(beta, d, hs, shift, threads):
     cfg = _cfg(beta=beta, d=d, shift=shift, replicas=70)
     sweep = phase_sweep(hs, cfg, (64, 256), threads=threads)
     for h, study in zip(hs, sweep.studies):
-        alone = refinement_study(cfg.with_hurst((h,)), (64, 256), threads=threads)
+        alone = refinement_study(cfg.replace(hurst=(h,)), (64, 256), threads=threads)
         np.testing.assert_equal(dataclasses.asdict(study), dataclasses.asdict(alone))
     assert sweep.studies[0].stats[-1].hits > 0  # the collision side is not empty
 

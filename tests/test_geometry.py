@@ -1,4 +1,4 @@
-"""Charts on the degenerate set: frames, completions, witnesses."""
+"""Charts on the degenerate set: frames, completions, degenerate samples."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,7 @@ from eigencollide.geometry import (
     chart_matrix,
     check_frame,
     complete_frame,
-    distance_to_degenerate_upper,
     lambda_matrix,
-    merged_degenerate_witness,
-    phase_fix,
     random_stiefel,
     sample_degenerate,
 )
@@ -115,26 +112,6 @@ def test_chart_matrix_d2_is_scalar_matrix():
     np.testing.assert_allclose(M, 2.5 * np.eye(2), atol=1e-14)
 
 
-def test_phase_fix_makes_inner_products_real_positive():
-    rng = np.random.default_rng(5)
-    A = random_stiefel(4, 3, "complex", rng=rng)
-    R = random_stiefel(4, 3, "complex", rng=rng)
-    B = phase_fix(A, R)
-    ips = np.sum(R.conj() * B, axis=0)
-    assert np.max(np.abs(np.imag(ips))) < 1e-12
-    assert np.all(np.real(ips) > 0)
-    # idempotent, and columns only rotated by unit scalars
-    np.testing.assert_allclose(phase_fix(B, R), B, atol=1e-13)
-    np.testing.assert_allclose(np.abs(B), np.abs(A), atol=1e-13)
-
-
-def test_phase_fix_rejects_orthogonal_columns():
-    A = np.eye(3)[:, :2]
-    R = np.eye(3)[:, [2, 1]]  # first columns orthogonal
-    with pytest.raises(ValueError):
-        phase_fix(A, R)
-
-
 @given(st.integers(2, 6), st.sampled_from([1, 2]), seeds)
 @settings(max_examples=40, deadline=None)
 def test_sample_degenerate_has_repeated_pair(d, beta, seed):
@@ -165,23 +142,3 @@ def test_sample_degenerate_deterministic():
     a = sample_degenerate(4, 2, seed=17)
     b = sample_degenerate(4, 2, seed=17)
     np.testing.assert_array_equal(a, b)
-
-
-def test_distance_bound_achieved_by_witness():
-    rng = np.random.default_rng(23)
-    for trial in range(20):
-        G = rng.standard_normal((4, 4))
-        M = 0.5 * (G + G.T)
-        bound = distance_to_degenerate_upper(M)
-        lam = np.linalg.eigvalsh(M)[::-1]
-        assert bound == pytest.approx(np.min(lam[:-1] - lam[1:]) / 2.0)
-        W = merged_degenerate_witness(M)
-        # witness is degenerate and exactly bound away in operator norm
-        wlam = np.linalg.eigvalsh(W)
-        assert np.min(np.diff(wlam)) <= 1e-9
-        assert np.linalg.norm(M - W, 2) == pytest.approx(bound, rel=1e-9, abs=1e-12)
-
-
-def test_distance_bound_zero_for_degenerate_input():
-    M = sample_degenerate(3, 1, seed=2)
-    assert distance_to_degenerate_upper(M) <= 1e-9

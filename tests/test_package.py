@@ -1,0 +1,62 @@
+"""The package's public surface, and the documented scripts end to end."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eigencollide
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = {
+    "__version__",
+    "CovarianceModel", "ExperimentConfig", "FieldSample", "GridSpec",
+    "box_counting_dim", "capacity_lower_bound", "collision_regime", "energy_integral",
+    "f_alpha", "q_index",
+    "chart_matrix", "complete_frame", "lambda_matrix", "random_stiefel", "sample_degenerate",
+    "eigenprojection_contour", "gap_closed_form_2x2", "ordered_eigenvalues",
+    "fbm_covariance", "fbm_model", "interval", "sample_field_exact", "sheet_covariance",
+    "sheet_model", "verify_regularity_bounds", "volterra_kernel",
+    "gap_exponent_fit", "phase_sweep", "refinement_study", "small_time_study",
+    "wilson_interval",
+    "matrix_to_vec", "n_beta", "vec_to_matrix",
+    "parse_config", "substream",
+}
+
+
+def test_package_exports_are_pinned():
+    assert len(eigencollide.__all__) == len(set(eigencollide.__all__))
+    assert set(eigencollide.__all__) == PUBLIC
+
+
+def test_every_submodule_export_resolves():
+    for info in pkgutil.iter_modules(eigencollide.__path__):
+        module = importlib.import_module(f"eigencollide.{info.name}")
+        stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not stale, f"eigencollide.{info.name}.__all__ names missing {stale}"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("run_phase_sweep.py", ["--replicas", "64", "--ladder", "16", "32", "--hurst", "0.2", "0.8"]),
+        ("run_gap_exponent.py", ["--samples", "10000"]),
+        ("run_capacity_demo.py", ["--pairs", "2000"]),
+        ("run_selfcheck.py", []),
+    ],
+)
+def test_script_runs(script, args, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""Ordered spectra, gap statistics, contour projectors, collision detection."""
+"""Ordered spectra, adjacent and closed-form 2x2 gaps, contour projectors."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.ensembles import n_beta, vec_to_matrix
-from eigencollide.fields import fbm_model, interval, sample_field_exact
-from eigencollide.ensembles import build_ensemble_path
 from eigencollide.spectral import (
     adjacent_gaps,
-    detect_collisions,
     eigenprojection_contour,
     gap_closed_form_2x2,
-    gap_series,
-    min_gap,
     ordered_eigenvalues,
-    spectrum_path,
 )
 
 betas = st.sampled_from([1, 2])
@@ -88,50 +82,6 @@ def test_gap_closed_form_batched():
 def test_adjacent_gaps():
     eigs = np.array([[5.0, 3.0, 0.5], [1.0, 1.0, -2.0]])
     np.testing.assert_allclose(adjacent_gaps(eigs), [[2.0, 2.5], [0.0, 3.0]])
-
-
-# -- spectrum paths and minimum gaps -----------------------------------------
-
-
-def _toy_path(beta=1, d=3, replicas=2, npts=5, seed=31):
-    g = interval(1.0, 2.0, npts)
-    fields = sample_field_exact(g, fbm_model(0.4), seed, replicas * n_beta(beta, d))
-    return build_ensemble_path(fields, beta, d, None)
-
-
-def test_spectrum_path_shapes_and_order():
-    path = _toy_path()
-    sp = spectrum_path(path)
-    assert sp.eigs.shape == (2, 5, 3)
-    assert np.all(np.diff(sp.eigs, axis=-1) <= 0)
-    # spot check one matrix against the direct solve
-    lam = ordered_eigenvalues(path.matrix(1, 3))
-    np.testing.assert_allclose(sp.eigs[1, 3], lam, rtol=1e-12, atol=1e-12)
-
-
-def test_min_gap_finds_planted_minimum():
-    path = _toy_path(replicas=3, npts=8)
-    sp = spectrum_path(path)
-    gaps, pairs = gap_series(sp)
-    res = min_gap(sp)
-    assert res.values.shape == (3,)
-    for r in range(3):
-        k = int(np.argmin(gaps[r]))
-        assert res.values[r] == pytest.approx(gaps[r, k])
-        assert res.times[r] == path.times[k]
-
-
-def test_detect_collisions_threshold():
-    path = _toy_path(replicas=4, npts=16, seed=7)
-    sp = spectrum_path(path)
-    gaps, _ = gap_series(sp)
-    delta = np.quantile(gaps.min(axis=1), 0.6)
-    events = detect_collisions(sp, delta)
-    flagged = {e.replica for e in events}
-    expected = {r for r in range(4) if gaps[r].min() < delta}
-    assert flagged == expected
-    for e in events:
-        assert gaps[e.replica, e.time_index] < delta
 
 
 # -- contour projectors -------------------------------------------------------
