@@ -31,15 +31,11 @@ from .experiments import (
     wilson_interval,
 )
 from .fields import (
-    CovarianceModel,
-    FieldSample,
     GridSpec,
     fbm_covariance,
-    fbm_model,
     interval,
     sample_field_exact,
     sheet_covariance,
-    sheet_model,
     verify_regularity_bounds,
     volterra_kernel,
 )
@@ -59,9 +55,7 @@ from .streams import substream
 
 __all__ = [
     "__version__",
-    "CovarianceModel",
     "ExperimentConfig",
-    "FieldSample",
     "GridSpec",
     "box_counting_dim",
     "capacity_lower_bound",
@@ -72,7 +66,6 @@ __all__ = [
     "energy_integral",
     "f_alpha",
     "fbm_covariance",
-    "fbm_model",
     "gap_closed_form_2x2",
     "gap_exponent_fit",
     "interval",
@@ -88,7 +81,6 @@ __all__ = [
     "sample_degenerate",
     "sample_field_exact",
     "sheet_covariance",
-    "sheet_model",
     "small_time_study",
     "substream",
     "verify_regularity_bounds",

@@ -42,11 +42,10 @@ from .experiments import (
     phase_sweep,
     refinement_study,
 )
-from .fields import covariance_matrix, fbm_model, interval, sample_field_exact
+from .fields import covariance_matrix, interval, sample_field_exact
 from .spectral import eigenprojection_contour, ordered_eigenvalues
 from .streams import STREAM_VERSION, substream
 
-_SUBCOMMANDS = ("simulate", "sweep", "gapfit", "capacity", "boxdim", "selfcheck")
 _ENV_PREFIX = "EIGENCOLLIDE_"
 
 
@@ -300,11 +299,10 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
 
     # covariance exactness of the reference sampler
     grid = interval(1.0, 2.0, 8)
-    model = fbm_model(0.5)
-    sample = sample_field_exact(grid, model, config.seed, 2000)
-    R = covariance_matrix(grid, model)
-    S = sample.values.T @ sample.values / sample.replicas
-    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / sample.replicas)
+    X = sample_field_exact(grid, 0.5, config.seed, 2000)
+    R = covariance_matrix(grid, 0.5)
+    S = X.T @ X / len(X)
+    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
     cov_err = float(np.max(np.abs(S - R) / (5.0 * se)))
     records.append(
         {
@@ -322,7 +320,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
             beta=beta, d=2, hurst=(0.3,), interval=(1.0, 2.0),
             intervals=256, mesh_ladder=None, replicas=100, shift=None,
         )
-        disc = oracle_vector_reduction(beta, cfg, threads=threads)
+        disc = oracle_vector_reduction(cfg, threads=threads)
         records.append(
             {
                 "kind": "selfcheck",
@@ -344,8 +342,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
         lam = ordered_eigenvalues(M)
         if lam[0] - lam[1] < 0.2:
             continue
-        proj = eigenprojection_contour(M, (0,))
-        P = proj.matrix
+        P = eigenprojection_contour(M, (0,))
         _, V = np.linalg.eigh(M)
         top = V[:, -1:]
         direct = top @ top.T
@@ -389,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eigenvalue-collision Monte Carlo for matrix-valued fractional Gaussian processes",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int, help="master seed override")

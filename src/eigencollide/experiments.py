@@ -555,16 +555,18 @@ def small_time_study(
     return out
 
 
-def oracle_vector_reduction(beta: int, config, threads: int = 1) -> float:
+def oracle_vector_reduction(config, threads: int = 1) -> float:
     """Max pathwise |eigensolver gap - closed-form gap| for d = 2 paths Y = A + X.
 
     Rebuilds the gap path straight from the retained scalar fields and the
-    shift A = config.shift, and compares with the full pipeline (pack,
-    materialize, add A, diagonalize). The two agree up to eigensolver
-    tolerance; anything above 1e-10 indicates a packing or assembly bug.
+    shift A = config.shift, for beta = config.beta, and compares with the
+    full pipeline (pack, materialize, add A, diagonalize). The two agree up
+    to eigensolver tolerance; anything above 1e-10 indicates a packing or
+    assembly bug.
     """
     if config.d != 2:
         raise ValueError("the vector-reduction oracle is a d = 2 construction")
+    beta = config.beta
     H = _require_r1(config.hurst)
     a, b = config.interval
     N = config.intervals

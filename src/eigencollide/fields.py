@@ -28,13 +28,9 @@ from .streams import TAG_FIELD, substream
 
 __all__ = [
     "GridSpec",
-    "CovarianceModel",
-    "FieldSample",
     "RegularityReport",
     "fbm_covariance",
     "sheet_covariance",
-    "fbm_model",
-    "sheet_model",
     "covariance_matrix",
     "sample_field_exact",
     "fgn_sqrt_eigenvalues",
@@ -141,30 +137,13 @@ def interval(a: float, b: float, n: int) -> GridSpec:
     return GridSpec((a,), (b,), (n,))
 
 
-@dataclass(frozen=True)
-class CovarianceModel:
-    """The fractional sheet's product kernel with its Hurst vector (fBm is r = 1)."""
+def covariance_matrix(grid: GridSpec, hurst) -> np.ndarray:
+    """Dense covariance matrix of the sheet with Hurst vector hurst on grid.points().
 
-    hurst: tuple
-
-
-def fbm_model(H: float) -> CovarianceModel:
-    """fBm as the one-parameter sheet (at r = 1 the two kernels agree exactly)."""
-    return sheet_model((H,))
-
-
-def sheet_model(H) -> CovarianceModel:
-    return CovarianceModel(tuple(_check_hurst(h) for h in H))
-
-
-def covariance_matrix(grid: GridSpec, cov: CovarianceModel) -> np.ndarray:
-    """Dense covariance matrix of the field on grid.points()."""
+    hurst is a scalar or one entry per grid axis (r = 1 is fBm).
+    """
     pts = grid.points()
-    out = np.ones((len(pts), len(pts)))
-    for j, h in enumerate(cov.hurst):
-        tj = pts[:, j]
-        out *= fbm_covariance(tj[:, None], tj[None, :], h)
-    return out
+    return sheet_covariance(pts[:, None, :], pts[None, :, :], hurst)
 
 
 # jitter schedule: 1e-14, x10 per retry, capped at 1e-10
@@ -190,42 +169,23 @@ def cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Joint Gaussian field values, one row per independent replica.
+def sample_field_exact(grid: GridSpec, hurst, seed: int, replicas: int) -> np.ndarray:
+    """Exact draws of the sheet with Hurst vector hurst on grid, (replicas, npoints).
 
-    values has shape (replicas, grid.npoints), replica r generated from the
-    substream (seed, TAG_FIELD, r).
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-
-    @property
-    def replicas(self) -> int:
-        return self.values.shape[0]
-
-
-def sample_field_exact(
-    grid: GridSpec, cov: CovarianceModel, seed: int, replicas: int
-) -> FieldSample:
-    """Exact draws of the centered Gaussian vector with covariance cov on grid.
-
-    Dense O(N^3) factorization; meant for reference-quality sampling on grids
-    of at most a few thousand points. Output is bit-identical for fixed
-    (seed, replicas) no matter how the replica loop is scheduled.
+    Row r is generated from the substream (seed, TAG_FIELD, r). Dense O(N^3)
+    factorization; meant for reference-quality sampling on grids of at most
+    a few thousand points. Output is bit-identical for fixed (seed, replicas)
+    no matter how the replica loop is scheduled.
     """
     if replicas < 0:
         raise ValueError("replicas must be nonnegative")
     N = grid.npoints
-    if replicas == 0:
-        return FieldSample(grid, np.empty((0, N)))
-    L = cholesky_with_jitter(covariance_matrix(grid, cov))
+    L = cholesky_with_jitter(covariance_matrix(grid, hurst))
     values = np.empty((replicas, N))
     for r in range(replicas):
         z = substream(seed, TAG_FIELD, r).standard_normal(N)
         values[r] = L @ z
-    return FieldSample(grid, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +429,10 @@ class RegularityReport:
     ok: bool
 
 
-def verify_regularity_bounds(grid: GridSpec, cov: CovarianceModel, H) -> RegularityReport:
+def verify_regularity_bounds(grid: GridSpec, hurst) -> RegularityReport:
     """Scan a grid for the two-sided increment and conditional-variance bounds.
+
+    hurst is a scalar or one entry per grid axis, as in covariance_matrix.
 
     Empirical check on a finite grid only; it reports the observed constants
     and flags a violation when any of them is nonpositive or non-finite. It
@@ -478,15 +440,12 @@ def verify_regularity_bounds(grid: GridSpec, cov: CovarianceModel, H) -> Regular
     """
     if any(nj < 2 for nj in grid.n):
         raise ValueError("regularity scan needs at least 2 points per axis")
-    H = [_check_hurst(h) for h in np.atleast_1d(H)]
-    if len(H) != grid.r:
-        raise ValueError("Hurst vector length must match grid dimension")
+    R = covariance_matrix(grid, hurst)  # checks each H_j and that there are grid.r of them
     pts = grid.points()
-    R = covariance_matrix(grid, cov)
     var = np.diag(R)
     # sum_j |s_j - t_j|^(2H_j) for every ordered pair
     denom = np.zeros_like(R)
-    for j, h in enumerate(H):
+    for j, h in enumerate(np.atleast_1d(hurst)):
         dj = np.abs(pts[:, j][:, None] - pts[:, j][None, :])
         denom += dj ** (2.0 * h)
     off = denom > 0.0

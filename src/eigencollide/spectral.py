@@ -7,7 +7,6 @@ path minima of these gaps on a grid is experiments._min_gaps_ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,7 +14,6 @@ import numpy as np
 from .ensembles import _check_hermitian, n_beta
 
 __all__ = [
-    "Projector",
     "ordered_eigenvalues",
     "gap_closed_form_2x2",
     "adjacent_gaps",
@@ -56,25 +54,12 @@ def adjacent_gaps(eigs: np.ndarray) -> np.ndarray:
     return eigs[..., :-1] - eigs[..., 1:]
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Spectral projector onto an eigenvalue cluster, with its contour metadata."""
-
-    matrix: np.ndarray
-    cluster: tuple
-    center: float
-    radius: float
-    points: int
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+# trapezoidal quadrature points on the contour circle
+_CONTOUR_POINTS = 64
 
 
-def eigenprojection_contour(
-    M: np.ndarray, cluster: Sequence[int], points: int = 64
-) -> Projector:
-    """Spectral projector via (1/2 pi i) contour integral of the resolvent.
+def eigenprojection_contour(M: np.ndarray, cluster: Sequence[int]) -> np.ndarray:
+    """Spectral projector matrix via (1/2 pi i) contour integral of the resolvent.
 
     cluster lists 0-based positions into the descending spectrum. The contour
     is the circle centered at the cluster mean with radius midway between the
@@ -92,8 +77,6 @@ def eigenprojection_contour(
         raise ValueError("cluster must be a nonempty set of distinct indices")
     if cluster[0] < 0 or cluster[-1] >= d:
         raise ValueError(f"cluster indices must lie in [0, {d})")
-    if points < 4:
-        raise ValueError("need at least 4 quadrature points")
     lam = ordered_eigenvalues(M)
     inside = lam[list(cluster)]
     rest = np.delete(lam, list(cluster))
@@ -109,14 +92,12 @@ def eigenprojection_contour(
                 f"(inner radius {r_in:.3g}, outer radius {r_out:.3g})"
             )
         radius = 0.5 * (r_in + r_out)
-    theta = 2.0 * np.pi * np.arange(points) / points
+    theta = 2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS
     xi = center + radius * np.exp(1j * theta)
     eye = np.eye(d)
     acc = np.zeros((d, d), dtype=complex)
     for x, w in zip(xi, xi - center):
         acc += w * np.linalg.solve(x * eye - M, eye)
-    P = acc / points
+    P = acc / _CONTOUR_POINTS
     P = 0.5 * (P + P.conj().T)  # exact Hermitianity; kills quadrature asymmetry
-    if not np.iscomplexobj(M):
-        P = P.real
-    return Projector(matrix=P, cluster=cluster, center=center, radius=radius, points=points)
+    return P if np.iscomplexobj(M) else P.real

@@ -30,7 +30,6 @@ from eigencollide.experiments import (
 from eigencollide.fields import (
     covariance_matrix,
     fbm_covariance,
-    fbm_model,
     interval,
     sample_field_exact,
     volterra_covariance_quadrature,
@@ -60,12 +59,11 @@ def test_criterion_01_covariance_exactness(capsys):
     worst = 0.0
     for H in (0.3, 0.5, 0.7):
         g = interval(1.0, 2.0, 16)
-        m = fbm_model(H)
-        sample = sample_field_exact(g, m, SEED, 10_000)
-        R = covariance_matrix(g, m)
-        S = sample.values.T @ sample.values / sample.replicas
+        X = sample_field_exact(g, H, SEED, 10_000)
+        R = covariance_matrix(g, H)
+        S = X.T @ X / len(X)
         # MC standard error of a Gaussian second moment: (R_ii R_jj + R_ij^2)/m
-        se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / sample.replicas)
+        se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
         worst = max(worst, float(np.max(np.abs(S - R) / se)))
     dt = time.monotonic() - t0
     ok = worst <= 5.0 and dt < 60.0
@@ -112,7 +110,7 @@ def test_criterion_03_d2_pipeline_identity(capsys):
             beta=beta, d=2, hurst=(0.3,), interval=(1.0, 2.0),
             intervals=1023, replicas=1000, seed=SEED,  # 1024 sample times on [1, 2]
         )
-        discs[beta] = oracle_vector_reduction(beta, cfg)
+        discs[beta] = oracle_vector_reduction(cfg)
     dt = time.monotonic() - t0
     worst = max(discs.values())
     ok = worst <= 1e-10 and dt < 60.0
@@ -260,7 +258,7 @@ def test_criterion_08_eigenprojection(capsys):
         lam = ordered_eigenvalues(M)
         if lam[0] - lam[1] <= 0.5:
             continue  # criterion targets separation > 0.5
-        P = eigenprojection_contour(M, (0,)).matrix
+        P = eigenprojection_contour(M, (0,))
         _, V = np.linalg.eigh(M)
         direct = V[:, -1:] @ V[:, -1:].T
         worst_frob = max(worst_frob, float(np.linalg.norm(P - direct)))

@@ -28,7 +28,7 @@ from eigencollide.experiments import (
     small_time_study,
     wilson_interval,
 )
-from eigencollide.fields import fbm_model, interval, sample_field_exact
+from eigencollide.fields import interval, sample_field_exact
 from eigencollide.streams import substream
 
 
@@ -123,13 +123,13 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
     # nonzero Hermitian shift; the reference shares no packing helper with it
     m, nt = 3, 9
     nf = n_beta(beta, d)
-    fields = sample_field_exact(interval(1.0, 2.0, nt), fbm_model(0.3), 17, m * nf)
+    fields = sample_field_exact(interval(1.0, 2.0, nt), 0.3, 17, m * nf)
     rng = np.random.default_rng(10 * beta + d)
     G = rng.standard_normal((d, d))
     if beta == 2:
         G = G + 1j * rng.standard_normal((d, d))
     A = 0.5 * (G + G.conj().T)
-    F = fields.values.reshape(m, nf, nt)
+    F = fields.reshape(m, nf, nt)
     fast = _gaps_from_fields(F, beta, d, validate_shift(A, beta, d))
     ref = _reference_gaps(F, beta, d, A)
     assert fast.shape == (m, nt)
@@ -335,17 +335,17 @@ def test_small_time_rejects_hurst_before_sampling(monkeypatch):
 @pytest.mark.parametrize("beta", [1, 2])
 def test_oracle_vector_reduction_small(beta):
     cfg = _cfg(beta=beta, intervals=256, replicas=64)
-    assert oracle_vector_reduction(beta, cfg) < 1e-10
+    assert oracle_vector_reduction(cfg) < 1e-10
 
 
 def test_oracle_requires_d2_and_zero_shift():
     # d = 3 raises; a nonzero shift is compared against vec_to_matrix(coeffs) + A
     with pytest.raises(ValueError):
-        oracle_vector_reduction(1, _cfg(d=3))
+        oracle_vector_reduction(_cfg(d=3))
     real = np.array([[1.0, 0.3], [0.3, -0.2]])
-    assert oracle_vector_reduction(1, _cfg(shift=real, replicas=64)) < 1e-10
+    assert oracle_vector_reduction(_cfg(shift=real, replicas=64)) < 1e-10
     herm = real + 1j * np.array([[0.0, 0.4], [-0.4, 0.0]])
-    assert oracle_vector_reduction(2, _cfg(beta=2, shift=herm, replicas=64)) < 1e-10
+    assert oracle_vector_reduction(_cfg(beta=2, shift=herm, replicas=64)) < 1e-10
 
 
 @pytest.mark.parametrize("beta,d", [(1, 2), (2, 2), (1, 3), (2, 3)])

@@ -1,4 +1,4 @@
-"""Covariance models, grids, exact sampler, circulant engine and window sampler, Volterra."""
+"""Covariances, grids, exact sampler, circulant engine and window sampler, Volterra."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,15 @@ from scipy.linalg import solve_toeplitz
 from eigencollide import experiments, fields
 from eigencollide.experiments import _field_path_batch
 from eigencollide.fields import (
-    CovarianceModel,
     GridSpec,
     cholesky_with_jitter,
     covariance_matrix,
     fbm_covariance,
-    fbm_model,
     fgn_from_normals,
     fgn_sqrt_eigenvalues,
     interval,
     sample_field_exact,
     sheet_covariance,
-    sheet_model,
     verify_regularity_bounds,
     volterra_covariance_quadrature,
     volterra_kernel,
@@ -141,19 +138,18 @@ def test_grid_singleton_axis():
 def test_covariance_matrix_psd_and_symmetric():
     g = interval(0.5, 3.0, 12)
     for H in (0.2, 0.5, 0.8):
-        C = covariance_matrix(g, fbm_model(H))
+        C = covariance_matrix(g, H)
         np.testing.assert_allclose(C, C.T, atol=1e-14)
         w = np.linalg.eigvalsh(C)
         assert w.min() >= -1e-9 * w.max()
 
 
-def test_fbm_model_is_the_one_parameter_sheet():
-    assert fbm_model(0.3) == sheet_model((0.3,))
+def test_fbm_is_the_one_parameter_sheet():
     g = interval(0.5, 2.0, 9)
     t = g.axes()[0]
-    np.testing.assert_array_equal(
-        covariance_matrix(g, fbm_model(0.3)), fbm_covariance(t[:, None], t[None, :], 0.3)
-    )
+    expected = fbm_covariance(t[:, None], t[None, :], 0.3)
+    np.testing.assert_array_equal(covariance_matrix(g, 0.3), expected)
+    np.testing.assert_array_equal(covariance_matrix(g, (0.3,)), expected)
 
 
 def test_cholesky_with_jitter_handles_singular():
@@ -170,38 +166,52 @@ def test_cholesky_with_jitter_rejects_indefinite():
 
 def test_sample_field_exact_deterministic():
     g = interval(1.0, 2.0, 6)
-    m = fbm_model(0.4)
-    s1 = sample_field_exact(g, m, 123, 4)
-    s2 = sample_field_exact(g, m, 123, 4)
-    np.testing.assert_array_equal(s1.values, s2.values)
-    s3 = sample_field_exact(g, m, 124, 4)
-    assert np.any(s1.values != s3.values)
+    s1 = sample_field_exact(g, 0.4, 123, 4)
+    s2 = sample_field_exact(g, 0.4, 123, 4)
+    np.testing.assert_array_equal(s1, s2)
+    s3 = sample_field_exact(g, 0.4, 124, 4)
+    assert np.any(s1 != s3)
 
 
 def test_sample_field_exact_replica_prefix_stability():
     # replica r is the same draw no matter how many replicas are requested
     g = interval(1.0, 2.0, 6)
-    m = fbm_model(0.4)
-    few = sample_field_exact(g, m, 9, 3)
-    many = sample_field_exact(g, m, 9, 10)
-    np.testing.assert_array_equal(few.values, many.values[:3])
+    few = sample_field_exact(g, 0.4, 9, 3)
+    many = sample_field_exact(g, 0.4, 9, 10)
+    np.testing.assert_array_equal(few, many[:3])
 
 
 def test_sample_field_exact_zero_replicas():
     g = interval(1.0, 2.0, 6)
-    s = sample_field_exact(g, fbm_model(0.3), 1, 0)
-    assert s.values.shape == (0, 6)
-    assert s.replicas == 0
+    assert sample_field_exact(g, 0.3, 1, 0).shape == (0, 6)
+
+
+_LINE = interval(1.0, 2.0, 4)
+_SQUARE = GridSpec(a=(1.0, 1.0), b=(2.0, 2.0), n=(3, 3))
+
+
+@pytest.mark.parametrize(
+    "grid,hurst",
+    [(_LINE, (0.3, 0.4)), (_SQUARE, 0.3), (_SQUARE, (0.3,)), (_SQUARE, (0.3, 0.4, 0.5))],
+    ids=["r1-two-H", "r2-scalar-H", "r2-one-H", "r2-three-H"],
+)
+def test_hurst_length_must_match_grid(grid, hurst):
+    # one Hurst entry per axis: too few or too many raise, never a silent axis-0 law
+    with pytest.raises(ValueError):
+        covariance_matrix(grid, hurst)
+    with pytest.raises(ValueError):
+        sample_field_exact(grid, hurst, 1, 2)
+    with pytest.raises(ValueError):
+        verify_regularity_bounds(grid, hurst)
 
 
 def test_sample_field_exact_covariance_brownian():
     # H = 1/2 on 8 points; known-mean sample covariance within 6 MC sigmas
     g = interval(1.0, 2.0, 7)
-    m = fbm_model(0.5)
-    sample = sample_field_exact(g, m, 2024, 4000)
-    R = covariance_matrix(g, m)
-    S = sample.values.T @ sample.values / sample.replicas
-    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / sample.replicas)
+    X = sample_field_exact(g, 0.5, 2024, 4000)
+    R = covariance_matrix(g, 0.5)
+    S = X.T @ X / len(X)
+    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
     assert np.max(np.abs(S - R) / se) < 6.0
 
 
@@ -209,8 +219,12 @@ def test_sample_field_exact_covariance_brownian():
 
 
 def test_fgn_embedding_nonnegative_for_fbm():
-    for H in (0.1, 0.3, 0.5, 0.7, 0.9):
-        assert fgn_sqrt_eigenvalues(64, H, 1.0) is not None
+    # the fGn circulant embedding is nonnegative definite for every H in (0, 1)
+    # (Dietrich & Newsam 1997; Craigmile 2003), at every half-length the
+    # window sampler uses, up to the 16384 of an Nmax = 16384 ladder
+    for n in (1, 2, 16, 1024, 16384):
+        for H in (1e-4, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 0.9999999999999999):
+            assert fgn_sqrt_eigenvalues(n, H, 1.0) is not None, (n, H)
 
 
 def test_fgn_from_normals_consumes_2n():
@@ -311,7 +325,7 @@ def _window_law_error(H, a=1.0, b=None, seed=2024, replicas=3400):
 
 def _law_error(X, H, a, b):
     # max |S - R| / SE over the covariance entries of paths X (rows) on [a, b]
-    R = covariance_matrix(interval(a, b, X.shape[1]), fbm_model(H))
+    R = covariance_matrix(interval(a, b, X.shape[1]), H)
     S = X.T @ X / X.shape[0]
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / X.shape[0])
     return np.max(np.abs(S - R) / se)
@@ -479,7 +493,7 @@ def test_volterra_reproduces_fbm_cross_covariance():
 
 def test_verify_regularity_bounds_fbm():
     g = interval(1.0, 2.0, 8)
-    rep = verify_regularity_bounds(g, fbm_model(0.3), 0.3)
+    rep = verify_regularity_bounds(g, 0.3)
     assert rep.ok
     assert rep.var_min > 0
     assert rep.increment_ratio_min > 0
@@ -489,11 +503,11 @@ def test_verify_regularity_bounds_fbm():
 
 def test_verify_regularity_bounds_sheet():
     g = GridSpec(a=(0.5, 0.5), b=(1.5, 1.5), n=(3, 3))
-    rep = verify_regularity_bounds(g, sheet_model((0.3, 0.4)), (0.3, 0.4))
+    rep = verify_regularity_bounds(g, (0.3, 0.4))
     assert rep.ok
 
 
 def test_verify_regularity_bounds_needs_two_points():
     g = GridSpec(a=(1.0,), b=(1.0,), n=(1,))
     with pytest.raises(ValueError):
-        verify_regularity_bounds(g, fbm_model(0.3), 0.3)
+        verify_regularity_bounds(g, 0.3)

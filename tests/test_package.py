@@ -1,5 +1,6 @@
 """The package's public surface, and the documented scripts end to end."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -15,13 +16,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "__version__",
-    "CovarianceModel", "ExperimentConfig", "FieldSample", "GridSpec",
+    "ExperimentConfig", "GridSpec",
     "box_counting_dim", "capacity_lower_bound", "collision_regime", "energy_integral",
     "f_alpha", "q_index",
     "chart_matrix", "complete_frame", "lambda_matrix", "random_stiefel", "sample_degenerate",
     "eigenprojection_contour", "gap_closed_form_2x2", "ordered_eigenvalues",
-    "fbm_covariance", "fbm_model", "interval", "sample_field_exact", "sheet_covariance",
-    "sheet_model", "verify_regularity_bounds", "volterra_kernel",
+    "fbm_covariance", "interval", "sample_field_exact", "sheet_covariance",
+    "verify_regularity_bounds", "volterra_kernel",
     "gap_exponent_fit", "phase_sweep", "refinement_study", "small_time_study",
     "wilson_interval",
     "matrix_to_vec", "n_beta", "vec_to_matrix",
@@ -30,7 +31,7 @@ PUBLIC = {
 
 
 def test_package_exports_are_pinned():
-    assert len(eigencollide.__all__) == len(set(eigencollide.__all__))
+    assert len(eigencollide.__all__) == len(set(eigencollide.__all__)) == len(PUBLIC) == 33
     assert set(eigencollide.__all__) == PUBLIC
 
 
@@ -39,6 +40,37 @@ def test_every_submodule_export_resolves():
         module = importlib.import_module(f"eigencollide.{info.name}")
         stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not stale, f"eigencollide.{info.name}.__all__ names missing {stale}"
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but neither uses nor lists in its __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_flags_a_dead_import():
+    assert _unused_imports("import os\nfrom a import b, c\n__all__ = ['c']\n") == [
+        "b (line 2)", "os (line 1)",
+    ]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    for path in sorted((ROOT / "src" / "eigencollide").glob("*.py")):
+        dead = _unused_imports(path.read_text())
+        assert not dead, f"{path.name} imports unused names: {dead}"
 
 
 @pytest.mark.parametrize(
