@@ -6,9 +6,8 @@ digits, rows in a fixed order. Run metadata that legitimately varies between
 runs (timestamps, thread count, host info) goes to manifest.json instead, so
 result files stay bit-identical across worker counts.
 
-Flag > environment > config file > default, with environment variables
-EIGENCOLLIDE_CONFIG, EIGENCOLLIDE_SEED, EIGENCOLLIDE_REPLICAS,
-EIGENCOLLIDE_THREADS, EIGENCOLLIDE_OUT, EIGENCOLLIDE_FORMAT.
+Settings come from flags, then the config file, then defaults: --seed and
+--replicas override the file's values; the environment is not read.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from .experiments import (
 from .fields import covariance_matrix, interval, sample_field_exact
 from .spectral import eigenprojection_contour, ordered_eigenvalues
 from .streams import STREAM_VERSION, substream
-
-_ENV_PREFIX = "EIGENCOLLIDE_"
 
 
 def _fmt(v) -> str:
@@ -90,28 +87,23 @@ def _write_results(out_dir: str, fmt: str, records: list) -> str:
         lines = [",".join(header)]
         for rec in records:
             lines.append(",".join(_fmt(rec[k]) if k in rec else "" for k in header))
-        body = "\n".join(lines) + "\n"
     else:
         path = os.path.join(out_dir, "results.jsonl")
-        lines = []
-        for rec in records:
-            lines.append(
-                "{"
-                + ",".join(f"{json.dumps(k)}:{_json_token(v)}" for k, v in rec.items())
-                + "}"
-            )
-        body = "\n".join(lines) + "\n"
+        lines = [
+            "{" + ",".join(f"{json.dumps(k)}:{_json_token(v)}" for k, v in rec.items()) + "}"
+            for rec in records
+        ]
     with open(path, "w") as fh:
-        fh.write(body)
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
-def _write_manifest(out_dir, subcommand, config, seed, threads, fmt, started, finished):
+def _write_manifest(out_dir, subcommand, config, threads, fmt, started, finished):
     manifest = {
         "subcommand": subcommand,
         "artifact_version": __version__,
         "stream_version": STREAM_VERSION,
-        "master_seed": seed,
+        "master_seed": config.seed,
         "worker_count": threads,
         "format": fmt,
         "started": started,
@@ -131,14 +123,6 @@ def _write_manifest(out_dir, subcommand, config, seed, threads, fmt, started, fi
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _resolve(flag_val, env_key, default, cast):
-    """Flag, else environment variable, else default (the config value, if any)."""
-    if flag_val is not None:
-        return cast(flag_val)
-    env = os.environ.get(_ENV_PREFIX + env_key)
-    return cast(env if env is not None else default)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +152,7 @@ def _stats_record(kind, config, hurst, st, **extra):
 
 
 def _cmd_simulate(config: ExperimentConfig, threads: int) -> list:
-    study = refinement_study(config, config.ladder(), threads=threads)
+    study = refinement_study(config, threads=threads)
     (hurst,) = config.hurst
     return [
         _stats_record(
@@ -188,7 +172,7 @@ def _cmd_sweep(config: ExperimentConfig, threads: int) -> list:
     hurst_values = section.get("hurst_values")
     if not hurst_values:
         raise ValueError("sweep: config needs sweep.hurst_values (list of H)")
-    result = phase_sweep(hurst_values, config, config.ladder(), threads=threads)
+    result = phase_sweep(hurst_values, config, threads=threads)
     records = []
     for h, regime, study in zip(result.hurst_values, result.regimes, result.studies):
         for st in study.stats:
@@ -391,9 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--replicas", type=int, help="replica count override")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--format", choices=("csv", "jsonl"), help="results format")
+        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument("--out", default=".", help="output directory (default .)")
+        p.add_argument(
+            "--format", choices=("csv", "jsonl"), default="csv", help="results format (default csv)"
+        )
     return parser
 
 
@@ -402,20 +388,15 @@ def main(argv=None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
     try:
-        config_path = args.config or os.environ.get(_ENV_PREFIX + "CONFIG")
-        config = parse_config(config_path) if config_path else ExperimentConfig()
-        seed = _resolve(args.seed, "SEED", config.seed, int)
-        replicas = _resolve(args.replicas, "REPLICAS", config.replicas, int)
-        threads = _resolve(args.threads, "THREADS", 1, int)
-        out_dir = _resolve(args.out, "OUT", ".", str)
-        fmt = _resolve(args.format, "FORMAT", "csv", str)
-        if fmt not in ("csv", "jsonl"):
-            raise ValueError(f"format: must be csv or jsonl, got {fmt}")
-        config = config.replace(seed=seed, replicas=replicas)
-        records = _DISPATCH[args.subcommand](config, threads)
-        path = _write_results(out_dir, fmt, records)
+        config = parse_config(args.config) if args.config else ExperimentConfig()
+        overrides = {"seed": args.seed, "replicas": args.replicas}
+        config = config.replace(**{k: v for k, v in overrides.items() if v is not None})
+        records = _DISPATCH[args.subcommand](config, args.threads)
+        path = _write_results(args.out, args.format, records)
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_manifest(out_dir, args.subcommand, config, seed, threads, fmt, started, finished)
+        _write_manifest(
+            args.out, args.subcommand, config, args.threads, args.format, started, finished
+        )
     except (ValueError, NotImplementedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

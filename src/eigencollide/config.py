@@ -1,12 +1,13 @@
 """Experiment configuration: dataclass, JSON parsing, and the manifest's config block.
 
-Config files are JSON with a flat core (beta, d, hurst, interval, intervals,
-replicas, kappa, seed, shift, mesh_ladder) plus optional per-subcommand
-sections (sweep, gapfit, capacity, boxdim, smalltime). A section must be an
-object with only the keys in _SECTION_KEYS; its values are validated by
-their consumers. config_to_dict gives the JSON form the manifest records,
-and parsing it back gives the same config: Python's float repr is
-shortest-exact, so JSON serialization loses nothing.
+Config files are JSON with a flat core, one key per ExperimentConfig field
+(beta, d, hurst, interval, intervals, replicas, kappa, seed, shift,
+mesh_ladder), plus optional per-subcommand sections (sweep, gapfit,
+capacity, boxdim, smalltime). A section must be an object with only the keys
+in _SECTION_KEYS; its values are validated by their consumers.
+config_to_dict gives the JSON form the manifest records, and parsing it back
+gives the same config: Python's float repr is shortest-exact, so JSON
+serialization loses nothing.
 """
 
 from __future__ import annotations
@@ -32,25 +33,14 @@ _SECTION_KEYS = {
     "boxdim": ("points", "nscales"),
     "smalltime": ("T_values",),
 }
-_CORE_KEYS = (
-    "beta",
-    "d",
-    "hurst",
-    "interval",
-    "intervals",
-    "replicas",
-    "kappa",
-    "seed",
-    "shift",
-    "mesh_ladder",
-)
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything a collision experiment needs, validated at construction.
 
-    intervals is the mesh cell count N on [a, b] (grid of N+1 points);
+    interval is the time window [a, b], 0 < a < b, on which the collision
+    experiments sample; intervals is its mesh cell count N (grid of N+1 points);
     mesh_ladder optionally lists the N values of a refinement ladder, whose
     finest entry must equal intervals; kappa scales the threshold
     delta = kappa * mesh^H. extras holds the optional per-subcommand
@@ -85,8 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"hurst: {e}") from e
         object.__setattr__(self, "hurst", hurst)
         a, b = (float(x) for x in self.interval)
-        if not 0.0 <= a < b:
-            raise ValueError(f"interval: need 0 <= a < b, got ({a}, {b})")
+        if not 0.0 < a < b:
+            raise ValueError(f"interval: need 0 < a < b, got ({a}, {b})")
         object.__setattr__(self, "interval", (a, b))
         if _check_integral(self.intervals, "intervals") < 1:
             raise ValueError(f"intervals: need >= 1 mesh cell, got {self.intervals}")
@@ -139,6 +129,10 @@ class ExperimentConfig:
         return True
 
 
+# the top-level config keys: every dataclass field but the sections
+_CORE_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "extras")
+
+
 def _parse_shift(raw, d: int):
     if raw is None:
         return None
@@ -161,17 +155,13 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ValueError(f"config {path}: invalid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: top level must be an object")
-    unknown = set(raw) - set(_CORE_KEYS) - set(_SECTION_KEYS)
+    unknown = set(raw) - set(_CORE_FIELDS) - set(_SECTION_KEYS)
     if unknown:
         raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    kw = {}
-    for key in _CORE_KEYS:
-        if key in raw:
-            kw[key] = raw[key]
+    kw = {key: raw[key] for key in _CORE_FIELDS if key in raw}
     if "shift" in kw:
-        kw["shift"] = _parse_shift(kw["shift"], _check_integral(raw.get("d", 2), "d"))
-    if "hurst" in kw and np.isscalar(kw["hurst"]):
-        kw["hurst"] = (kw["hurst"],)
+        d = _check_integral(raw.get("d", ExperimentConfig.d), "d")
+        kw["shift"] = _parse_shift(kw["shift"], d)
     extras = {k: raw[k] for k in _SECTION_KEYS if k in raw}
     for name, section in extras.items():
         if not isinstance(section, dict):
@@ -187,24 +177,15 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready dict; inverse of parse_config up to defaulting."""
-    out = {
-        "beta": config.beta,
-        "d": config.d,
-        "hurst": list(config.hurst),
-        "interval": list(config.interval),
-        "intervals": config.intervals,
-        "replicas": config.replicas,
-        "kappa": config.kappa,
-        "seed": config.seed,
-    }
-    if config.shift is not None:
-        A = np.asarray(config.shift)
-        if np.iscomplexobj(A):
-            out["shift"] = {"real": A.real.tolist(), "imag": A.imag.tolist()}
-        else:
-            out["shift"] = A.tolist()
-    else:
-        out["shift"] = None
-    out["mesh_ladder"] = list(config.mesh_ladder) if config.mesh_ladder else None
+    out = {}
+    for name in _CORE_FIELDS:
+        v = getattr(config, name)
+        if isinstance(v, tuple):
+            v = list(v)
+        elif np.iscomplexobj(v):  # the shift
+            v = {"real": v.real.tolist(), "imag": v.imag.tolist()}
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        out[name] = v
     out.update(config.extras)
     return out

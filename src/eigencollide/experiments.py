@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import helmert
 
 from .capacity import collision_regime
 from .ensembles import (
@@ -158,8 +159,7 @@ class ExponentFit:
     cdf: np.ndarray
 
 
-def _require_r1(hurst) -> float:
-    hurst = tuple(float(h) for h in np.atleast_1d(hurst))
+def _require_r1(hurst: tuple) -> float:
     if len(hurst) != 1:
         raise NotImplementedError(
             "path experiments are implemented for 1-parameter time only; "
@@ -249,21 +249,11 @@ def _field_path_batch(
     return out
 
 
-def _helmert(d: int) -> np.ndarray:
-    """(d-1, d) Helmert matrix: orthonormal rows, each orthogonal to the ones vector."""
-    out = np.zeros((d - 1, d))
-    for k in range(1, d):
-        out[k - 1, :k] = 1.0
-        out[k - 1, k] = -float(k)
-        out[k - 1] /= np.sqrt(k * (k + 1.0))
-    return out
-
-
 def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
     """Expand n_beta - 1 iid paths (m, n_beta - 1, T) to the fields (m, n_beta, T).
 
     paths[:, :d-1] are Helmert coordinates g of the diagonal, which becomes
-    _helmert(d)^T g; the rest are the off-diagonal coefficients in packing
+    helmert(d)^T g; the rest are the off-diagonal coefficients in packing
     order. The result has the law of iid fields projected onto trace zero,
     and gaps are invariant under Y -> Y + cI, so the gap process keeps its law.
     """
@@ -271,7 +261,7 @@ def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
     diag = diagonal_positions(d)
     out = np.empty(paths.shape[:1] + (nb,) + paths.shape[2:])
     out[:, np.setdiff1d(np.arange(nb), diag)] = paths[:, d - 1 :]
-    out[:, diag] = np.matmul(_helmert(d).T, paths[:, : d - 1])
+    out[:, diag] = np.matmul(helmert(d).T, paths[:, : d - 1])
     return out
 
 
@@ -309,12 +299,10 @@ def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
 def _window_start(a: float, b: float, N: int) -> tuple:
     """(step, i0) of the N-cell mesh on [a, b], where a = i0 * step.
 
-    i0 is real: the anchor law holds off the mesh too. Within 1e-9 of an
-    integer it is snapped to it, so on-mesh windows do not depend on how
-    a/step rounds.
+    ExperimentConfig guarantees 0 < a < b. i0 is real: the anchor law holds
+    off the mesh too. Within 1e-9 of an integer it is snapped to it, so
+    on-mesh windows do not depend on how a/step rounds.
     """
-    if not 0.0 < a < b:
-        raise ValueError("collision window requires 0 < a < b")
     step = (b - a) / N
     i0 = a / step
     if abs(i0 - round(i0)) <= 1e-9:
@@ -382,7 +370,9 @@ def _stats_from_minima(
 
 def _refinement_studies(config, hs: Sequence[float], mesh_ladder, threads: int) -> list:
     """One RefinementResult per H in hs, every H mapping the same normals."""
-    ladder = validate_ladder(mesh_ladder if mesh_ladder is not None else config.ladder())
+    ladder = config.ladder() if mesh_ladder is None else validate_ladder(mesh_ladder)
+    if ladder[-1] != config.intervals:
+        raise ValueError(f"mesh_ladder: must end at intervals {config.intervals}, got {ladder}")
     a, b = config.interval
     Nmax = ladder[-1]
     step, i0 = _window_start(a, b, Nmax)
@@ -416,7 +406,9 @@ def refinement_study(
     """Collision probability across a mesh ladder with nested-grid coupling.
 
     The threshold at mesh N is delta_N = kappa * ((b-a)/N)^H. Shared replicas
-    across the ladder make the trend ratios low-variance.
+    across the ladder make the trend ratios low-variance. mesh_ladder
+    defaults to config.ladder(); a ladder given here must end at
+    config.intervals, the mesh the manifest records.
     """
     return _refinement_studies(config, (_require_r1(config.hurst),), mesh_ladder, threads)[0]
 

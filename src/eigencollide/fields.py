@@ -21,8 +21,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .streams import TAG_FIELD, substream
 
@@ -262,30 +263,26 @@ def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
 
 
 def _fgn_toeplitz_cg(n: int, H: float, c: np.ndarray) -> np.ndarray:
-    """Gamma^-1 c by preconditioned conjugate gradients (Levinson if it stalls)."""
+    """Gamma^-1 c by preconditioned conjugate gradients (Levinson if it stalls).
+
+    A preconditioner with a nonpositive eigenvalue (H near 1) is not
+    positive definite, so CG is skipped for Levinson.
+    """
     L = _fgn_half_length(n)
     eigs = _fgn_unit_sqrt_eigenvalues(L, H)[: L + 1] ** 2
     g = _fgn_autocov(n - 1, H)
     # T. Chan's circulant: first column ((n-k) g_k + k g_{n-k}) / n
     k = np.arange(n)
     precond = np.fft.rfft(((n - k) * g + k * np.roll(g[::-1], 1)) / n).real
-    x = np.zeros(n)
-    r = c.copy()
-    z = np.fft.irfft(np.fft.rfft(r) / precond, n)
-    p = z.copy()
-    rz = r @ z
-    stop = 1e-15 * np.linalg.norm(c)
-    for _ in range(500):
-        if np.linalg.norm(r) <= stop:
-            return x
-        q = np.fft.irfft(eigs * np.fft.rfft(p, 2 * L), 2 * L)[:n]
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
-        z = np.fft.irfft(np.fft.rfft(r) / precond, n)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return _solve_fgn_toeplitz(g, c)
+    if not np.all(precond > 0):
+        return _solve_fgn_toeplitz(g, c)
+    # dtype given, so neither operator probes its matvec to find it
+    gamma = LinearOperator(
+        (n, n), lambda p: np.fft.irfft(eigs * np.fft.rfft(p, 2 * L), 2 * L)[:n], dtype=float
+    )
+    m = LinearOperator((n, n), lambda r: np.fft.irfft(np.fft.rfft(r) / precond, n), dtype=float)
+    w, info = cg(gamma, c, rtol=1e-15, maxiter=500, M=m)
+    return w if info == 0 else _solve_fgn_toeplitz(g, c)
 
 
 def _solve_fgn_toeplitz(g: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -346,19 +343,13 @@ def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
 # Volterra kernel (H < 1/2), used as a covariance cross-check only
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def _volterra_constant(H: float) -> float:
     """Normalization making int_0^(s^t) K(u,s)K(u,t)du equal the fBm covariance.
 
-    The defining integral I_H = int_0^1 (1-x)^(-2H) x^(H-1/2) dx is computed
-    once per H by adaptive quadrature (weighted rule handles both endpoint
-    singularities exactly); the constant is sqrt(2H / ((1-2H) I_H)).
+    The defining integral int_0^1 (1-x)^(-2H) x^(H-1/2) dx is the Beta function
+    B(H+1/2, 1-2H), so the constant is sqrt(2H / ((1-2H) B(H+1/2, 1-2H))).
     """
-    I_H, _ = integrate.quad(
-        lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(H - 0.5, -2.0 * H),
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    return np.sqrt(2.0 * H / ((1.0 - 2.0 * H) * I_H))
+    return np.sqrt(2.0 * H / ((1.0 - 2.0 * H) * special.beta(H + 0.5, 1.0 - 2.0 * H)))
 
 
 def _check_volterra_hurst(H: float) -> float:

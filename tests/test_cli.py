@@ -1,4 +1,4 @@
-"""CLI: subcommands, flag/env/file precedence, result files, manifests."""
+"""CLI: subcommands, flag/file precedence, result files, manifests."""
 
 import json
 import os
@@ -99,25 +99,28 @@ def test_worker_count_does_not_change_bytes(tmp_path, small_config):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_flag_overrides_env_overrides_file(tmp_path, small_config, monkeypatch):
+def test_flag_overrides_file(tmp_path, small_config):
     out1 = tmp_path / "a"
-    monkeypatch.setenv("EIGENCOLLIDE_SEED", "1111")
-    run(["simulate", "--config", small_config, "--out", str(out1)])
+    assert run(["simulate", "--config", small_config, "--out", str(out1)]) == 0
     m1 = json.loads((out1 / "manifest.json").read_text())
-    assert m1["master_seed"] == 1111  # env beats file
+    assert m1["master_seed"] == 4242  # file beats default
 
     out2 = tmp_path / "b"
-    run(["simulate", "--config", small_config, "--out", str(out2), "--seed", "2222"])
+    assert run(["simulate", "--config", small_config, "--out", str(out2), "--seed", "2222"]) == 0
     m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m2["master_seed"] == 2222  # flag beats env
+    assert m2["master_seed"] == 2222  # flag beats file
 
 
-def test_env_config_and_format(tmp_path, small_config, monkeypatch):
-    out = tmp_path / "out"
-    monkeypatch.setenv("EIGENCOLLIDE_CONFIG", small_config)
+def test_environment_does_not_configure_a_run(tmp_path, small_config, monkeypatch):
+    # settings come from flags and the config file only; a stale variable
+    # left in the shell must not change a run
+    monkeypatch.setenv("EIGENCOLLIDE_SEED", "1111")
+    monkeypatch.setenv("EIGENCOLLIDE_CONFIG", str(tmp_path / "missing.json"))
     monkeypatch.setenv("EIGENCOLLIDE_FORMAT", "jsonl")
-    assert run(["simulate", "--out", str(out)]) == 0
-    assert (out / "results.jsonl").exists()
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["master_seed"] == 4242
+    assert (out / "results.csv").exists() and not (out / "results.jsonl").exists()
 
 
 def test_replicas_override(tmp_path, small_config):
@@ -183,10 +186,12 @@ def test_bad_config_path_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_invalid_format_env_errors(tmp_path, small_config, monkeypatch, capsys):
-    monkeypatch.setenv("EIGENCOLLIDE_FORMAT", "xml")
-    assert run(["simulate", "--config", small_config, "--out", str(tmp_path)]) == 1
-    assert "format" in capsys.readouterr().err
+def test_invalid_format_errors(tmp_path, small_config, capsys):
+    # argparse's choices reject it before any work
+    with pytest.raises(SystemExit):
+        run(["simulate", "--config", small_config, "--out", str(tmp_path), "--format", "xml"])
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_window_off_the_mesh_simulates(tmp_path):
@@ -265,12 +270,21 @@ def test_every_parsed_config_simulates(beta, d, hurst, a, length, ladder, kappa)
 
 
 def test_configs_that_parse_but_do_not_simulate(tmp_path, capsys):
-    # a = 0 windows and multi-entry Hurst vectors are valid configs (gapfit,
-    # capacity and boxdim start at the origin; the decision rule reads the
-    # vector), but the collision loop needs a > 0 and one Hurst entry
-    for name, cfg in (("origin", {"interval": [0.0, 1.0]}), ("sheet", {"hurst": [0.3, 0.4]})):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        parse_config(str(path))
-        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+    # a multi-entry Hurst vector is a valid config (the decision rule reads
+    # it), but the collision loop samples one-parameter time only
+    path = tmp_path / "sheet.json"
+    path.write_text(json.dumps({"hurst": [0.3, 0.4]}))
+    parse_config(str(path))
+    assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "sheet")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "gapfit"])
+def test_window_from_the_origin_errors(tmp_path, capsys, subcommand):
+    # one window rule, 0 < a < b, checked when the config is built, so a
+    # subcommand that never reads the window rejects it too
+    path = tmp_path / "origin.json"
+    path.write_text(json.dumps({"interval": [0.0, 1.0]}))
+    assert run([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {path}: interval:")
+    assert not (tmp_path / "out").exists()

@@ -114,7 +114,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         ExperimentConfig(shift=np.zeros((3, 3)))  # d = 2 by default
     ExperimentConfig(interval=(0.5, 2.0), intervals=64)  # off the mesh: a*N/(b-a) = 64/3
-    ExperimentConfig(interval=(0.0, 2.0), intervals=64)  # windows from the origin pass
+    with pytest.raises(ValueError, match="^interval: need 0 < a < b"):
+        ExperimentConfig(interval=(0.0, 2.0), intervals=64)  # one window rule: a > 0
 
 
 @pytest.mark.parametrize("field", ["d", "intervals", "replicas", "seed"])

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import helmert
 
 from eigencollide import experiments
 from eigencollide.config import ExperimentConfig
@@ -16,7 +17,6 @@ from eigencollide.ensembles import (
 from eigencollide.experiments import (
     BATCH,
     _gaps_from_fields,
-    _helmert,
     _min_gaps_ladder,
     _traceless_fields,
     degenerate_point_cloud,
@@ -141,7 +141,7 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_helmert_rows_orthonormal_and_traceless(d):
-    H = _helmert(d)
+    H = helmert(d)
     assert H.shape == (d - 1, d)
     np.testing.assert_allclose(H @ H.T, np.eye(d - 1), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(H @ np.ones(d), 0.0, rtol=0.0, atol=1e-15)
@@ -157,7 +157,7 @@ def test_traceless_fields_keep_gaps(d, beta):
     F = np.random.default_rng(100 * beta + d).standard_normal((m, nb, nt))
     diag = diagonal_positions(d)
     off = np.setdiff1d(np.arange(nb), diag)
-    coords = np.concatenate([np.matmul(_helmert(d), F[:, diag]), F[:, off]], axis=1)
+    coords = np.concatenate([np.matmul(helmert(d), F[:, diag]), F[:, off]], axis=1)
     expanded = _traceless_fields(coords, beta, d)
     rng = np.random.default_rng(7 * d + beta)
     G = rng.standard_normal((d, d))
@@ -189,13 +189,24 @@ def test_minima_never_increase_under_refinement():
 
 
 def test_min_gaps_ladder_validation():
-    # the collision loop's ladder and window checks run in refinement_study
+    # the ladder checks run in refinement_study, the window check in the config
     with pytest.raises(ValueError):
         refinement_study(_cfg(replicas=8), [64, 32])
     with pytest.raises(ValueError):
         refinement_study(_cfg(replicas=8), [48, 64])
     with pytest.raises(ValueError):
         refinement_study(_cfg(interval=(0.0, 1.0), replicas=8), [32, 64])
+
+
+def test_ladder_argument_must_end_at_intervals():
+    # the run samples at the ladder's top and the manifest records intervals,
+    # so a ladder argument must end at config.intervals, as mesh_ladder must
+    cfg = _cfg(replicas=8)  # intervals 256
+    with pytest.raises(ValueError, match=r"^mesh_ladder: must end at intervals 256, got \(128, "):
+        refinement_study(cfg, (128, 256, 512))
+    with pytest.raises(ValueError, match=r"^mesh_ladder: must end at intervals 256, got \(64, "):
+        phase_sweep([0.2, 0.75], cfg, (64, 128))
+    assert refinement_study(cfg, (64, 256)).stats[-1].intervals == 256
 
 
 def test_refinement_study_consistency():

@@ -372,17 +372,21 @@ def test_anchor_weights_vanish_for_brownian_motion():
     assert not w.any() and v == 8.0
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("n", [8, 1024])
 def test_anchor_weights_near_linear_motion(n, exact):
-    # H one ulp below 1: B(t) is t Z up to rounding, so E[B(i0) | inc] is
-    # i0 times the mean increment and nothing is left to draw. The Toeplitz
+    # H within a few ulps of 1: B(t) is t Z up to rounding, so E[B(i0) | inc]
+    # is i0 times the mean increment and nothing is left to draw. The Toeplitz
     # covariance is singular in floating point (plain Levinson raises) and
     # small jitters give noise; the solve must settle on a true solution.
+    # Where the CG preconditioner is not positive (n = 8 at the second H),
+    # the solve goes to Levinson without dividing by it: no warning.
     i0 = n / 2
-    w, v = fields._fgn_anchor_weights(n, 0.9999999999999999, i0, exact)
-    assert w.sum() == pytest.approx(i0, rel=1e-6)
-    assert 0.0 <= v <= 1e-6 * i0**2
+    for H in (0.9999999999999999, 0.999999999999999):
+        w, v = fields._fgn_anchor_weights(n, H, i0, exact)
+        assert w.sum() == pytest.approx(i0, rel=1e-6)
+        assert 0.0 <= v <= 1e-6 * i0**2
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
@@ -458,7 +462,6 @@ def test_embedding_cache_is_bounded_and_shared_by_threads():
     for cached in (
         fields._fgn_unit_sqrt_eigenvalues,
         fields._fgn_anchor_weights,
-        fields._volterra_constant,
     ):
         info = cached.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
