@@ -39,13 +39,7 @@ from .fields import (
     verify_regularity_bounds,
     volterra_kernel,
 )
-from .geometry import (
-    chart_matrix,
-    complete_frame,
-    lambda_matrix,
-    random_stiefel,
-    sample_degenerate,
-)
+from .geometry import complete_frame, random_stiefel, sample_degenerate
 from .spectral import (
     eigenprojection_contour,
     gap_closed_form_2x2,
@@ -59,7 +53,6 @@ __all__ = [
     "GridSpec",
     "box_counting_dim",
     "capacity_lower_bound",
-    "chart_matrix",
     "collision_regime",
     "complete_frame",
     "eigenprojection_contour",
@@ -69,7 +62,6 @@ __all__ = [
     "gap_closed_form_2x2",
     "gap_exponent_fit",
     "interval",
-    "lambda_matrix",
     "matrix_to_vec",
     "n_beta",
     "ordered_eigenvalues",

@@ -587,9 +587,8 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
 def _degenerate_points(n: int, d: int, beta: int, rng, draw) -> np.ndarray:
     """n packed degenerate matrices, (n, n_beta(beta, d)); levels from draw(rng, size).
 
-    d = 2 is the line {c I} and is vectorized; larger d loops through the
-    chart construction (Haar frames, distinct descending levels), so keep n
-    moderate there.
+    d = 2 is the line {c I} and is vectorized; larger d builds all n chart
+    matrices (Haar frames, distinct descending levels) in one batch.
     """
     nb = n_beta(beta, d)
     if d == 2:
@@ -598,11 +597,7 @@ def _degenerate_points(n: int, d: int, beta: int, rng, draw) -> np.ndarray:
         out[:, 0] = c
         out[:, 2] = c
         return out
-    out = np.empty((n, nb))
-    for i in range(n):
-        M = sample_degenerate(d, beta, rng=rng, level_draw=draw)
-        out[i] = matrix_to_vec(M, beta)
-    return out
+    return matrix_to_vec(sample_degenerate(d, beta, rng=rng, level_draw=draw, size=n), beta)
 
 
 def flattened_degenerate_sampler(d: int, beta: int):

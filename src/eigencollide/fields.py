@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
 from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -341,6 +340,8 @@ def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Volterra kernel (H < 1/2), used as a covariance cross-check only
+# (scipy.integrate and scipy.special are imported inside these functions:
+# no CLI command uses them, and they would double the package's import time)
 # ---------------------------------------------------------------------------
 
 def _volterra_constant(H: float) -> float:
@@ -349,6 +350,8 @@ def _volterra_constant(H: float) -> float:
     The defining integral int_0^1 (1-x)^(-2H) x^(H-1/2) dx is the Beta function
     B(H+1/2, 1-2H), so the constant is sqrt(2H / ((1-2H) B(H+1/2, 1-2H))).
     """
+    from scipy import special
+
     return np.sqrt(2.0 * H / ((1.0 - 2.0 * H) * special.beta(H + 0.5, 1.0 - 2.0 * H)))
 
 
@@ -374,6 +377,8 @@ def volterra_kernel(s: float, t: float, H: float) -> float:
         return 0.0  # Volterra support convention
     if s <= 0.0:
         raise ValueError("kernel requires 0 < s < t")
+    from scipy import integrate
+
     c = _volterra_constant(H)
     lead = (t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
     vmax = np.sqrt(t - s)
@@ -393,6 +398,8 @@ def volterra_covariance_quadrature(s: float, t: float, H: float) -> float:
     so that warning is silenced here.
     """
     H = _check_volterra_hurst(H)
+    from scipy import integrate
+
     lo, hi = 0.0, min(s, t)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)

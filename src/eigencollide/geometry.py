@@ -1,10 +1,13 @@
 """Constructive geometry of matrices with a repeated eigenvalue.
 
 The degenerate set (symmetric or Hermitian matrices whose spectrum has at
-most d-1 distinct values) is parametrized locally by a Stiefel frame of d-2
-orthonormal columns, a completion to a full basis, and d-1 eigenvalue levels
-with the last one doubled. These charts supply random degenerate samples for
-the box-counting dimension and capacity experiments.
+most d-1 distinct values) is parametrized locally by a Stiefel frame Q of
+d-2 orthonormal columns and d-1 eigenvalue levels with the last one, l*,
+doubled. The chart is Q diag(l_0 - l*, ..., l_(d-3) - l*) Q* + l* I: the
+doubled level fills the orthogonal complement of the frame, so no
+completion to a full basis is needed. These charts supply random degenerate
+samples, built in batches, for the box-counting dimension and capacity
+experiments.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ from .ensembles import _check_beta
 from .streams import TAG_GEOMETRY, substream
 
 __all__ = [
-    "lambda_matrix",
     "check_frame",
     "complete_frame",
-    "chart_matrix",
     "random_stiefel",
     "sample_degenerate",
 ]
@@ -27,27 +28,15 @@ _FRAME_TOL = 1e-12
 _COMPLETION_FLOOR = 1e-6
 
 
-def lambda_matrix(levels, d: int) -> np.ndarray:
-    """diag(levels[0], ..., levels[d-3], levels[d-2], levels[d-2]).
-
-    The d-1 levels fill the diagonal with the last one doubled, so the output
-    always has an eigenvalue of multiplicity >= 2.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if levels.shape != (d - 1,):
-        raise ValueError(f"need d-1 = {d - 1} levels, got shape {levels.shape}")
-    return np.diag(np.concatenate([levels, levels[-1:]]))
-
-
 def check_frame(R: np.ndarray) -> np.ndarray:
-    """Validate orthonormal columns (A*A = I within 1e-12)."""
+    """Validate orthonormal columns (A*A = I within 1e-12) of a frame or a stack of frames."""
     R = np.asarray(R)
-    if R.ndim != 2:
-        raise ValueError("frame must be a 2-d array")
-    if R.shape[1] == 0:
+    if R.ndim < 2:
+        raise ValueError("frame must be a 2-d array or a stack of them")
+    if R.shape[-1] == 0:
         return R  # empty frame is trivially orthonormal (the d = 2 chart)
-    gram = R.conj().T @ R
-    defect = np.max(np.abs(gram - np.eye(R.shape[1])))
+    gram = np.swapaxes(R.conj(), -1, -2) @ R
+    defect = np.max(np.abs(gram - np.eye(R.shape[-1])), initial=0.0)
     if defect > _FRAME_TOL:
         raise ValueError(f"columns not orthonormal within {_FRAME_TOL:g} (defect {defect:.3g})")
     return R
@@ -90,22 +79,24 @@ def complete_frame(R: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return check_frame(full)
 
 
-def chart_matrix(frame: np.ndarray, levels) -> np.ndarray:
-    """Pi Lambda(levels) Pi* for a completed frame Pi; always degenerate.
+def _gaussian(rng: np.random.Generator, d: int, k: int, field: str) -> np.ndarray:
+    """d x k standard Gaussian matrix; complex entries have real then imaginary parts / sqrt 2."""
+    if field == "real":
+        return rng.standard_normal((d, k))
+    if field == "complex":
+        return (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2.0)
+    raise ValueError("field must be 'real' or 'complex'")
 
-    Output is exactly Hermitian (symmetrized) and its spectrum is the sorted
-    multiset of the levels with the last one doubled.
+
+def _haar_frames(G: np.ndarray) -> np.ndarray:
+    """Q of G = QR with the R-diagonal phase made positive, for one matrix or a stack.
+
+    Mezzadri's rule: the phase fix makes the frame's law exactly invariant
+    under fixed orthogonal or unitary left multiplication.
     """
-    frame = check_frame(frame)
-    d = frame.shape[0]
-    if frame.shape[1] != d:
-        raise ValueError("chart needs a completed (square) frame")
-    lam = lambda_matrix(levels, d)
-    M = frame @ lam @ frame.conj().T
-    M = 0.5 * (M + M.conj().T)
-    if not np.iscomplexobj(frame):
-        M = M.real
-    return M
+    Q, Rm = np.linalg.qr(G)
+    diag = np.diagonal(Rm, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_stiefel(d: int, k: int, field: str, seed=None, rng=None) -> np.ndarray:
@@ -119,16 +110,7 @@ def random_stiefel(d: int, k: int, field: str, seed=None, rng=None) -> np.ndarra
         raise ValueError("need k <= d columns")
     if rng is None:
         rng = substream(seed, TAG_GEOMETRY)
-    if field == "real":
-        G = rng.standard_normal((d, k))
-    elif field == "complex":
-        G = (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2.0)
-    else:
-        raise ValueError("field must be 'real' or 'complex'")
-    Q, Rm = np.linalg.qr(G)
-    diag = np.diagonal(Rm)
-    Q = Q * (diag / np.abs(diag))
-    return Q
+    return _haar_frames(_gaussian(rng, d, k, field))
 
 
 def _levels(d: int, rng: np.random.Generator, draw) -> np.ndarray:
@@ -139,25 +121,35 @@ def _levels(d: int, rng: np.random.Generator, draw) -> np.ndarray:
             return levels
 
 
-def sample_degenerate(d: int, beta: int, seed=None, rng=None, level_draw=None) -> np.ndarray:
+def sample_degenerate(
+    d: int, beta: int, seed=None, rng=None, level_draw=None, size=None
+) -> np.ndarray:
     """Random matrix with exactly one repeated eigenvalue pair (|spectrum| = d-1).
 
-    Chart construction: Haar frame of d-2 columns, completion against the
-    identity basis (random reference on the rare completion failure), and
+    size=None returns one (d, d) matrix and size=n an (n, d, d) stack. Point i
+    draws a Haar frame Q of d-2 columns (as random_stiefel does), then d-1
     distinct descending levels from level_draw(rng, size) (standard normals
-    by default). For d = 2 the real degenerate set is just the scalar
-    matrices, and the construction reduces to c * I.
+    by default), so splitting n points over calls draws the same points. The
+    chart is Q diag(l_0 - l*, ..., l_(d-3) - l*) Q* + l* I with l* the last
+    (smallest) level, doubled on the complement of the frame; it is exactly
+    Hermitian, and real for beta = 1. All frames share one QR and one
+    orthonormality check. For d = 2 the degenerate set is just the scalar
+    matrices, and the chart reduces to l* I.
     """
     beta = _check_beta(beta)
     if rng is None:
         rng = substream(seed, TAG_GEOMETRY)
     field = "real" if beta == 1 else "complex"
-    R = random_stiefel(d, d - 2, field, rng=rng)
-    eye = np.eye(d) if beta == 1 else np.eye(d, dtype=complex)
-    try:
-        frame = complete_frame(R, eye)
-    except ValueError:
-        frame = complete_frame(R, random_stiefel(d, d, field, rng=rng))
     draw = level_draw or (lambda r, size: r.standard_normal(size))
-    levels = _levels(d, rng, draw)
-    return chart_matrix(frame, levels)
+    n = 1 if size is None else int(size)
+    G = np.empty((n, d, d - 2), dtype=float if beta == 1 else complex)
+    levels = np.empty((n, d - 1))
+    for i in range(n):
+        G[i] = _gaussian(rng, d, d - 2, field)
+        levels[i] = _levels(d, rng, draw)
+    Q = check_frame(_haar_frames(G))
+    lstar = levels[:, -1:]
+    M = (Q * (levels[:, :-1] - lstar)[:, None, :]) @ np.swapaxes(Q.conj(), -1, -2)
+    M[:, np.arange(d), np.arange(d)] += lstar
+    M = 0.5 * (M + np.swapaxes(M.conj(), -1, -2))
+    return M[0] if size is None else M

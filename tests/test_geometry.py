@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.geometry import (
-    chart_matrix,
+    _levels,
     check_frame,
     complete_frame,
-    lambda_matrix,
     random_stiefel,
     sample_degenerate,
 )
@@ -19,20 +18,16 @@ dims = st.integers(3, 6)
 fields = st.sampled_from(["real", "complex"])
 
 
-def test_lambda_matrix_doubles_last_level():
-    L = lambda_matrix([3.0, 1.0], 3)
-    np.testing.assert_array_equal(L, np.diag([3.0, 1.0, 1.0]))
-    L = lambda_matrix([5.0], 2)
-    np.testing.assert_array_equal(L, np.diag([5.0, 5.0]))
-    with pytest.raises(ValueError):
-        lambda_matrix([1.0, 2.0, 3.0], 3)
-
-
 def test_check_frame():
     check_frame(np.eye(4)[:, :2])
     check_frame(np.empty((3, 0)))  # empty frame is valid (the d = 2 chart)
     with pytest.raises(ValueError):
         check_frame(np.ones((3, 2)))
+    stack = np.stack([np.eye(4)[:, :2]] * 3)
+    check_frame(stack)
+    stack[1, 0, 1] = 1e-6  # one bad frame in a stack fails the whole check
+    with pytest.raises(ValueError, match="not orthonormal"):
+        check_frame(stack)
 
 
 @given(dims, fields, seeds)
@@ -88,28 +83,58 @@ def test_complete_frame_shape_checks():
         complete_frame(np.eye(4)[:, :2], np.eye(3))  # wrong reference shape
 
 
-@given(dims, fields, seeds)
-@settings(max_examples=30, deadline=None)
-def test_chart_matrix_degenerate_spectrum(d, field, seed):
-    rng = np.random.default_rng(seed)
-    R = random_stiefel(d, d - 2, field, rng=rng)
-    eye = np.eye(d, dtype=complex if field == "complex" else float)
-    try:
-        frame = complete_frame(R, eye)
-    except ValueError:
-        return
-    levels = np.sort(rng.standard_normal(d - 1))[::-1]
-    M = chart_matrix(frame, levels)
-    lam = np.linalg.eigvalsh(M)[::-1]
-    expected = np.sort(np.concatenate([levels, levels[-1:]]))[::-1]
-    np.testing.assert_allclose(lam, expected, atol=1e-10)
-    assert np.min(lam[:-1] - lam[1:]) <= 1e-9  # repeated pair present
+def _chart_reference(n, d, beta, rng, draw):
+    """Per-point chart: Haar frame, completion, then Pi diag(levels, l*) Pi*.
+
+    The draws are those of sample_degenerate. The chart does not depend on
+    the completion, so when the identity is too close to a frame's span the
+    frame is completed against a fixed basis that takes nothing from rng.
+    """
+    field = "real" if beta == 1 else "complex"
+    dtype = float if beta == 1 else complex
+    spare = random_stiefel(d, d, field, seed=12345)
+    out = []
+    for _ in range(n):
+        R = random_stiefel(d, d - 2, field, rng=rng)
+        try:
+            frame = complete_frame(R, np.eye(d, dtype=dtype))
+        except ValueError:
+            frame = complete_frame(R, spare)
+        levels = _levels(d, rng, draw)
+        lam = np.diag(np.concatenate([levels, levels[-1:]]))
+        out.append(frame @ lam @ frame.conj().T)
+    return np.array(out)
 
 
-def test_chart_matrix_d2_is_scalar_matrix():
-    frame = complete_frame(np.empty((2, 0)), np.eye(2))
-    M = chart_matrix(frame, [2.5])
-    np.testing.assert_allclose(M, 2.5 * np.eye(2), atol=1e-14)
+LEVEL_DRAWS = {
+    "uniform": lambda r, size: r.uniform(-1.0, 1.0, size),
+    "normal": lambda r, size: r.standard_normal(size),
+}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("levels", sorted(LEVEL_DRAWS))
+def test_sample_degenerate_batch_matches_chart(d, beta, levels):
+    draw = LEVEL_DRAWS[levels]
+    seed = 100 * d + 10 * beta + len(levels)
+    M = sample_degenerate(d, beta, rng=np.random.default_rng(seed), level_draw=draw, size=500)
+    ref = _chart_reference(500, d, beta, np.random.default_rng(seed), draw)
+    assert M.shape == (500, d, d)
+    assert np.iscomplexobj(M) == (beta == 2)
+    np.testing.assert_array_equal(M, np.swapaxes(M.conj(), -1, -2))  # exactly Hermitian
+    assert np.max(np.abs(M - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("d,beta", [(2, 1), (3, 1), (4, 2)])
+def test_sample_degenerate_split_calls_draw_the_same_points(d, beta):
+    rng = np.random.default_rng(5)
+    parts = [sample_degenerate(d, beta, rng=rng, size=k) for k in (7, 0, 13)]
+    whole = sample_degenerate(d, beta, rng=np.random.default_rng(5), size=20)
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+    one = sample_degenerate(d, beta, rng=np.random.default_rng(5))
+    assert one.shape == (d, d)
+    np.testing.assert_array_equal(one, whole[0])
 
 
 @given(st.integers(2, 6), st.sampled_from([1, 2]), seeds)
@@ -117,13 +142,15 @@ def test_chart_matrix_d2_is_scalar_matrix():
 def test_sample_degenerate_has_repeated_pair(d, beta, seed):
     M = sample_degenerate(d, beta, seed=seed)
     assert M.shape == (d, d)
-    assert np.iscomplexobj(M) == (beta == 2)
-    lam = np.linalg.eigvalsh(M)
-    gaps = np.diff(lam)
-    assert gaps.min() <= 1e-9
-    # exactly d-1 distinct values: all other gaps stay separated
-    if d > 2:
-        assert np.sort(gaps)[1] > 1e-9
+    stack = sample_degenerate(d, beta, seed=seed, size=8)
+    assert stack.shape == (8, d, d)
+    for A in (M, *stack):
+        assert np.iscomplexobj(A) == (beta == 2)
+        gaps = np.diff(np.linalg.eigvalsh(A))
+        assert gaps.min() <= 1e-9
+        # exactly d-1 distinct values: all other gaps stay separated
+        if d > 2:
+            assert np.sort(gaps)[1] > 1e-9
 
 
 def test_sample_degenerate_level_draw_and_beta_check():

@@ -19,7 +19,7 @@ PUBLIC = {
     "ExperimentConfig", "GridSpec",
     "box_counting_dim", "capacity_lower_bound", "collision_regime", "energy_integral",
     "f_alpha", "q_index",
-    "chart_matrix", "complete_frame", "lambda_matrix", "random_stiefel", "sample_degenerate",
+    "complete_frame", "random_stiefel", "sample_degenerate",
     "eigenprojection_contour", "gap_closed_form_2x2", "ordered_eigenvalues",
     "fbm_covariance", "interval", "sample_field_exact", "sheet_covariance",
     "verify_regularity_bounds", "volterra_kernel",
@@ -31,7 +31,7 @@ PUBLIC = {
 
 
 def test_package_exports_are_pinned():
-    assert len(eigencollide.__all__) == len(set(eigencollide.__all__)) == len(PUBLIC) == 33
+    assert len(eigencollide.__all__) == len(set(eigencollide.__all__)) == len(PUBLIC) == 31
     assert set(eigencollide.__all__) == PUBLIC
 
 
@@ -61,6 +61,24 @@ def _unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_cli_import_leaves_out_the_quadrature_modules():
+    # only the Volterra cross-check needs scipy.integrate and scipy.special
+    code = "import sys, eigencollide.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_unused_import_scan_flags_a_dead_import():
     assert _unused_imports("import os\nfrom a import b, c\n__all__ = ['c']\n") == [
         "b (line 2)", "os (line 1)",
@@ -83,12 +101,8 @@ def test_no_module_imports_a_name_it_does_not_use():
     ],
 )
 def test_script_runs(script, args, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
