@@ -108,34 +108,38 @@ class EnergyEstimate:
     divergent_pairs: int
 
 
+def _draw_pairs(sampler: Callable, pairs: int, seed: int) -> np.ndarray:
+    """2 * pairs points, (2 * pairs, dim), from one sampler call on the capacity substream."""
+    if pairs < 1:
+        raise ValueError("need at least one pair")
+    points = np.asarray(sampler(2 * pairs, substream(seed, TAG_CAPACITY)), dtype=float)
+    return points[:, None] if points.ndim == 1 else points
+
+
+def _pair_energy(x: np.ndarray, y: np.ndarray, alpha: float) -> EnergyEstimate:
+    """Mean of f_alpha(|x_i - y_i|) over the finite pairs; singular pairs are counted apart."""
+    r = np.linalg.norm(x - y, axis=-1)
+    divergent = (r < _DIVERGENCE_DISTANCE) & (alpha >= 0.0)
+    vals = f_alpha(r[~divergent], alpha)
+    pairs, ndiv = r.size, int(divergent.sum())
+    if vals.size == 0:
+        return EnergyEstimate(value=np.inf, stderr=0.0, pairs=pairs, divergent_pairs=ndiv)
+    value = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return EnergyEstimate(value=value, stderr=stderr, pairs=pairs, divergent_pairs=ndiv)
+
+
 def energy_integral(
     sampler: Callable, alpha: float, pairs: int, seed: int
 ) -> EnergyEstimate:
     """alpha-energy of the sampler's measure by independent-pair Monte Carlo.
 
     sampler(n, rng) must return n i.i.d. points as an (n, dim) array from a
-    probability measure supported on the target set. Two independent batches
-    form the pairs.
+    probability measure supported on the target set. One call draws
+    2 * pairs points; the first half is paired with the second.
     """
-    if pairs < 1:
-        raise ValueError("need at least one pair")
-    alpha = float(alpha)
-    rng = substream(seed, TAG_CAPACITY)
-    x = np.asarray(sampler(pairs, rng), dtype=float)
-    y = np.asarray(sampler(pairs, rng), dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    r = np.linalg.norm(x - y, axis=-1)
-    divergent = (r < _DIVERGENCE_DISTANCE) & (alpha >= 0.0)
-    vals = f_alpha(r[~divergent], alpha)
-    ndiv = int(divergent.sum())
-    if vals.size == 0:
-        return EnergyEstimate(value=np.inf, stderr=0.0, pairs=pairs, divergent_pairs=ndiv)
-    value = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return EnergyEstimate(value=value, stderr=stderr, pairs=pairs, divergent_pairs=ndiv)
+    points = _draw_pairs(sampler, pairs, seed)
+    return _pair_energy(points[:pairs], points[pairs:], float(alpha))
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,16 @@ def capacity_lower_bound(
     """1/energy of the sampler's measure: a lower bound on the set's capacity.
 
     Positive iff the estimated energy is finite; all-divergent energy gives
-    bound 0. The internal half-sample probe shares the substream prefix, so
-    the divergence flag measures pure sample-growth instability.
+    bound 0. The sampler is called once for 2 * pairs points: the energy
+    takes points [:pairs] against [pairs:], and the half probe is a slice of
+    the same draw, [:h] against [h:2h] with h = max(1, pairs // 2). The
+    divergence flag therefore measures pure sample-growth instability.
     """
-    e_half = energy_integral(sampler, alpha, max(1, pairs // 2), seed)
-    e_full = energy_integral(sampler, alpha, pairs, seed)
+    alpha = float(alpha)
+    points = _draw_pairs(sampler, pairs, seed)
+    h = max(1, pairs // 2)
+    e_half = _pair_energy(points[:h], points[h : 2 * h], alpha)
+    e_full = _pair_energy(points[:pairs], points[pairs:], alpha)
     bound = 0.0 if np.isinf(e_full.value) else 1.0 / e_full.value
     b_half = 0.0 if np.isinf(e_half.value) else 1.0 / e_half.value
     divergent = e_full.divergent_pairs > 0 or e_half.divergent_pairs > 0

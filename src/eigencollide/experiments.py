@@ -584,32 +584,20 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
     return float(worst.max())
 
 
-def _degenerate_points(n: int, d: int, beta: int, rng, draw) -> np.ndarray:
-    """n packed degenerate matrices, (n, n_beta(beta, d)); levels from draw(rng, size).
-
-    d = 2 is the line {c I} and is vectorized; larger d builds all n chart
-    matrices (Haar frames, distinct descending levels) in one batch.
-    """
-    nb = n_beta(beta, d)
-    if d == 2:
-        c = draw(rng, n)
-        out = np.zeros((n, nb))
-        out[:, 0] = c
-        out[:, 2] = c
-        return out
-    return matrix_to_vec(sample_degenerate(d, beta, rng=rng, level_draw=draw, size=n), beta)
-
-
 def flattened_degenerate_sampler(d: int, beta: int):
     """Point sampler on the flattened degenerate set, for energy integrals.
 
-    Returns sampler(n, rng) -> (n, n_beta(beta, d)) drawing degenerate
-    matrices through the chart (levels uniform on [-1, 1], Haar frames) and
-    packing them.
+    Returns sampler(n, rng) -> (n, n_beta(beta, d)) drawing n degenerate
+    matrices in one sample_degenerate call (levels uniform on [-1, 1], Haar
+    frames) and packing them. For d = 2 the points are (c, 0, c) (plus a zero
+    imaginary coordinate for beta = 2) with c = rng.uniform(-1, 1, n).
     """
 
     def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
-        return _degenerate_points(n, d, beta, rng, lambda r, size: r.uniform(-1.0, 1.0, size))
+        M = sample_degenerate(
+            d, beta, rng=rng, level_draw=lambda r, shape: r.uniform(-1.0, 1.0, shape), size=n
+        )
+        return matrix_to_vec(M, beta)
 
     return sampler
 
@@ -622,4 +610,4 @@ def degenerate_point_cloud(npoints: int, d: int, beta: int, seed: int) -> np.nda
     the chart parameter count n_1(2) - 2.
     """
     rng = substream(seed, TAG_BOXDIM)
-    return _degenerate_points(npoints, d, beta, rng, lambda r, size: r.standard_normal(size))
+    return matrix_to_vec(sample_degenerate(d, beta, rng=rng, size=npoints), beta)

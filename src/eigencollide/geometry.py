@@ -5,9 +5,10 @@ most d-1 distinct values) is parametrized locally by a Stiefel frame Q of
 d-2 orthonormal columns and d-1 eigenvalue levels with the last one, l*,
 doubled. The chart is Q diag(l_0 - l*, ..., l_(d-3) - l*) Q* + l* I: the
 doubled level fills the orthogonal complement of the frame, so no
-completion to a full basis is needed. These charts supply random degenerate
-samples, built in batches, for the box-counting dimension and capacity
-experiments.
+completion to a full basis is needed. sample_degenerate builds a whole
+stack of chart points from one draw of every frame's Gaussians and one draw
+of every point's levels; these stacks are the point clouds and sampler
+measures of the box-counting dimension and capacity experiments.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ def complete_frame(R: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
     psi1 orthonormalizes reference column d-2 (0-based) against the frame
     columns; psi2 orthonormalizes reference column d-1 against the frame and
-    psi1. Both normalizations must stay above 1e-6, otherwise the reference
-    is too close to the frame's span and the caller must pick another one.
+    psi1. Each is orthogonalized twice: one pass leaves a defect above 1e-12
+    when the column is short after projection. Both norms must stay above
+    1e-6, otherwise the reference is too close to the frame's span and the
+    caller must pick another one.
     """
     R = check_frame(R)
     d, k = R.shape
@@ -57,34 +60,27 @@ def complete_frame(R: np.ndarray, reference: np.ndarray) -> np.ndarray:
     reference = check_frame(np.asarray(reference))
     if reference.shape != (d, d):
         raise ValueError("reference must be a full orthonormal basis")
-    v1 = reference[:, d - 2]
-    w1 = v1 - R @ (R.conj().T @ v1)
-    n1 = np.linalg.norm(w1)
-    if n1 < _COMPLETION_FLOOR:
-        raise ValueError(
-            f"completion degenerate: reference column {d - 2} lies within "
-            f"{_COMPLETION_FLOOR:g} of the frame span"
-        )
-    psi1 = w1 / n1
-    v2 = reference[:, d - 1]
-    w2 = v2 - R @ (R.conj().T @ v2) - psi1 * (psi1.conj() @ v2)
-    n2 = np.linalg.norm(w2)
-    if n2 < _COMPLETION_FLOOR:
-        raise ValueError(
-            f"completion degenerate: reference column {d - 1} lies within "
-            f"{_COMPLETION_FLOOR:g} of the span of the frame and psi1"
-        )
-    psi2 = w2 / n2
-    full = np.column_stack([R, psi1, psi2])
+    full = R
+    for j, span in ((d - 2, "the frame"), (d - 1, "the frame and psi1")):
+        w = reference[:, j]
+        for _ in range(2):
+            w = w - full @ (full.conj().T @ w)
+        norm = np.linalg.norm(w)
+        if norm < _COMPLETION_FLOOR:
+            raise ValueError(
+                f"completion degenerate: reference column {j} lies within "
+                f"{_COMPLETION_FLOOR:g} of the span of {span}"
+            )
+        full = np.column_stack([full, w / norm])
     return check_frame(full)
 
 
-def _gaussian(rng: np.random.Generator, d: int, k: int, field: str) -> np.ndarray:
-    """d x k standard Gaussian matrix; complex entries have real then imaginary parts / sqrt 2."""
+def _gaussian(rng: np.random.Generator, shape: tuple, field: str) -> np.ndarray:
+    """Standard Gaussian array; complex draws all real parts, then all imaginary parts, / sqrt 2."""
     if field == "real":
-        return rng.standard_normal((d, k))
+        return rng.standard_normal(shape)
     if field == "complex":
-        return (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2.0)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     raise ValueError("field must be 'real' or 'complex'")
 
 
@@ -99,26 +95,26 @@ def _haar_frames(G: np.ndarray) -> np.ndarray:
     return Q * (diag / np.abs(diag))[..., None, :]
 
 
+def _generator(seed, rng) -> np.random.Generator:
+    """rng if given, else seed's geometry substream."""
+    if rng is not None:
+        return rng
+    if seed is None:
+        raise ValueError("give seed or rng")
+    return substream(seed, TAG_GEOMETRY)
+
+
 def random_stiefel(d: int, k: int, field: str, seed=None, rng=None) -> np.ndarray:
     """Haar-distributed d x k orthonormal frame, real or complex.
 
     QR of a Gaussian matrix with the R-diagonal phase fixed to be positive,
     which makes the distribution exactly invariant under fixed orthogonal or
-    unitary left multiplication.
+    unitary left multiplication. Draws from rng, else from seed's geometry
+    substream; one of them is required.
     """
     if k > d:
         raise ValueError("need k <= d columns")
-    if rng is None:
-        rng = substream(seed, TAG_GEOMETRY)
-    return _haar_frames(_gaussian(rng, d, k, field))
-
-
-def _levels(d: int, rng: np.random.Generator, draw) -> np.ndarray:
-    """d-1 distinct levels from draw(rng, d-1), sorted descending; redrawn on a tie."""
-    while True:
-        levels = np.sort(draw(rng, d - 1))[::-1]
-        if d == 2 or np.min(-np.diff(levels)) > 1e-12:
-            return levels
+    return _haar_frames(_gaussian(_generator(seed, rng), (d, k), field))
 
 
 def sample_degenerate(
@@ -126,28 +122,30 @@ def sample_degenerate(
 ) -> np.ndarray:
     """Random matrix with exactly one repeated eigenvalue pair (|spectrum| = d-1).
 
-    size=None returns one (d, d) matrix and size=n an (n, d, d) stack. Point i
-    draws a Haar frame Q of d-2 columns (as random_stiefel does), then d-1
-    distinct descending levels from level_draw(rng, size) (standard normals
-    by default), so splitting n points over calls draws the same points. The
-    chart is Q diag(l_0 - l*, ..., l_(d-3) - l*) Q* + l* I with l* the last
-    (smallest) level, doubled on the complement of the frame; it is exactly
-    Hermitian, and real for beta = 1. All frames share one QR and one
-    orthonormality check. For d = 2 the degenerate set is just the scalar
-    matrices, and the chart reduces to l* I.
+    size=None returns one (d, d) matrix and size=n an (n, d, d) stack, drawn
+    from rng, else from seed's geometry substream (one of them is required).
+    One call draws the Gaussians of all n Haar frames Q of d-2 columns (as
+    random_stiefel does), then all levels as level_draw(rng, (n, d-1))
+    (standard normals by default), each row sorted descending; rows with two
+    levels within 1e-12 are redrawn until none are left. The realization
+    depends on n: n points in one call are not the points of several smaller
+    calls. The chart is Q diag(l_0 - l*, ..., l_(d-3) - l*) Q* + l* I with l*
+    the last (smallest) level, doubled on the complement of the frame; it is
+    exactly Hermitian, and real for beta = 1. All frames share one QR and one
+    orthonormality check. For d = 2 the frames are empty and the chart
+    reduces to l* I, a scalar matrix.
     """
     beta = _check_beta(beta)
-    if rng is None:
-        rng = substream(seed, TAG_GEOMETRY)
-    field = "real" if beta == 1 else "complex"
-    draw = level_draw or (lambda r, size: r.standard_normal(size))
+    rng = _generator(seed, rng)
+    draw = level_draw or (lambda r, shape: r.standard_normal(shape))
     n = 1 if size is None else int(size)
-    G = np.empty((n, d, d - 2), dtype=float if beta == 1 else complex)
+    field = "real" if beta == 1 else "complex"
+    Q = check_frame(_haar_frames(_gaussian(rng, (n, d, d - 2), field)))
     levels = np.empty((n, d - 1))
-    for i in range(n):
-        G[i] = _gaussian(rng, d, d - 2, field)
-        levels[i] = _levels(d, rng, draw)
-    Q = check_frame(_haar_frames(G))
+    redraw = np.ones(n, dtype=bool)
+    while redraw.any():
+        levels[redraw] = np.sort(draw(rng, (int(redraw.sum()), d - 1)), axis=1)[:, ::-1]
+        redraw = np.any(-np.diff(levels, axis=1) <= 1e-12, axis=1)
     lstar = levels[:, -1:]
     M = (Q * (levels[:, :-1] - lstar)[:, None, :]) @ np.swapaxes(Q.conj(), -1, -2)
     M[:, np.arange(d), np.arange(d)] += lstar

@@ -22,8 +22,9 @@ import numpy as np
 # 1: the path sampler drew n_beta fields per replica;
 # 2: it draws n_beta - 1, the diagonal in traceless Helmert coordinates;
 # 3: window increments plus a conditional anchor;
-# 4: a sweep's H values share each replica's normals
-STREAM_VERSION = 4
+# 4: a sweep's H values share each replica's normals;
+# 5: degenerate samples draw every frame, then every level
+STREAM_VERSION = 5
 
 # experiment tags, part of the stream key; never reorder or reuse
 TAG_FIELD = 0

@@ -6,6 +6,7 @@ names must fail here rather than in the benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,32 @@ def test_traced_sweep_draws_each_replica_once(beta):
     assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * (2 * L + 1)
     assert metrics["streams.substream.calls"] == replicas
     assert metrics["fields.fgn_from_normals.calls"] == len(hs) * (n_beta(beta, 2) - 1)
+
+
+def test_traced_capacity_and_boxdim_draw_the_degenerate_set_once_per_bound(tmp_path):
+    # a capacity run computes two bounds (alpha and divergent_alpha); each
+    # draws its 2 * pairs degenerate points in one sample_degenerate call
+    tracing = _load_tracing()
+    modules = (capacity, cli, config, experiments)
+    before = [dict(vars(m)) for m in modules]
+    cfg = {
+        "d": 3,
+        "seed": 5,
+        "capacity": {"pairs": 20, "oracle_pairs": 100},
+        "boxdim": {"points": 1000, "nscales": 4},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    calls = {}
+    for sub in ("capacity", "boxdim"):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert cli.main([sub, "--config", str(path), "--out", str(tmp_path / sub)]) == 0
+        calls[sub] = tracing.layer_metrics(tracer.spans, tracer.counts)[
+            "geometry.sample_degenerate.calls"
+        ]
+        assert "geometry.sample_degenerate" in {span[1] for span in tracer.spans}
+    for module, saved in zip(modules, before):
+        for name, value in saved.items():
+            assert getattr(module, name) is value, f"{module.__name__}.{name} not restored"
+    assert calls == {"capacity": 2, "boxdim": 1}

@@ -140,8 +140,9 @@ def test_energy_counts_divergent_pairs():
 
 
 def test_energy_rejects_no_pairs():
-    with pytest.raises(ValueError):
-        energy_integral(uniform_unit_interval, 0.5, 0, 1)
+    for estimate in (energy_integral, capacity_lower_bound):
+        with pytest.raises(ValueError, match="at least one pair"):
+            estimate(uniform_unit_interval, 0.5, 0, 1)
 
 
 # -- capacity bound -----------------------------------------------------------
@@ -167,6 +168,25 @@ def test_capacity_bound_flags_supercritical_alpha():
     # half-vs-full probe sees the jump even without exact coincidences
     cb = capacity_lower_bound(uniform_unit_interval, 1.5, 40_000, 3)
     assert cb.divergent
+
+
+def test_energy_and_bound_call_the_sampler_once():
+    # one sampler call of 2 * pairs points per estimate; the half probe is
+    # the energy of the first 2h points of that draw, h = pairs // 2
+    calls = []
+
+    def counting(n, rng):
+        calls.append(n)
+        return uniform_unit_interval(n, rng)
+
+    est = energy_integral(counting, 0.5, 600, 5)
+    assert calls == [1200]
+    assert est == energy_integral(uniform_unit_interval, 0.5, 600, 5)
+    calls.clear()
+    cb = capacity_lower_bound(counting, 0.5, 601, 5)
+    assert calls == [1202]
+    assert cb.energy == energy_integral(uniform_unit_interval, 0.5, 601, 5)
+    assert cb.energy_half == energy_integral(uniform_unit_interval, 0.5, 300, 5)
 
 
 # -- box counting -------------------------------------------------------------

@@ -29,7 +29,7 @@ from eigencollide.experiments import (
     wilson_interval,
 )
 from eigencollide.fields import interval, sample_field_exact
-from eigencollide.streams import substream
+from eigencollide.streams import TAG_BOXDIM, substream
 
 
 def _cfg(**kw):
@@ -367,6 +367,20 @@ def test_flattened_sampler_points_are_degenerate(beta, d):
     for M in mats:
         lam = np.linalg.eigvalsh(M)
         assert np.min(np.diff(lam)) <= 1e-9
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_d2_degenerate_points_are_the_scalar_line(beta):
+    # d = 2 has empty frames: the packed points are (c, 0, c) (and a zero
+    # imaginary coordinate for beta = 2), c the first n level draws
+    n = 300
+    zero = np.zeros(n)
+    c = substream(3, 50).uniform(-1.0, 1.0, n)
+    want = np.stack([c, zero, c] + [zero] * (beta - 1), axis=1)
+    np.testing.assert_array_equal(flattened_degenerate_sampler(2, beta)(n, substream(3, 50)), want)
+    c = substream(8, TAG_BOXDIM).standard_normal(n)
+    want = np.stack([c, zero, c] + [zero] * (beta - 1), axis=1)
+    np.testing.assert_array_equal(degenerate_point_cloud(n, 2, beta, seed=8), want)
 
 
 def test_degenerate_point_cloud_shape_and_determinism():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.geometry import (
-    _levels,
     check_frame,
     complete_frame,
     random_stiefel,
@@ -86,22 +85,28 @@ def test_complete_frame_shape_checks():
 def _chart_reference(n, d, beta, rng, draw):
     """Per-point chart: Haar frame, completion, then Pi diag(levels, l*) Pi*.
 
-    The draws are those of sample_degenerate. The chart does not depend on
-    the completion, so when the identity is too close to a frame's span the
-    frame is completed against a fixed basis that takes nothing from rng.
+    The draws are those of sample_degenerate: every frame's Gaussians in one
+    stack (real parts, then imaginary parts), then every level in one
+    (n, d-1) draw. The chart does not depend on the completion, so when the
+    identity is too close to a frame's span the frame is completed against a
+    fixed basis that takes nothing from rng.
     """
     field = "real" if beta == 1 else "complex"
     dtype = float if beta == 1 else complex
     spare = random_stiefel(d, d, field, seed=12345)
+    G = rng.standard_normal((n, d, d - 2))
+    if beta == 2:
+        G = (G + 1j * rng.standard_normal((n, d, d - 2))) / np.sqrt(2.0)
+    levels = np.sort(draw(rng, (n, d - 1)), axis=1)[:, ::-1]
     out = []
-    for _ in range(n):
-        R = random_stiefel(d, d - 2, field, rng=rng)
+    for g, lev in zip(G, levels):
+        R, T = np.linalg.qr(g)
+        R = R * (np.diag(T) / np.abs(np.diag(T)))
         try:
             frame = complete_frame(R, np.eye(d, dtype=dtype))
         except ValueError:
             frame = complete_frame(R, spare)
-        levels = _levels(d, rng, draw)
-        lam = np.diag(np.concatenate([levels, levels[-1:]]))
+        lam = np.diag(np.concatenate([lev, lev[-1:]]))
         out.append(frame @ lam @ frame.conj().T)
     return np.array(out)
 
@@ -124,17 +129,6 @@ def test_sample_degenerate_batch_matches_chart(d, beta, levels):
     assert np.iscomplexobj(M) == (beta == 2)
     np.testing.assert_array_equal(M, np.swapaxes(M.conj(), -1, -2))  # exactly Hermitian
     assert np.max(np.abs(M - ref)) <= 1e-12
-
-
-@pytest.mark.parametrize("d,beta", [(2, 1), (3, 1), (4, 2)])
-def test_sample_degenerate_split_calls_draw_the_same_points(d, beta):
-    rng = np.random.default_rng(5)
-    parts = [sample_degenerate(d, beta, rng=rng, size=k) for k in (7, 0, 13)]
-    whole = sample_degenerate(d, beta, rng=np.random.default_rng(5), size=20)
-    np.testing.assert_array_equal(np.concatenate(parts), whole)
-    one = sample_degenerate(d, beta, rng=np.random.default_rng(5))
-    assert one.shape == (d, d)
-    np.testing.assert_array_equal(one, whole[0])
 
 
 @given(st.integers(2, 6), st.sampled_from([1, 2]), seeds)
@@ -168,4 +162,42 @@ def test_sample_degenerate_level_draw_and_beta_check():
 def test_sample_degenerate_deterministic():
     a = sample_degenerate(4, 2, seed=17)
     b = sample_degenerate(4, 2, seed=17)
+    assert a.shape == (4, 4)  # size=None is one matrix, not a stack of one
     np.testing.assert_array_equal(a, b)
+
+
+def test_sample_degenerate_redraws_only_tied_rows():
+    calls = []
+
+    def tie_once(r, shape):
+        x = r.standard_normal(shape)
+        if not calls:
+            x[2] = [0.5, 0.5, -1.0]  # row 2 ties on the first call
+        calls.append(shape)
+        return x
+
+    M = sample_degenerate(4, 1, rng=np.random.default_rng(4), level_draw=tie_once, size=5)
+    assert calls == [(5, 3), (1, 3)]
+    # the untied rows keep their first draw: the same points as a tie-free draw
+    ref = sample_degenerate(4, 1, rng=np.random.default_rng(4), size=5)
+    np.testing.assert_array_equal(np.delete(M, 2, axis=0), np.delete(ref, 2, axis=0))
+    gaps = np.sort(np.diff(np.linalg.eigvalsh(M[2])))
+    assert gaps[0] <= 1e-9 < gaps[1]  # the redrawn row has exactly one repeated pair
+
+
+def test_samplers_need_seed_or_rng():
+    with pytest.raises(ValueError, match="seed or rng"):
+        random_stiefel(4, 2, "real")
+    with pytest.raises(ValueError, match="seed or rng"):
+        sample_degenerate(4, 1)
+
+
+def test_complete_frame_accepts_references_one_pass_rejects():
+    # a single Gram-Schmidt pass fails the 1e-12 check on 2 of these d = 3
+    # frames and 4 of the d = 5 ones; two passes complete them all
+    for d in (3, 5):
+        rng = np.random.default_rng(1)
+        for _ in range(10_000):
+            R = random_stiefel(d, d - 2, "real", rng=rng)
+            full = complete_frame(R, np.eye(d))
+            assert np.max(np.abs(full.T @ full - np.eye(d))) <= 1e-12
