@@ -3,7 +3,7 @@
 Layout:
     fields       fractional Brownian covariances, exact sampler, circulant embedding
     ensembles    packing of symmetric/Hermitian matrices into real coefficients
-    spectral     ordered spectra, adjacent and closed-form 2x2 gaps, contour projectors
+    spectral     ordered spectra, adjacent gaps, closed-form 2x2 and 3x3 gaps, projectors
     geometry     charts around matrices with a repeated eigenvalue
     capacity     Riesz kernels, energy integrals, box-counting dimension
     experiments  Monte Carlo studies tying the pieces together

@@ -220,7 +220,9 @@ def _cmd_capacity(config: ExperimentConfig, threads: int) -> list:
     section = config.extras.get("capacity", {})
     alpha = float(section.get("alpha", 0.5))
     pairs = int(section.get("pairs", 200_000))
-    div_alpha = float(section.get("divergent_alpha", 1.5))
+    # supercritical by default: half a unit above dim F = n_beta - beta - 1
+    dim_f = n_beta(config.beta, config.d) - config.beta - 1
+    div_alpha = float(section.get("divergent_alpha", dim_f + 0.5))
     oracle_pairs = int(section.get("oracle_pairs", 1_000_000))
     records = []
     est = energy_integral(uniform_unit_interval, 0.5, oracle_pairs, config.seed)

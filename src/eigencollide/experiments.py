@@ -23,6 +23,14 @@ Its value at the window's start is drawn from its law given the increments,
 with weights solved once per (npoints, H, a/step) and cached; a/step need
 not be an integer.
 
+The gap kernel (_gaps_from_fields) builds no matrix at d = 2 and d = 3: it
+reads the gap from the packed coefficient planes through the closed forms in
+spectral, a square root at d = 2 and the trigonometric roots of the
+characteristic cubic at d = 3 (17-28x faster than vec_to_matrix with
+np.linalg.eigvalsh on batches of 4096 to 8200 matrices, 2-vCPU x86 virtual
+machine; the eigensolver dominated d = 3 gap fits). d >= 4 materializes
+matrices and calls eigvalsh; why d = 4 has no closed form is in spectral.
+
 A collision run over several Hurst values (phase_sweep) draws each
 replica's normals once and maps them through every H's embedding and
 anchor weights (common random numbers). The stream key does not name H, so
@@ -57,7 +65,12 @@ from .fields import (
     fgn_from_normals,
     fgn_sqrt_eigenvalues,
 )
-from .spectral import adjacent_gaps, gap_closed_form_2x2, ordered_eigenvalues
+from .spectral import (
+    _gap_closed_form_3x3,
+    adjacent_gaps,
+    gap_closed_form_2x2,
+    ordered_eigenvalues,
+)
 from .geometry import sample_degenerate
 from .streams import (
     TAG_BOXDIM,
@@ -269,15 +282,18 @@ def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, A: np.ndarray) -> n
     """Minimum adjacent eigenvalue gap of Y(t) = A + X(t): (m, npoints).
 
     fields (m, nfields, npoints) are scaled to the packed coefficients of X
-    and shifted by those of A. d = 2 goes through the closed form (no
-    matrices, no eigensolver); larger d materializes matrices and
-    diagonalizes.
+    and shifted by those of A. d = 2 and d = 3 go through the closed forms
+    of spectral (a square root; the trigonometric roots of the cubic), which
+    build no matrix and run no eigensolver; d >= 4 materializes matrices and
+    diagonalizes with np.linalg.eigvalsh.
     """
     coeffs = fields * coefficient_scale(beta, d)[:, None]
     coeffs += matrix_to_vec(A, beta)[:, None]
     coeffs = np.moveaxis(coeffs, 1, -1)
     if d == 2:
         return gap_closed_form_2x2(coeffs, beta)
+    if d == 3:
+        return _gap_closed_form_3x3(coeffs, beta)
     eigs = np.linalg.eigvalsh(vec_to_matrix(coeffs, beta, d))[..., ::-1]
     return adjacent_gaps(eigs).min(axis=-1)
 

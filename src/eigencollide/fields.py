@@ -315,15 +315,15 @@ def fgn_from_normals(z: np.ndarray, sqrt_eigs: np.ndarray) -> np.ndarray:
     n = L // 2
     if L != 2 * n or L != sqrt_eigs.shape[0]:
         raise ValueError("normals must have shape (m, 2n) matching the embedding")
-    if z.strides[-1] != z.itemsize:
-        z = np.ascontiguousarray(z)  # the complex view needs contiguous rows
     weights = np.sqrt(L) * sqrt_eigs[: n + 1]
     weights[1:n] /= np.sqrt(2.0)
     half = np.empty((m, n + 1), dtype=complex)
-    half[:, 0] = z[:, 0]
-    half[:, n] = z[:, 1]
-    half[:, 1:n] = z[:, 2:].view(complex)
-    half *= weights
+    # written through its (re, im) float view, one multiply per segment
+    parts = half.view(float)
+    np.multiply(z[:, 0], weights[0], out=parts[:, 0])
+    np.multiply(z[:, 1], weights[n], out=parts[:, 2 * n])
+    parts[:, 1] = parts[:, 2 * n + 1] = 0.0
+    np.multiply(z[:, 2:], np.repeat(weights[1:n], 2), out=parts[:, 2 : 2 * n])
     return np.fft.irfft(half, n=L, axis=1)[:, :n]
 
 

@@ -25,7 +25,7 @@ def _load_tracing():
     return module
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_tracing_patch_points_exist_and_are_restored(d):
     tracing = _load_tracing()
     modules = (capacity, cli, config, experiments)
@@ -46,6 +46,10 @@ def test_tracing_patch_points_exist_and_are_restored(d):
         # one gap kernel, and no 2x2 matrices materialized for it
         assert "spectral.gap_closed_form_2x2" in names
         assert "ensembles.vec_to_matrix" not in names
+    elif d == 3:
+        # the 3x3 closed form: no matrices, no eigensolver spectrum
+        assert "ensembles.vec_to_matrix" not in names
+        assert "spectral.adjacent_gaps" not in names
     else:
         assert {"ensembles.vec_to_matrix", "spectral.adjacent_gaps"} <= names
 

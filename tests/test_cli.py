@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from eigencollide.cli import main
 from eigencollide.config import parse_config
+from eigencollide.ensembles import n_beta
 from eigencollide.streams import STREAM_VERSION
 
 
@@ -165,6 +166,19 @@ def test_capacity_subcommand(tmp_path, small_config):
     divergent = {r["alpha"]: r["divergent"] for r in rows if "divergent" in r and r["kind"] == "degenerate_chart_bound"}
     assert divergent["0.5"] == "false"
     assert divergent["1.5"] == "true"
+
+
+@pytest.mark.parametrize("beta, d, expected", [(1, 2, 1.5), (2, 2, 1.5), (1, 3, 4.5), (2, 3, 6.5)])
+def test_capacity_divergent_alpha_default_is_above_dim_f(tmp_path, beta, d, expected):
+    # dim F = n_beta - beta - 1; the default sits half a unit above it
+    path = tmp_path / "config.json"
+    cfg = {"beta": beta, "d": d, "capacity": {"pairs": 50, "oracle_pairs": 100}}
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["capacity", "--config", str(path), "--out", str(out)]) == 0
+    bounds = [r for r in read_csv(out / "results.csv") if r["kind"] == "degenerate_chart_bound"]
+    assert [float(r["alpha"]) for r in bounds] == [0.5, expected]
+    assert expected == n_beta(beta, d) - beta - 0.5
 
 
 def test_boxdim_subcommand(tmp_path, small_config):

@@ -1,12 +1,15 @@
-"""Ordered spectra, adjacent and closed-form 2x2 gaps, contour projectors."""
+"""Ordered spectra, adjacent and closed-form 2x2 and 3x3 gaps, contour projectors."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigencollide.ensembles import n_beta, vec_to_matrix
+from eigencollide.ensembles import matrix_to_vec, n_beta, vec_to_matrix
 from eigencollide.spectral import (
+    _gap_closed_form_3x3,
     adjacent_gaps,
     eigenprojection_contour,
     gap_closed_form_2x2,
@@ -77,6 +80,83 @@ def test_gap_closed_form_batched():
     assert gaps.shape == (10,)
     for k in range(10):
         assert gaps[k] == pytest.approx(gap_closed_form_2x2(x[k], 2))
+
+
+# -- closed-form 3x3 gap ------------------------------------------------------
+
+
+def _solver_min_gap(x, beta):
+    lam = ordered_eigenvalues(vec_to_matrix(x, beta, 3))
+    return adjacent_gaps(lam).min(axis=-1)
+
+
+def _frobenius(x, beta):
+    return np.linalg.norm(vec_to_matrix(x, beta, 3), axis=(-2, -1))
+
+
+def _planted_pairs(beta, gap, n, seed):
+    """Packed Haar-rotated matrices with levels (l, l + gap or l - gap, l')."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, 3, 3))
+    if beta == 2:
+        G = G + 1j * rng.standard_normal((n, 3, 3))
+    Q, _ = np.linalg.qr(G)
+    lev = rng.standard_normal((n, 2))
+    levels = np.stack([lev[:, 0], lev[:, 0] + gap * rng.choice([-1.0, 1.0], n), lev[:, 1]], -1)
+    M = (Q * levels[:, None, :]) @ np.swapaxes(Q, -1, -2).conj()
+    return matrix_to_vec(0.5 * (M + np.swapaxes(M, -1, -2).conj()), beta)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_gap_closed_form_3x3_random_matrices(beta):
+    x = np.random.default_rng(30 + beta).standard_normal((50_000, n_beta(beta, 3)))
+    gaps, ref, F = _gap_closed_form_3x3(x, beta), _solver_min_gap(x, beta), _frobenius(x, beta)
+    assert gaps.shape == (50_000,)
+    assert np.max(np.abs(gaps - ref) / F) <= 1e-12
+    wide = ref >= 1e-3 * F
+    assert wide.mean() > 0.9
+    assert np.max(np.abs(gaps[wide] - ref[wide]) / ref[wide]) <= 1e-9
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_gap_closed_form_3x3_planted_near_double_pairs(beta, gap):
+    # arccos near +-1 costs half the digits: about 1e-16 p^2 / gap, so the
+    # bound is absolute in ||M||_F
+    x = _planted_pairs(beta, gap, 20_000, seed=int(-np.log10(gap)) + 10 * beta)
+    err = np.abs(_gap_closed_form_3x3(x, beta) - _solver_min_gap(x, beta))
+    assert np.max(err / _frobenius(x, beta)) <= 1e-7
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_gap_closed_form_3x3_degenerate_spectra_are_exactly_zero(beta):
+    dtype = complex if beta == 2 else float
+    mats = [np.zeros((3, 3)), 0.1 * np.eye(3), -7.3 * np.eye(3), 1e-300 * np.eye(3)]
+    x = np.array([matrix_to_vec(M.astype(dtype), beta) for M in mats])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gaps = _gap_closed_form_3x3(x, beta)
+        one = _gap_closed_form_3x3(x[0], beta)
+    assert np.all(gaps == 0.0) and one == 0.0
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_gap_closed_form_3x3_scale_invariant(beta, scale):
+    x = np.random.default_rng(7).standard_normal((2000, n_beta(beta, 3)))
+    gaps = _gap_closed_form_3x3(x, beta)
+    wide = gaps >= 1e-3 * _frobenius(x, beta)
+    np.testing.assert_allclose(
+        _gap_closed_form_3x3(x * scale, beta)[wide] / scale, gaps[wide], rtol=1e-9
+    )
+    # a power-of-two scale is exact in every coefficient, so nothing moves
+    two = 2.0 ** np.round(np.log2(scale))
+    assert np.array_equal(_gap_closed_form_3x3(x * two, beta) / two, gaps)
+
+
+def test_gap_closed_form_3x3_needs_the_3x3_packing():
+    with pytest.raises(ValueError, match="packed coefficients"):
+        _gap_closed_form_3x3(np.zeros(n_beta(2, 3)), 1)
 
 
 def test_adjacent_gaps():
