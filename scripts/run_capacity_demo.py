@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from eigencollide.capacity import capacity_lower_bound, energy_integral, uniform_unit_interval
+from eigencollide.config import ExperimentConfig
 from eigencollide.experiments import flattened_degenerate_sampler
 
 
@@ -19,8 +20,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--beta", type=int, default=1, choices=(1, 2))
     ap.add_argument("--d", type=int, default=2)
-    ap.add_argument("--pairs", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=20260822)
+    ap.add_argument("--pairs", type=int, default=ExperimentConfig().section("capacity")["pairs"])
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     ap.add_argument("--alphas", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.5])
     args = ap.parse_args()
 

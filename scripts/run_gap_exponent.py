@@ -8,6 +8,7 @@ scale-free.
 
 import argparse
 
+from eigencollide.config import ExperimentConfig
 from eigencollide.experiments import gap_exponent_fit
 
 
@@ -15,25 +16,25 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--beta", type=int, default=1, choices=(1, 2))
     ap.add_argument("--d", type=int, default=2)
-    ap.add_argument("--samples", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=20260822)
+    ap.add_argument("--samples", type=int, help="sample count (default: the gapfit section's)")
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     ap.add_argument("--t0", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument(
         "--window", type=float, nargs=2, default=None,
-        help="epsilon window for the fit (default depends on beta)",
+        help="epsilon window for the fit (default: the gapfit section's, which depends on beta)",
     )
     args = ap.parse_args()
 
-    window = tuple(args.window) if args.window else (
-        (0.1, 0.5) if args.beta == 1 else (0.25, 0.9)
-    )
+    given = {k: v for k, v in (("samples", args.samples), ("window", args.window)) if v is not None}
+    gapfit = ExperimentConfig(beta=args.beta, d=args.d, extras={"gapfit": given}).section("gapfit")
+    samples, window = gapfit["samples"], gapfit["window"]
     expected = args.beta + 1
-    print(f"beta={args.beta} d={args.d} samples={args.samples} "
+    print(f"beta={args.beta} d={args.d} samples={samples} "
           f"window={window} expected slope={expected}")
     print(f"{'t0':>6} {'slope':>8} {'stderr':>8} {'|slope-expected|':>17}")
     for t0 in args.t0:
         fit = gap_exponent_fit(
-            args.beta, args.d, t0, args.samples, window, args.seed
+            args.beta, args.d, t0, samples, window, args.seed
         )
         print(f"{t0:6.2f} {fit.slope:8.4f} {fit.stderr:8.4f} "
               f"{abs(fit.slope - expected):17.4f}")

@@ -22,7 +22,7 @@ def main() -> int:
     ap.add_argument("--beta", type=int, default=1, choices=(1, 2))
     ap.add_argument("--d", type=int, default=2)
     ap.add_argument("--replicas", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=20260822)
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     ap.add_argument("--kappa", type=float, default=1.0)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument(

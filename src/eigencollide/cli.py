@@ -130,74 +130,55 @@ def _write_manifest(out_dir, subcommand, config, threads, fmt, started, finished
 # ---------------------------------------------------------------------------
 
 
-def _stats_record(kind, config, hurst, st, **extra):
-    rec = {
-        "kind": kind,
-        "beta": config.beta,
-        "d": config.d,
-        "hurst": float(hurst),
-        "a": st.interval[0],
-        "b": st.interval[1],
-        "mesh_cells": st.intervals,
-        "delta": st.delta,
-        "replicas": st.replicas,
-        "hits": st.hits,
-        "p_hat": st.p_hat,
-        "wilson_lo": st.wilson_lo,
-        "wilson_hi": st.wilson_hi,
-        "regime": collision_regime(config.beta, (hurst,)),
-    }
-    rec.update(extra)
-    return rec
+def _study_records(kind, config, hurst, study, **extra):
+    """One row per ladder mesh of a refinement study at one H."""
+    return [
+        {
+            "kind": kind,
+            "beta": config.beta,
+            "d": config.d,
+            "hurst": float(hurst),
+            "a": st.interval[0],
+            "b": st.interval[1],
+            "mesh_cells": st.intervals,
+            "delta": st.delta,
+            "replicas": st.replicas,
+            "hits": st.hits,
+            "p_hat": st.p_hat,
+            "wilson_lo": st.wilson_lo,
+            "wilson_hi": st.wilson_hi,
+            "regime": collision_regime(config.beta, (hurst,)),
+            "trend_last_over_first": study.trend_last_over_first,
+            "trend_top_pair": study.trend_top_pair,
+            **extra,
+        }
+        for st in study.stats
+    ]
 
 
 def _cmd_simulate(config: ExperimentConfig, threads: int) -> list:
     study = refinement_study(config, threads=threads)
     (hurst,) = config.hurst
-    return [
-        _stats_record(
-            "simulate",
-            config,
-            hurst,
-            st,
-            trend_last_over_first=study.trend_last_over_first,
-            trend_top_pair=study.trend_top_pair,
-        )
-        for st in study.stats
-    ]
+    return _study_records("simulate", config, hurst, study)
 
 
 def _cmd_sweep(config: ExperimentConfig, threads: int) -> list:
-    section = config.extras.get("sweep", {})
-    hurst_values = section.get("hurst_values")
+    hurst_values = config.section("sweep")["hurst_values"]
     if not hurst_values:
         raise ValueError("sweep: config needs sweep.hurst_values (list of H)")
     result = phase_sweep(hurst_values, config, threads=threads)
     records = []
-    for h, regime, study in zip(result.hurst_values, result.regimes, result.studies):
-        for st in study.stats:
-            records.append(
-                _stats_record(
-                    "sweep",
-                    config,
-                    h,
-                    st,
-                    trend_last_over_first=study.trend_last_over_first,
-                    trend_top_pair=study.trend_top_pair,
-                    separation_ratio=result.separation_ratio,
-                )
-            )
+    for h, study in zip(result.hurst_values, result.studies):
+        records += _study_records(
+            "sweep", config, h, study, separation_ratio=result.separation_ratio
+        )
     return records
 
 
 def _cmd_gapfit(config: ExperimentConfig, threads: int) -> list:
-    section = config.extras.get("gapfit", {})
-    t0 = float(section.get("t0", 1.0))
-    samples = int(section.get("samples", 100_000))
-    default_window = (0.1, 0.5) if config.beta == 1 else (0.25, 0.9)
-    window = tuple(section.get("window", default_window))
+    gf = config.section("gapfit")
     fit = gap_exponent_fit(
-        config.beta, config.d, t0, samples, window, config.seed,
+        config.beta, config.d, gf["t0"], gf["samples"], gf["window"], config.seed,
         hurst=config.hurst[0],
     )
     return [
@@ -205,10 +186,10 @@ def _cmd_gapfit(config: ExperimentConfig, threads: int) -> list:
             "kind": "gapfit",
             "beta": config.beta,
             "d": config.d,
-            "t0": t0,
-            "samples": samples,
-            "window_lo": window[0],
-            "window_hi": window[1],
+            "t0": gf["t0"],
+            "samples": gf["samples"],
+            "window_lo": gf["window"][0],
+            "window_hi": gf["window"][1],
             "slope": fit.slope,
             "stderr": fit.stderr,
             "expected_slope": float(config.beta + 1),
@@ -217,21 +198,15 @@ def _cmd_gapfit(config: ExperimentConfig, threads: int) -> list:
 
 
 def _cmd_capacity(config: ExperimentConfig, threads: int) -> list:
-    section = config.extras.get("capacity", {})
-    alpha = float(section.get("alpha", 0.5))
-    pairs = int(section.get("pairs", 200_000))
-    # supercritical by default: half a unit above dim F = n_beta - beta - 1
-    dim_f = n_beta(config.beta, config.d) - config.beta - 1
-    div_alpha = float(section.get("divergent_alpha", dim_f + 0.5))
-    oracle_pairs = int(section.get("oracle_pairs", 1_000_000))
+    cap = config.section("capacity")
     records = []
-    est = energy_integral(uniform_unit_interval, 0.5, oracle_pairs, config.seed)
+    est = energy_integral(uniform_unit_interval, 0.5, cap["oracle_pairs"], config.seed)
     ref = 8.0 / 3.0
     records.append(
         {
             "kind": "energy_unit_interval",
             "alpha": 0.5,
-            "pairs": oracle_pairs,
+            "pairs": cap["oracle_pairs"],
             "value": est.value,
             "stderr": est.stderr,
             "divergent_pairs": est.divergent_pairs,
@@ -240,13 +215,13 @@ def _cmd_capacity(config: ExperimentConfig, threads: int) -> list:
         }
     )
     sampler = flattened_degenerate_sampler(config.d, config.beta)
-    for a in (alpha, div_alpha):
-        cb = capacity_lower_bound(sampler, a, pairs, config.seed)
+    for a in (cap["alpha"], cap["divergent_alpha"]):
+        cb = capacity_lower_bound(sampler, a, cap["pairs"], config.seed)
         records.append(
             {
                 "kind": "degenerate_chart_bound",
                 "alpha": a,
-                "pairs": pairs,
+                "pairs": cap["pairs"],
                 "value": cb.bound,
                 "stderr": cb.energy.stderr,
                 "divergent_pairs": cb.energy.divergent_pairs,
@@ -258,25 +233,30 @@ def _cmd_capacity(config: ExperimentConfig, threads: int) -> list:
 
 
 def _cmd_boxdim(config: ExperimentConfig, threads: int) -> list:
-    section = config.extras.get("boxdim", {})
-    npoints = int(section.get("points", 4000))
-    nscales = int(section.get("nscales", 6))
-    cloud = degenerate_point_cloud(npoints, config.d, config.beta, config.seed)
+    box = config.section("boxdim")
+    cloud = degenerate_point_cloud(box["points"], config.d, config.beta, config.seed)
     span = float(np.linalg.norm(cloud.max(axis=0) - cloud.min(axis=0)))
-    scales = np.geomspace(span / 256, span / 4, nscales)
+    scales = np.geomspace(span / 256, span / 4, box["nscales"])
     res = box_counting_dim(cloud, scales)
     return [
         {
             "kind": "boxdim_degenerate",
             "beta": config.beta,
             "d": config.d,
-            "points": npoints,
-            "nscales": nscales,
+            "points": box["points"],
+            "nscales": box["nscales"],
             "slope": res.slope,
             "fit_residual": res.residual,
             "expected_slope": float(n_beta(config.beta, config.d) - config.beta - 1),
         }
     ]
+
+
+def _selfcheck_record(name: str, statistic: float, threshold: float) -> dict:
+    return {
+        "kind": "selfcheck", "name": name, "statistic": statistic,
+        "threshold": threshold, "passed": statistic <= threshold,
+    }
 
 
 def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
@@ -290,15 +270,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
     S = X.T @ X / len(X)
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
     cov_err = float(np.max(np.abs(S - R) / (5.0 * se)))
-    records.append(
-        {
-            "kind": "selfcheck",
-            "name": "covariance_exactness",
-            "statistic": cov_err,
-            "threshold": 1.0,
-            "passed": cov_err <= 1.0,
-        }
-    )
+    records.append(_selfcheck_record("covariance_exactness", cov_err, 1.0))
 
     # d = 2 closed-form oracle against the eigensolver pipeline
     for beta in (1, 2):
@@ -307,15 +279,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
             intervals=256, mesh_ladder=None, replicas=100, shift=None,
         )
         disc = oracle_vector_reduction(cfg, threads=threads)
-        records.append(
-            {
-                "kind": "selfcheck",
-                "name": f"d2_oracle_beta{beta}",
-                "statistic": disc,
-                "threshold": 1e-10,
-                "passed": disc <= 1e-10,
-            }
-        )
+        records.append(_selfcheck_record(f"d2_oracle_beta{beta}", disc, 1e-10))
 
     # contour projector idempotence and solver agreement
     rng = substream(config.seed, 99)
@@ -335,24 +299,8 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
         worst_frob = max(worst_frob, float(np.linalg.norm(P - direct)))
         worst_idem = max(worst_idem, float(np.linalg.norm(P @ P - P)))
         done += 1
-    records.append(
-        {
-            "kind": "selfcheck",
-            "name": "projector_vs_solver",
-            "statistic": worst_frob,
-            "threshold": 1e-8,
-            "passed": worst_frob <= 1e-8,
-        }
-    )
-    records.append(
-        {
-            "kind": "selfcheck",
-            "name": "projector_idempotence",
-            "statistic": worst_idem,
-            "threshold": 1e-6,
-            "passed": worst_idem <= 1e-6,
-        }
-    )
+    records.append(_selfcheck_record("projector_vs_solver", worst_frob, 1e-8))
+    records.append(_selfcheck_record("projector_idempotence", worst_idem, 1e-6))
     return records
 
 

@@ -3,17 +3,18 @@
 Config files are JSON with a flat core, one key per ExperimentConfig field
 (beta, d, hurst, interval, intervals, replicas, kappa, seed, shift,
 mesh_ladder), plus optional per-subcommand sections (sweep, gapfit,
-capacity, boxdim, smalltime). A section must be an object with only the keys
-in _SECTION_KEYS; its values are validated by their consumers.
-config_to_dict gives the JSON form the manifest records, and parsing it back
-gives the same config: Python's float repr is shortest-exact, so JSON
-serialization loses nothing.
+capacity, boxdim, smalltime), whose keys, value rules and defaults are in
+_SECTIONS; ExperimentConfig checks them when built. config_to_dict gives the
+JSON form the manifest records, and parsing it back gives the same config:
+Python's float repr is shortest-exact, so JSON serialization loses nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,17 +22,48 @@ from typing import Optional
 import numpy as np
 
 from .capacity import collision_regime, q_index
-from .ensembles import _check_integral, validate_shift
+from .ensembles import _check_integral, n_beta, validate_shift
 from .experiments import validate_ladder
 
 __all__ = ["ExperimentConfig", "parse_config", "config_to_dict"]
 
-_SECTION_KEYS = {
-    "sweep": ("hurst_values",),
-    "gapfit": ("t0", "samples", "window"),
-    "capacity": ("alpha", "pairs", "divergent_alpha", "oracle_pairs"),
-    "boxdim": ("points", "nscales"),
-    "smalltime": ("T_values",),
+
+def _number(v, name: str) -> float:
+    # bool is an int subclass and null is JSON's; neither is a number here. The
+    # bound rejects nan, inf and integers too large for a float, with no cast
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{name}: must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, name: str, length=None) -> tuple:
+    if not isinstance(v, (list, tuple)) or length not in (None, len(v)):
+        what = "a list of numbers" if length is None else f"{length} numbers"
+        raise ValueError(f"{name}: must be {what}, got {v!r}")
+    return tuple(_number(x, name) for x in v)
+
+
+# section -> key -> (value rule, default). A callable default is worked out
+# from (beta, d); a default of None means the key has none.
+_SECTIONS = {
+    "sweep": {"hurst_values": (_numbers, None)},
+    "gapfit": {
+        "t0": (_number, 1.0),
+        "samples": (_check_integral, 100_000),
+        "window": (
+            lambda v, name: _numbers(v, name, 2),
+            lambda beta, d: (0.1, 0.5) if beta == 1 else (0.25, 0.9),
+        ),
+    },
+    "capacity": {
+        "alpha": (_number, 0.5),
+        "pairs": (_check_integral, 200_000),
+        # supercritical: dim F + 0.5, where dim F = n_beta - beta - 1
+        "divergent_alpha": (_number, lambda beta, d: (n_beta(beta, d) - beta - 1) + 0.5),
+        "oracle_pairs": (_check_integral, 1_000_000),
+    },
+    "boxdim": {"points": (_check_integral, 4000), "nscales": (_check_integral, 6)},
+    "smalltime": {"T_values": (_numbers, None)},
 }
 
 
@@ -44,7 +76,7 @@ class ExperimentConfig:
     mesh_ladder optionally lists the N values of a refinement ladder, whose
     finest entry must equal intervals; kappa scales the threshold
     delta = kappa * mesh^H. extras holds the optional per-subcommand
-    sections untouched.
+    sections as given; they are checked here, and section() reads one.
     """
 
     beta: int = 1
@@ -101,6 +133,16 @@ class ExperimentConfig:
                     f"intervals: must equal the finest mesh_ladder entry "
                     f"{self.mesh_ladder[-1]}, got {self.intervals}"
                 )
+        unknown = set(self.extras) - set(_SECTIONS)
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        for name, given in self.extras.items():
+            if not isinstance(given, dict):
+                raise ValueError(f"section {name} must be an object")
+            unknown = set(given) - set(_SECTIONS[name])
+            if unknown:
+                raise ValueError(f"section {name}: unknown keys {sorted(unknown)}")
+            self.section(name)  # applies every value rule
         if collision_regime(self.beta, self.hurst) == "critical":
             warnings.warn(
                 f"Q = {Q:.6g} equals beta+1 = {self.beta + 1}: "
@@ -110,6 +152,17 @@ class ExperimentConfig:
 
     def ladder(self) -> tuple:
         return self.mesh_ladder if self.mesh_ladder is not None else (self.intervals,)
+
+    def section(self, name: str) -> dict:
+        """The named section's values, checked, over its defaults for this beta and d."""
+        given = self.extras.get(name, {})
+        out = {}
+        for key, (rule, default) in _SECTIONS[name].items():
+            if key in given:
+                out[key] = rule(given[key], f"{name}.{key}")
+            else:
+                out[key] = default(self.beta, self.d) if callable(default) else default
+        return out
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -155,22 +208,13 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ValueError(f"config {path}: invalid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ValueError(f"config {path}: top level must be an object")
-    unknown = set(raw) - set(_CORE_FIELDS) - set(_SECTION_KEYS)
-    if unknown:
-        raise ValueError(f"config {path}: unknown keys {sorted(unknown)}")
-    kw = {key: raw[key] for key in _CORE_FIELDS if key in raw}
-    if "shift" in kw:
-        d = _check_integral(raw.get("d", ExperimentConfig.d), "d")
-        kw["shift"] = _parse_shift(kw["shift"], d)
-    extras = {k: raw[k] for k in _SECTION_KEYS if k in raw}
-    for name, section in extras.items():
-        if not isinstance(section, dict):
-            raise ValueError(f"config {path}: section {name} must be an object")
-        unknown = set(section) - set(_SECTION_KEYS[name])
-        if unknown:
-            raise ValueError(f"config {path}: section {name}: unknown keys {sorted(unknown)}")
+    # every key but the core fields is a section, which the dataclass checks
+    kw = {key: raw.pop(key) for key in _CORE_FIELDS if key in raw}
     try:
-        return ExperimentConfig(**kw, extras=extras)
+        if "shift" in kw:
+            d = _check_integral(kw.get("d", ExperimentConfig.d), "d")
+            kw["shift"] = _parse_shift(kw["shift"], d)
+        return ExperimentConfig(**kw, extras=raw)
     except ValueError as e:
         raise ValueError(f"config {path}: {e}") from e
 

@@ -36,12 +36,12 @@ def _check_beta(beta: int) -> int:
 
 
 def _check_integral(x, name: str) -> int:
-    """x as an int; integral floats such as 2.0 pass, 2.7 and non-numbers raise."""
+    """x as an int; integral floats such as 2.0 pass, 2.7, bools and non-numbers raise."""
     try:
         k = int(x)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name}: must be an integer, got {x!r}") from None
-    if k != x:
+    if k != x or isinstance(x, bool):
         raise ValueError(f"{name}: must be an integer, got {x!r}")
     return k
 

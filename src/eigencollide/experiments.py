@@ -50,6 +50,7 @@ from scipy.linalg import helmert
 
 from .capacity import collision_regime
 from .ensembles import (
+    _check_integral,
     coefficient_scale,
     diagonal_positions,
     matrix_to_vec,
@@ -304,7 +305,7 @@ def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
     Meshes must be positive and strictly increasing, and each must divide the
     finest, so every coarser grid is a strided subgrid of the finest one.
     """
-    ladder = tuple(int(N) for N in mesh_ladder)
+    ladder = tuple(_check_integral(N, "mesh_ladder") for N in mesh_ladder)
     if not ladder or list(ladder) != sorted(set(ladder)) or ladder[0] < 1:
         raise ValueError(f"mesh_ladder: need strictly increasing positive meshes, got {ladder}")
     if any(ladder[-1] % N for N in ladder):

@@ -1,6 +1,8 @@
 """JSON experiment configs: parsing, validation, the manifest's config block round trip."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,55 @@ def test_parse_rejects_unknown_section_keys(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "extras, message",
+    [
+        ({"bogus": 3}, "unknown keys ['bogus']"),
+        ({"sweep": [0.2, 0.8]}, "section sweep must be an object"),
+        ({"gapfit": {"sampels": 10}}, "section gapfit: unknown keys ['sampels']"),
+        ({"gapfit": {"window": [0.5]}}, "gapfit.window: must be 2 numbers, got [0.5]"),
+        ({"gapfit": {"t0": True}}, "gapfit.t0: must be a finite number, got True"),
+        ({"capacity": {"alpha": float("inf")}}, "capacity.alpha: must be a finite number, got inf"),
+        ({"gapfit": {"t0": 10**400}}, f"gapfit.t0: must be a finite number, got {10**400}"),
+        ({"boxdim": {"nscales": True}}, "boxdim.nscales: must be an integer, got True"),
+        ({"smalltime": {"T_values": [1.0, "0.5"]}},
+         "smalltime.T_values: must be a finite number, got '0.5'"),
+    ],
+)
+def test_sections_are_checked_when_built(tmp_path, extras, message):
+    # a config built in Python gets the parser's message, without the path
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ExperimentConfig(extras=extras)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(extras))
+    with pytest.raises(ValueError, match="^" + re.escape(f"config {path}: {message}") + "$"):
+        parse_config(str(path))
+
+
+def test_section_reads_values_over_defaults():
+    written = {"gapfit": {"samples": 20000.0, "window": [1, 2]}}
+    cfg = ExperimentConfig(beta=2, d=3, extras=written)
+    assert cfg.section("gapfit") == {"t0": 1.0, "samples": 20000, "window": (1.0, 2.0)}
+    assert type(cfg.section("gapfit")["samples"]) is int
+    assert cfg.section("capacity")["divergent_alpha"] == 6.5  # dim F + 0.5, dim F = 6
+    assert cfg.section("sweep") == {"hurst_values": None}
+    assert cfg.extras == written  # as written; the manifest records this
+
+
+def test_readme_config_example_shows_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    cfg = parse_config(str(path))
+    defaults = ExperimentConfig(beta=cfg.beta, d=cfg.d)
+    assert cfg.extras
+    for name in cfg.extras:
+        for key, value in cfg.section(name).items():
+            if defaults.section(name)[key] is not None:
+                assert value == defaults.section(name)[key], f"{name}.{key}"
+
+
 def test_parse_accepts_every_section_key_the_benchmark_writes(tmp_path, monkeypatch):
     # perfbench/workloads.py writes the configs of every workload at full and
     # at warm-up size; each must parse
@@ -111,6 +162,8 @@ def test_validation_errors():
         ExperimentConfig(mesh_ladder=(64, 64))  # duplicates
     with pytest.raises(ValueError, match="mesh_ladder"):
         ExperimentConfig(mesh_ladder=(48, 64))  # finest must be divisible
+    with pytest.raises(ValueError, match="^mesh_ladder: must be an integer, got 64.5"):
+        ExperimentConfig(intervals=128, mesh_ladder=(64.5, 128))  # int() would run 64
     with pytest.raises(ValueError):
         ExperimentConfig(shift=np.zeros((3, 3)))  # d = 2 by default
     ExperimentConfig(interval=(0.5, 2.0), intervals=64)  # off the mesh: a*N/(b-a) = 64/3

@@ -97,7 +97,6 @@ def test_no_module_imports_a_name_it_does_not_use():
         ("run_phase_sweep.py", ["--replicas", "64", "--ladder", "16", "32", "--hurst", "0.2", "0.8"]),
         ("run_gap_exponent.py", ["--samples", "10000"]),
         ("run_capacity_demo.py", ["--pairs", "2000"]),
-        ("run_selfcheck.py", []),
     ],
 )
 def test_script_runs(script, args, tmp_path):
