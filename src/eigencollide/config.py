@@ -92,12 +92,13 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.beta not in (1, 2):
+        if _check_integral(self.beta, "beta") not in (1, 2):
             raise ValueError(f"beta: must be 1 or 2, got {self.beta}")
+        object.__setattr__(self, "beta", int(self.beta))
         if _check_integral(self.d, "d") < 2:
             raise ValueError(f"d: matrix dimension must be >= 2, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
-        hurst = tuple(float(h) for h in np.atleast_1d(self.hurst))
+        hurst = tuple(_number(h, "hurst") for h in np.atleast_1d(self.hurst).tolist())
         for h in hurst:
             if not 0.0 < h < 1.0:
                 raise ValueError(f"hurst: components must lie strictly in (0,1), got {h}")
@@ -106,7 +107,7 @@ class ExperimentConfig:
         except ValueError as e:
             raise ValueError(f"hurst: {e}") from e
         object.__setattr__(self, "hurst", hurst)
-        a, b = (float(x) for x in self.interval)
+        a, b = _numbers(self.interval, "interval", 2)
         if not 0.0 < a < b:
             raise ValueError(f"interval: need 0 < a < b, got ({a}, {b})")
         object.__setattr__(self, "interval", (a, b))
@@ -116,9 +117,10 @@ class ExperimentConfig:
         if _check_integral(self.replicas, "replicas") < 1:
             raise ValueError(f"replicas: need >= 1, got {self.replicas}")
         object.__setattr__(self, "replicas", int(self.replicas))
-        if not float(self.kappa) > 0.0:
+        kappa = _number(self.kappa, "kappa")
+        if not kappa > 0.0:
             raise ValueError(f"kappa: threshold scale must be positive, got {self.kappa}")
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "seed", _check_integral(self.seed, "seed"))
         if self.shift is not None:
             try:

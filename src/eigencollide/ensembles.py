@@ -13,6 +13,7 @@ A is validated here as well.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -51,9 +52,11 @@ def _check_hermitian(M: np.ndarray, beta: Optional[int] = None) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("matrix must be square")
-    defect = np.max(np.abs(M - np.swapaxes(M, -1, -2).conj()))
-    if defect > 1e-12:
-        raise ValueError(f"input not Hermitian within 1e-12 (defect {defect:.3g})")
+    MH = np.swapaxes(M, -1, -2).conj()
+    if not np.array_equal(M, MH):  # exact equality, as from vec_to_matrix, is cheaper
+        defect = np.max(np.abs(M - MH))
+        if defect > 1e-12:
+            raise ValueError(f"input not Hermitian within 1e-12 (defect {defect:.3g})")
     if beta == 1 and np.iscomplexobj(M) and np.max(np.abs(M.imag)) > 1e-12:
         raise ValueError("beta = 1 requires a real symmetric matrix")
     return M
@@ -97,33 +100,55 @@ def coefficient_scale(beta: int, d: int) -> np.ndarray:
     return scale
 
 
+@functools.lru_cache(maxsize=None)
+def _unpacking_basis(beta: int, d: int) -> np.ndarray:
+    """Read-only 0/+-1 matrix B with vec_to_matrix(x) = x @ B, reshaped.
+
+    Row k is where coefficient k lands: shape (n_beta, d*d) for beta = 1,
+    and (n_beta, 2*d*d) for beta = 2, whose columns are the float view of a
+    complex d x d matrix (real and imaginary parts interleaved).
+    """
+    n1 = d * (d + 1) // 2
+    iu, ju = upper_indices(d)
+    k = np.arange(n1)
+    if beta == 1:
+        B = np.zeros((n1, d, d))
+        B[k, iu, ju] = 1.0
+        B[k, ju, iu] = 1.0
+    else:
+        B = np.zeros((d * d, d, d, 2))
+        B[k, iu, ju, 0] = 1.0
+        B[k, ju, iu, 0] = 1.0
+        si, sj = strict_upper_indices(d)
+        k = n1 + np.arange(si.size)
+        B[k, si, sj, 1] = 1.0
+        B[k, sj, si, 1] = -1.0
+    B = B.reshape(B.shape[0], -1)
+    B.flags.writeable = False
+    return B
+
+
 def vec_to_matrix(x: np.ndarray, beta: int, d: int) -> np.ndarray:
     """Unpack a coefficient vector into the corresponding (exactly) Hermitian matrix.
 
     Packing order: real parts of the upper triangle row-major (diagonal
     included), then for beta = 2 the imaginary parts of the strict upper
     triangle row-major. Last-axis batching is supported: x may have shape
-    (..., n_beta(beta, d)).
+    (..., n_beta(beta, d)). One matmul against _unpacking_basis: each entry
+    gets one +-1 term, so finite coefficients land exactly (a zero entry may
+    come out as -0.0); a nan or inf coefficient makes every other entry of
+    its matrix nan.
     """
     beta = _check_beta(beta)
     n = n_beta(beta, d)
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
         raise ValueError(f"coefficient vector must have length {n}, got {x.shape[-1]}")
-    n1 = d * (d + 1) // 2
-    iu, ju = upper_indices(d)
-    if beta == 1:
-        M = np.zeros(x.shape[:-1] + (d, d))
-        M[..., iu, ju] = x[..., :n1]
-        M[..., ju, iu] = x[..., :n1]
-        return M
-    M = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
-    M[..., iu, ju] = x[..., :n1]
-    M[..., ju, iu] = x[..., :n1]
-    si, sj = strict_upper_indices(d)
-    M[..., si, sj] += 1j * x[..., n1:]
-    M[..., sj, si] -= 1j * x[..., n1:]
-    return M
+    d = int(d)
+    M = np.matmul(x, _unpacking_basis(beta, d))
+    if beta == 2:
+        M = M.view(complex)
+    return M.reshape(x.shape[:-1] + (d, d))
 
 
 def matrix_to_vec(M: np.ndarray, beta: int) -> np.ndarray:

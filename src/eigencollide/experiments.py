@@ -29,7 +29,20 @@ spectral, a square root at d = 2 and the trigonometric roots of the
 characteristic cubic at d = 3 (17-28x faster than vec_to_matrix with
 np.linalg.eigvalsh on batches of 4096 to 8200 matrices, 2-vCPU x86 virtual
 machine; the eigensolver dominated d = 3 gap fits). d >= 4 materializes
-matrices and calls eigvalsh; why d = 4 has no closed form is in spectral.
+matrices (one matmul, vec_to_matrix) and calls spectral.ordered_eigenvalues;
+why d = 4 has no closed form is in spectral. The kernel's per-(beta, d)
+constants are built once (_packing_layout).
+
+Threads (the threads argument) run the replica batches in a pool. They
+speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
+256..16384) takes 0.31 s on one thread and 0.17 s on two. They do not speed
+up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls take as long
+as serial ones at twice the CPU time, so ordered_eigenvalues runs one call
+at a time, and a thread that would wait for it samples its next batch
+instead. small_time_study at d = 4, beta = 2 (64 replicas, 1024 cells, four
+windows) takes 1.19 s on one thread and 1.02 s on two, with 1.27 s of CPU
+time; without the lock two threads took 1.06 s and 1.96 s of CPU time.
+(Medians of five runs, 2-vCPU x86 virtual machine.)
 
 A collision run over several Hurst values (phase_sweep) draws each
 replica's normals once and maps them through every H's embedding and
@@ -40,6 +53,7 @@ estimates across H are positively correlated.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -263,6 +277,27 @@ def _field_path_batch(
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _packing_layout(beta: int, d: int) -> tuple:
+    """Read-only per-(beta, d) constants of the gap kernel, built once.
+
+    (diag, off, helmert(d)^T, scale): positions of the diagonal and
+    off-diagonal coefficients in the packing, the Helmert expansion of the
+    diagonal, and coefficient_scale as a column.
+    """
+    nb = n_beta(beta, d)
+    diag = diagonal_positions(d)
+    layout = (
+        diag,
+        np.setdiff1d(np.arange(nb), diag),
+        helmert(d).T,
+        coefficient_scale(beta, d)[:, None],
+    )
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
     """Expand n_beta - 1 iid paths (m, n_beta - 1, T) to the fields (m, n_beta, T).
 
@@ -271,31 +306,32 @@ def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
     order. The result has the law of iid fields projected onto trace zero,
     and gaps are invariant under Y -> Y + cI, so the gap process keeps its law.
     """
-    nb = n_beta(beta, d)
-    diag = diagonal_positions(d)
-    out = np.empty(paths.shape[:1] + (nb,) + paths.shape[2:])
-    out[:, np.setdiff1d(np.arange(nb), diag)] = paths[:, d - 1 :]
-    out[:, diag] = np.matmul(helmert(d).T, paths[:, : d - 1])
+    diag, off, helmert_t, _ = _packing_layout(beta, d)
+    out = np.empty(paths.shape[:1] + (diag.size + off.size,) + paths.shape[2:])
+    out[:, off] = paths[:, d - 1 :]
+    out[:, diag] = np.matmul(helmert_t, paths[:, : d - 1])
     return out
 
 
-def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, A: np.ndarray) -> np.ndarray:
+def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, a: np.ndarray) -> np.ndarray:
     """Minimum adjacent eigenvalue gap of Y(t) = A + X(t): (m, npoints).
 
     fields (m, nfields, npoints) are scaled to the packed coefficients of X
-    and shifted by those of A. d = 2 and d = 3 go through the closed forms
-    of spectral (a square root; the trigonometric roots of the cubic), which
-    build no matrix and run no eigensolver; d >= 4 materializes matrices and
-    diagonalizes with np.linalg.eigvalsh.
+    and shifted by a = matrix_to_vec(A, beta), the packed shift. d = 2 and
+    d = 3 go through the closed forms of spectral (a square root; the
+    trigonometric roots of the cubic), which build no matrix and run no
+    eigensolver; d >= 4 materializes matrices and diagonalizes them with
+    ordered_eigenvalues, one thread at a time.
     """
-    coeffs = fields * coefficient_scale(beta, d)[:, None]
-    coeffs += matrix_to_vec(A, beta)[:, None]
+    _, _, _, scale = _packing_layout(beta, d)
+    coeffs = fields * scale
+    coeffs += a[:, None]
     coeffs = np.moveaxis(coeffs, 1, -1)
     if d == 2:
         return gap_closed_form_2x2(coeffs, beta)
     if d == 3:
         return _gap_closed_form_3x3(coeffs, beta)
-    eigs = np.linalg.eigvalsh(vec_to_matrix(coeffs, beta, d))[..., ::-1]
+    eigs = ordered_eigenvalues(vec_to_matrix(coeffs, beta, d))
     return adjacent_gaps(eigs).min(axis=-1)
 
 
@@ -350,6 +386,7 @@ def _min_gaps_ladder(
     increases under refinement, replica by replica.
     """
     nf = n_beta(beta, d) - 1
+    a = matrix_to_vec(A, beta)
     minima = np.empty((len(hs), replicas, len(strides)))
 
     def work(lo: int, hi: int) -> None:
@@ -359,7 +396,7 @@ def _min_gaps_ladder(
             for s in range(lo, hi, KERNEL_BLOCK):
                 e = min(s + KERNEL_BLOCK, hi)
                 fields = _traceless_fields(paths[k, s - lo : e - lo], beta, d)
-                gaps = _gaps_from_fields(fields, beta, d, A)
+                gaps = _gaps_from_fields(fields, beta, d, a)
                 for col, stride in enumerate(strides):
                     minima[k, s:e, col] = gaps[:, ::stride].min(axis=1)
 
@@ -494,17 +531,16 @@ def gap_exponent_fit(
         raise ValueError("window must satisfy 0 < lo < hi")
     scale = float(t0) ** float(hurst)
     nf = n_beta(beta, d)
-    A = validate_shift(None, beta, d)
+    a = np.zeros(nf)  # no shift
     gaps = np.empty(samples)
     chunk = 4096
     for ci, start in enumerate(range(0, samples, chunk)):
         stop = min(start + chunk, samples)
         rng = substream(seed, TAG_GAPFIT, ci)
         fields = rng.standard_normal((stop - start, nf, 1)) * scale
-        gaps[start:stop] = _gaps_from_fields(fields, beta, d, A)[:, 0]
-    gaps.sort()
+        gaps[start:stop] = _gaps_from_fields(fields, beta, d, a)[:, 0]
     eps = np.geomspace(lo, hi, 12)
-    cdf = np.searchsorted(gaps, eps, side="left") / samples
+    cdf = np.array([np.count_nonzero(gaps < e) for e in eps]) / samples
     mask = cdf > 0
     if mask.sum() < 2:
         raise ValueError("empty window: no gap mass inside [lo, hi]")
@@ -544,7 +580,7 @@ def small_time_study(
     if not H < 1.0 / (1.0 + beta):
         raise ValueError("small-time study requires the collision regime H < 1/(1+beta)")
     A = validate_shift(A, beta, d)
-    distinct = 1 + np.count_nonzero(np.diff(np.linalg.eigvalsh(A)) > 1e-9)
+    distinct = 1 + np.count_nonzero(adjacent_gaps(ordered_eigenvalues(A)) > 1e-9)
     if np.any(A != 0) and distinct != d - 1:
         raise ValueError(
             "shift must be 0 or have spectrum cardinality d-1 (one repeated pair)"
@@ -581,6 +617,7 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
     N = config.intervals
     step, i0 = _window_start(a, b, N)
     A = validate_shift(config.shift, beta, 2)
+    a = matrix_to_vec(A, beta)
     worst = np.zeros(int(np.ceil(config.replicas / BATCH)))
 
     def work(lo: int, hi: int) -> None:
@@ -590,7 +627,7 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
             )[0],
             beta, 2,
         )
-        formula = _gaps_from_fields(fields, beta, 2, A)
+        formula = _gaps_from_fields(fields, beta, 2, a)
         coeffs = fields.transpose(0, 2, 1) * coefficient_scale(beta, 2)
         mats = vec_to_matrix(coeffs, beta, 2) + A
         eigs = ordered_eigenvalues(mats)

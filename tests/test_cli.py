@@ -251,6 +251,25 @@ def test_malformed_section_value_errors(tmp_path, capsys, section, key, value):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"kappa": 1' + "0" * 400 + "}", "kappa"),  # float() would overflow
+        ('{"kappa": "1.5"}', "kappa"),
+        ('{"interval": ["1", "2"]}', "interval"),
+        ('{"hurst": "0.25"}', "hurst"),
+    ],
+)
+def test_malformed_core_number_errors(tmp_path, capsys, text, field):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["gapfit", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: {field}: must be") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
 def test_hurst_near_one_on_a_large_mesh_errors(tmp_path, capsys):
     # the window-start Toeplitz solve fails for 1 - H <= 1e-13 at 4096 cells
     # (ROADMAP item 5); until that is fixed the run must end in one error line

@@ -180,6 +180,43 @@ def test_integer_fields_reject_fractions(field):
     assert getattr(cfg, field) == 4 and type(getattr(cfg, field)) is int
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("kappa", "1.5"),
+        ("kappa", float("inf")),
+        ("kappa", float("nan")),
+        ("kappa", 10**400),  # float() would overflow
+        ("kappa", None),
+        ("kappa", True),
+        ("interval", ("1", "2")),
+        ("interval", (1.0, None)),
+        ("interval", (1.0, 2.0, 3.0)),
+        ("interval", 1.5),
+        ("hurst", "0.25"),
+        ("hurst", ("0.25",)),
+        ("hurst", (True,)),
+        ("hurst", None),
+        ("beta", True),  # would pass as 1
+        ("beta", "1"),
+    ],
+)
+def test_core_number_fields_reject_non_numbers(field, value):
+    # the core numbers follow the sections' rule: finite, not a string,
+    # bool or null, and within a float's range; no float() coercion
+    with pytest.raises(ValueError, match=f"^{field}: must be"):
+        ExperimentConfig(**{field: value})
+
+
+def test_core_number_fields_accept_numbers():
+    cfg = ExperimentConfig(
+        beta=2.0, hurst=np.float64(0.25), interval=[np.float64(0.5), np.int64(2)], kappa=3
+    )
+    assert (cfg.beta, cfg.hurst, cfg.interval, cfg.kappa) == (2, (0.25,), (0.5, 2.0), 3.0)
+    assert type(cfg.beta) is int and type(cfg.kappa) is float
+    assert ExperimentConfig(hurst=np.array([0.3, 0.4])).hurst == (0.3, 0.4)
+
+
 def test_subnormal_hurst_rejected():
     # 1/5e-324 overflows, so Q is not finite and no regime can be read off
     with pytest.raises(ValueError, match="^hurst:.*not finite"):

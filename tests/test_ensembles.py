@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.ensembles import (
+    _unpacking_basis,
     coefficient_scale,
     diagonal_positions,
     matrix_to_vec,
@@ -105,6 +106,54 @@ def test_vec_to_matrix_batched():
     M = vec_to_matrix(x, 2, 3)
     assert M.shape == (5, 7, 3, 3)
     np.testing.assert_array_equal(M[2, 4], vec_to_matrix(x[2, 4], 2, 3))
+
+
+def _entrywise_matrix(x, beta, d):
+    # the packing written out entry by entry, one matrix at a time
+    M = np.zeros((d, d), dtype=float if beta == 1 else complex)
+    k = 0
+    for i in range(d):
+        for j in range(i, d):
+            M[i, j] = M[j, i] = x[k]
+            k += 1
+    if beta == 2:
+        for i in range(d):
+            for j in range(i + 1, d):
+                M[i, j] += 1j * x[k]
+                M[j, i] -= 1j * x[k]
+                k += 1
+    return M
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 1, 4)])
+def test_vec_to_matrix_matches_entrywise_reference(beta, d, shape):
+    # exact values for every batch shape; a coefficient-major array read
+    # through moveaxis is the non-contiguous layout the gap kernel passes
+    rng = np.random.default_rng(100 * beta + 10 * d + len(shape))
+    n = n_beta(beta, d)
+    for x in (
+        rng.standard_normal(shape + (n,)),
+        np.moveaxis(rng.standard_normal((n,) + shape), 0, -1),
+        rng.standard_normal(shape + (2 * n,))[..., ::2],
+    ):
+        M = vec_to_matrix(x, beta, d)
+        assert M.shape == shape + (d, d)
+        assert M.dtype == (np.float64 if beta == 1 else np.complex128)
+        flat_x = x.reshape(-1, n)
+        flat_m = M.reshape(-1, d, d)
+        for xi, Mi in zip(flat_x, flat_m):
+            np.testing.assert_array_equal(Mi, _entrywise_matrix(xi, beta, d))
+
+
+def test_vec_to_matrix_output_is_writable_and_basis_is_not():
+    M = vec_to_matrix(np.arange(9.0), 2, 3)
+    M[0, 0] = 5.0  # a fresh array, not a view of the cached basis
+    B = _unpacking_basis(2, 3)
+    assert not B.flags.writeable
+    assert B.shape == (9, 18)
+    assert set(np.unique(B)) <= {-1.0, 0.0, 1.0}
 
 
 def test_matrix_to_vec_rejects_non_hermitian():

@@ -1,6 +1,10 @@
 """Monte Carlo studies: refinement coupling, sweeps, exponent fits, samplers."""
 
 import dataclasses
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from eigencollide import experiments
 from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import (
     diagonal_positions,
+    matrix_to_vec,
     n_beta,
     validate_shift,
     vec_to_matrix,
@@ -130,7 +135,7 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
         G = G + 1j * rng.standard_normal((d, d))
     A = 0.5 * (G + G.conj().T)
     F = fields.reshape(m, nf, nt)
-    fast = _gaps_from_fields(F, beta, d, validate_shift(A, beta, d))
+    fast = _gaps_from_fields(F, beta, d, matrix_to_vec(validate_shift(A, beta, d), beta))
     ref = _reference_gaps(F, beta, d, A)
     assert fast.shape == (m, nt)
     np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-10)
@@ -163,9 +168,9 @@ def test_traceless_fields_keep_gaps(d, beta):
     G = rng.standard_normal((d, d))
     if beta == 2:
         G = G + 1j * rng.standard_normal((d, d))
-    A = validate_shift(0.5 * (G + G.conj().T), beta, d)
+    a = matrix_to_vec(validate_shift(0.5 * (G + G.conj().T), beta, d), beta)
     np.testing.assert_allclose(
-        _gaps_from_fields(expanded, beta, d, A), _gaps_from_fields(F, beta, d, A),
+        _gaps_from_fields(expanded, beta, d, a), _gaps_from_fields(F, beta, d, a),
         rtol=0.0, atol=1e-10,
     )
     np.testing.assert_allclose(expanded[:, diag].sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
@@ -231,6 +236,72 @@ def test_refinement_study_thread_determinism():
         assert sa.hits == sb.hits
 
 
+def test_d4_gap_kernel_from_several_threads_equals_serial():
+    # the eigensolver kernel called from more threads than cores at once, on
+    # different blocks, returns exactly what it returns one block at a time
+    beta, d, workers = 2, 4, 4
+    rng = np.random.default_rng(44)
+    blocks = [rng.standard_normal((8, n_beta(beta, d), 257)) for _ in range(2 * workers)]
+    a = matrix_to_vec(validate_shift(np.diag([1.0, 1.0, 0.0, -1.0]), beta, d), beta)
+    serial = [_gaps_from_fields(F, beta, d, a) for F in blocks]
+    barrier = threading.Barrier(workers)
+
+    def run(F):
+        barrier.wait(timeout=60)
+        return _gaps_from_fields(F, beta, d, a)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for lo in range(0, len(blocks), workers):
+                got = list(pool.map(run, blocks[lo : lo + workers], timeout=60))
+                for g, s in zip(got, serial[lo : lo + workers]):
+                    np.testing.assert_array_equal(g, s)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_eigensolver_runs_one_call_at_a_time(monkeypatch):
+    # ordered_eigenvalues holds one lock around np.linalg.eigvalsh, so pool
+    # threads of the d = 4 kernel never diagonalize at the same time
+    inside, most, calls = [0], [0], [0]
+    guard = threading.Lock()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(M):
+        with guard:
+            inside[0] += 1
+            calls[0] += 1
+            most[0] = max(most[0], inside[0])
+        time.sleep(0.002)  # releases the GIL: an unlocked caller would enter now
+        out = eigvalsh(M)
+        with guard:
+            inside[0] -= 1
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        stats = small_time_study(2, 4, None, [1.0], 0.25, 16, 4 * BATCH, seed=3, threads=4)
+    finally:
+        sys.setswitchinterval(switch)
+    assert stats[0].replicas == 4 * BATCH
+    # the shift check, then one call per kernel block
+    assert calls[0] == 1 + 4 * BATCH // experiments.KERNEL_BLOCK
+    assert most[0] == 1
+
+
+def test_small_time_d4_thread_determinism():
+    # the only path that diagonalizes in pool threads: identical stats at 1 and 2 threads
+    args = (2, 4, None, [1.0, 0.25], 0.25, 64, 2 * BATCH + 5)
+    one = small_time_study(*args, seed=21, kappa=0.5, threads=1)
+    two = small_time_study(*args, seed=21, kappa=0.5, threads=2)
+    assert one == two
+    assert 0 < sum(s.hits for s in one) < sum(s.replicas for s in one)
+
+
 def test_refinement_study_rejects_multiparameter():
     with pytest.raises(NotImplementedError):
         refinement_study(_cfg(hurst=(0.4, 0.4)))
@@ -287,6 +358,27 @@ def test_gap_exponent_beta1_cdf_oracle():
     mask = fit.cdf > 0
     assert np.max(np.abs(fit.cdf - oracle)[mask] / se[mask]) < 5.0
     assert fit.slope == pytest.approx(2.0, abs=0.35)
+
+
+@pytest.mark.parametrize("beta,d", [(1, 2), (2, 3)])
+def test_gap_exponent_cdf_counts_equal_the_sorted_search(beta, d, monkeypatch):
+    # the CDF counts gaps below each eps; on a fixed seed it equals the
+    # sort-and-searchsorted formula, entry for entry
+    seen = []
+    kernel = experiments._gaps_from_fields
+
+    def recording(*args):
+        out = kernel(*args)
+        seen.append(out[:, 0].copy())
+        return out
+
+    monkeypatch.setattr(experiments, "_gaps_from_fields", recording)
+    fit = gap_exponent_fit(beta, d, 1.0, 10_000, (0.1, 0.5), seed=8)
+    gaps = np.sort(np.concatenate(seen))
+    assert gaps.size == fit.samples
+    np.testing.assert_array_equal(
+        fit.cdf, np.searchsorted(gaps, fit.eps, side="left") / fit.samples
+    )
 
 
 def test_gap_exponent_scale_free():

@@ -91,6 +91,21 @@ def test_no_module_imports_a_name_it_does_not_use():
         assert not dead, f"{path.name} imports unused names: {dead}"
 
 
+def test_only_spectral_calls_the_eigensolver():
+    # spectral.ordered_eigenvalues serializes np.linalg.eigvalsh across
+    # threads; a direct call elsewhere would run outside that lock
+    for path in sorted((ROOT / "src" / "eigencollide").glob("*.py")):
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "eigvalsh"
+        ]
+        if path.name == "spectral.py":
+            assert len(calls) == 1
+        else:
+            assert not calls, f"{path.name} calls eigvalsh on lines {calls}"
+
+
 @pytest.mark.parametrize(
     "script,args",
     [
