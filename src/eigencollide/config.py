@@ -36,6 +36,16 @@ def _number(v, name: str) -> float:
     return float(v)
 
 
+def _check_shift_entries(shift) -> None:
+    # each entry of a shift, and each part of a complex one, is a number by
+    # _number's rule; asarray would turn "1.5" into 1.5 and True into 1
+    for v in np.asarray(shift, dtype=object).flat:
+        if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
+            _number(v.real, "shift")
+            v = v.imag
+        _number(v, "shift")
+
+
 def _numbers(v, name: str, length=None) -> tuple:
     if not isinstance(v, (list, tuple)) or length not in (None, len(v)):
         what = "a list of numbers" if length is None else f"{length} numbers"
@@ -123,6 +133,7 @@ class ExperimentConfig:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "seed", _check_integral(self.seed, "seed"))
         if self.shift is not None:
+            _check_shift_entries(self.shift)
             try:
                 validate_shift(self.shift, self.beta, self.d)
             except ValueError as e:
@@ -195,9 +206,12 @@ def _parse_shift(raw, d: int):
         keys = set(raw)
         if not keys <= {"real", "imag"}:
             raise ValueError(f"shift: unknown keys {sorted(keys - {'real', 'imag'})}")
-        real = np.asarray(raw.get("real", np.zeros((d, d))), dtype=float)
-        imag = np.asarray(raw.get("imag", np.zeros((d, d))), dtype=float)
+        parts = [raw.get(key, np.zeros((d, d))) for key in ("real", "imag")]
+        for part in parts:
+            _check_shift_entries(part)
+        real, imag = (np.asarray(part, dtype=float) for part in parts)
         return real + 1j * imag
+    _check_shift_entries(raw)
     return np.asarray(raw, dtype=float)
 
 

@@ -29,15 +29,19 @@ spectral, a square root at d = 2 and the trigonometric roots of the
 characteristic cubic at d = 3 (17-28x faster than vec_to_matrix with
 np.linalg.eigvalsh on batches of 4096 to 8200 matrices, 2-vCPU x86 virtual
 machine; the eigensolver dominated d = 3 gap fits). d >= 4 materializes
-matrices (one matmul, vec_to_matrix) and calls spectral.ordered_eigenvalues;
-why d = 4 has no closed form is in spectral. The kernel's per-(beta, d)
-constants are built once (_packing_layout).
+matrices (one matmul, vec_to_matrix) and diagonalizes them with
+spectral._descending_eigenvalues, with no Hermitian check (vec_to_matrix
+makes them exactly Hermitian); why d = 4 has no closed form is in
+spectral. The kernel's per-(beta, d) constants are built once
+(_packing_layout), the Helmert matrix in numpy (_helmert): importing
+scipy.linalg for it took 0.25 s, more than numpy and scipy together
+(0.11 s).
 
 Threads (the threads argument) run the replica batches in a pool. They
 speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
 256..16384) takes 0.31 s on one thread and 0.17 s on two. They do not speed
 up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls take as long
-as serial ones at twice the CPU time, so ordered_eigenvalues runs one call
+as serial ones at twice the CPU time, so the eigensolver runs one call
 at a time, and a thread that would wait for it samples its next batch
 instead. small_time_study at d = 4, beta = 2 (64 replicas, 1024 cells, four
 windows) takes 1.19 s on one thread and 1.02 s on two, with 1.27 s of CPU
@@ -60,7 +64,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import helmert
 
 from .capacity import collision_regime
 from .ensembles import (
@@ -81,6 +84,7 @@ from .fields import (
     fgn_sqrt_eigenvalues,
 )
 from .spectral import (
+    _descending_eigenvalues,
     _gap_closed_form_3x3,
     adjacent_gaps,
     gap_closed_form_2x2,
@@ -277,6 +281,17 @@ def _field_path_batch(
     return out
 
 
+def _helmert(d: int) -> np.ndarray:
+    """The (d-1, d) Helmert matrix: orthonormal rows, each orthogonal to ones.
+
+    Row k is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k+1)) with k ones. The
+    arithmetic is scipy.linalg.helmert's, so the values are bitwise its own.
+    """
+    k = np.arange(1, d)
+    h = np.tril(np.ones((d, d)), -1)[1:] - np.diag(np.arange(d))[1:]
+    return h / np.sqrt(k * (k + 1))[:, None]
+
+
 @functools.lru_cache(maxsize=None)
 def _packing_layout(beta: int, d: int) -> tuple:
     """Read-only per-(beta, d) constants of the gap kernel, built once.
@@ -290,7 +305,7 @@ def _packing_layout(beta: int, d: int) -> tuple:
     layout = (
         diag,
         np.setdiff1d(np.arange(nb), diag),
-        helmert(d).T,
+        _helmert(d).T,
         coefficient_scale(beta, d)[:, None],
     )
     for a in layout:
@@ -321,7 +336,7 @@ def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, a: np.ndarray) -> n
     d = 3 go through the closed forms of spectral (a square root; the
     trigonometric roots of the cubic), which build no matrix and run no
     eigensolver; d >= 4 materializes matrices and diagonalizes them with
-    ordered_eigenvalues, one thread at a time.
+    _descending_eigenvalues, one thread at a time.
     """
     _, _, _, scale = _packing_layout(beta, d)
     coeffs = fields * scale
@@ -331,7 +346,7 @@ def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, a: np.ndarray) -> n
         return gap_closed_form_2x2(coeffs, beta)
     if d == 3:
         return _gap_closed_form_3x3(coeffs, beta)
-    eigs = ordered_eigenvalues(vec_to_matrix(coeffs, beta, d))
+    eigs = _descending_eigenvalues(vec_to_matrix(coeffs, beta, d))
     return adjacent_gaps(eigs).min(axis=-1)
 
 

@@ -11,6 +11,15 @@ Fractional Brownian motion and its multiparameter product-kernel sheet, with:
 * a Volterra-kernel quadrature used purely as a covariance cross-check.
 
 All sampling is deterministic given (seed, replica index); see streams.py.
+
+The module imports no scipy subpackage at load time, and no experiment's
+usual path imports one: the anchor weights are solved by conjugate
+gradients written in numpy (_fgn_toeplitz_cg). The cold paths import
+scipy inside the function: the Levinson solve near H = 1, the dense
+increments behind an invalid embedding (_fgn_exact) and the Volterra
+quadrature. Loading scipy.linalg and scipy.sparse at import took
+`import eigencollide.cli` from 0.17 s to 0.48 s (2-vCPU x86 virtual
+machine).
 """
 
 from __future__ import annotations
@@ -21,8 +30,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz, solve_toeplitz, toeplitz
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .streams import TAG_FIELD, substream
 
@@ -264,8 +271,11 @@ def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
 def _fgn_toeplitz_cg(n: int, H: float, c: np.ndarray) -> np.ndarray:
     """Gamma^-1 c by preconditioned conjugate gradients (Levinson if it stalls).
 
-    A preconditioner with a nonpositive eigenvalue (H near 1) is not
-    positive definite, so CG is skipped for Levinson.
+    The recurrence is scipy.sparse.linalg.cg's, in its arithmetic order, so
+    the weights are bitwise those of cg(gamma, c, rtol=1e-15, maxiter=500,
+    M=precond) (tests/test_fields.py compares them) without importing
+    scipy.sparse. A preconditioner with a nonpositive eigenvalue (H near 1)
+    is not positive definite, so CG is skipped for Levinson.
     """
     L = _fgn_half_length(n)
     eigs = _fgn_unit_sqrt_eigenvalues(L, H)[: L + 1] ** 2
@@ -275,13 +285,25 @@ def _fgn_toeplitz_cg(n: int, H: float, c: np.ndarray) -> np.ndarray:
     precond = np.fft.rfft(((n - k) * g + k * np.roll(g[::-1], 1)) / n).real
     if not np.all(precond > 0):
         return _solve_fgn_toeplitz(g, c)
-    # dtype given, so neither operator probes its matvec to find it
-    gamma = LinearOperator(
-        (n, n), lambda p: np.fft.irfft(eigs * np.fft.rfft(p, 2 * L), 2 * L)[:n], dtype=float
-    )
-    m = LinearOperator((n, n), lambda r: np.fft.irfft(np.fft.rfft(r) / precond, n), dtype=float)
-    w, info = cg(gamma, c, rtol=1e-15, maxiter=500, M=m)
-    return w if info == 0 else _solve_fgn_toeplitz(g, c)
+    atol = 1e-15 * np.linalg.norm(c)
+    x = np.zeros(n)
+    r = c.copy()
+    for it in range(500):
+        if np.linalg.norm(r) < atol:
+            return x
+        z = np.fft.irfft(np.fft.rfft(r) / precond, n)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = np.fft.irfft(eigs * np.fft.rfft(p, 2 * L), 2 * L)[:n]
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return _solve_fgn_toeplitz(g, c)
 
 
 def _solve_fgn_toeplitz(g: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -289,8 +311,11 @@ def _solve_fgn_toeplitz(g: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     As H -> 1, Gamma rounds to a singular or indefinite matrix, where Levinson
     raises or returns noise; the diagonal then gets cholesky_with_jitter's
-    jitter until the residual is within 1e-6 of |c|.
+    jitter until the residual is within 1e-6 of |c|. Only the anchor
+    weights near H = 1 come here, so scipy.linalg is imported in the call.
     """
+    from scipy.linalg import matmul_toeplitz, solve_toeplitz
+
     for j in _JITTERS:
         try:
             w = solve_toeplitz(np.concatenate([[g[0] + j], g[1:]]), c)
@@ -331,8 +356,11 @@ def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
     """Exact fGn increments (k, n) from normals z (k, n), one path per row.
 
     The n x n Toeplitz covariance is factored once per call; each row is
-    mapped on its own, so a path does not depend on the other rows.
+    mapped on its own, so a path does not depend on the other rows. Only an
+    invalid embedding comes here, so scipy.linalg is imported in the call.
     """
+    from scipy.linalg import toeplitz
+
     g = _fgn_autocov(n - 1, H) * float(dt) ** (2.0 * H)
     L = cholesky_with_jitter(toeplitz(g))
     return np.stack([L @ row for row in z])

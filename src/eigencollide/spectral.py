@@ -8,18 +8,20 @@ The gap kernel needs no eigensolver at d = 2 and d = 3: both take the
 packed coefficients of vec_to_matrix and build no matrix. At d = 2 the gap
 is a square root (gap_closed_form_2x2); at d = 3 the minimum adjacent gap
 is the difference of the trigonometric roots of the characteristic cubic
-(_gap_closed_form_3x3). d >= 4 goes through ordered_eigenvalues and
+(_gap_closed_form_3x3). d >= 4 goes through _descending_eigenvalues and
 adjacent_gaps. A quartic form for d = 4 (resolvent cubic, Newton polish)
 was tried and left out: near a double root it ran only 2x faster than
 eigvalsh, and its error reached 0.4 ||M||_F at a gap of 1e-8.
 
-ordered_eigenvalues is the package's one call of np.linalg.eigvalsh, and it
-runs one call at a time (_EIGENSOLVER_LOCK). Batched eigvalsh does not
-scale across threads: 20 calls on 8192 complex 4 x 4 matrices took 0.51 s
-on one thread, and 0.50 s with 0.95 s of CPU time split over two threads
-(0.51 s and 0.50 s under the lock; 2-vCPU x86 virtual machine, numpy 2.4
-with OpenBLAS). A thread that waits for the lock leaves the CPU to one that
-samples; the values do not change.
+_descending_eigenvalues is the package's one call of np.linalg.eigvalsh,
+and it runs one call at a time (_EIGENSOLVER_LOCK). ordered_eigenvalues
+checks its input and calls it; the gap kernel calls it directly, since
+vec_to_matrix makes its matrices exactly Hermitian. Batched eigvalsh does
+not scale across threads: 20 calls on 8192 complex 4 x 4 matrices took
+0.51 s on one thread, and 0.50 s with 0.95 s of CPU time split over two
+threads (0.51 s and 0.50 s under the lock; 2-vCPU x86 virtual machine,
+numpy 2.4 with OpenBLAS). A thread that waits for the lock leaves the CPU
+to one that samples; the values do not change.
 """
 
 from __future__ import annotations
@@ -49,7 +51,16 @@ def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
     Batched over leading axes: input (..., d, d) gives output (..., d).
     Calls from several threads diagonalize one at a time.
     """
-    M = _check_hermitian(M)
+    return _descending_eigenvalues(_check_hermitian(M))
+
+
+def _descending_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """ordered_eigenvalues without the Hermitian check.
+
+    For matrices that are Hermitian by construction, as the d >= 4 gap
+    kernel's are (vec_to_matrix). eigvalsh reads only the lower triangle,
+    so a non-Hermitian M gives a wrong spectrum here, not an error.
+    """
     with _EIGENSOLVER_LOCK:
         lam = np.linalg.eigvalsh(M)
     return lam[..., ::-1]

@@ -270,6 +270,20 @@ def test_malformed_core_number_errors(tmp_path, capsys, text, field):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "shift", [[["1.5", "0"], ["0", "1.5"]], [[True, False], [False, True]]]
+)
+def test_malformed_shift_errors(tmp_path, capsys, shift):
+    # the shift's entries are numbers by the same rule as the core numbers
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"shift": shift, "replicas": 4, "intervals": 64}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path}: shift: must be") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
 def test_hurst_near_one_on_a_large_mesh_errors(tmp_path, capsys):
     # the window-start Toeplitz solve fails for 1 - H <= 1e-13 at 4096 cells
     # (ROADMAP item 5); until that is fixed the run must end in one error line

@@ -217,6 +217,47 @@ def test_core_number_fields_accept_numbers():
     assert ExperimentConfig(hurst=np.array([0.3, 0.4])).hurst == (0.3, 0.4)
 
 
+@pytest.mark.parametrize(
+    "beta, shift",
+    [
+        (1, [["1.5", "0"], ["0", "1.5"]]),  # asarray(dtype=float) would read 1.5
+        (1, [[True, False], [False, True]]),
+        (1, np.eye(2, dtype=bool)),
+        (1, [[1.5, True], [True, 1.5]]),  # asarray would upcast True to 1.0
+        (1, [[None, 0.0], [0.0, 0.0]]),
+        (1, [[float("nan"), 0.0], [0.0, 0.0]]),
+        (1, [[float("inf"), 0.0], [0.0, 0.0]]),
+        (2, [[0.0, complex(0.0, float("inf"))], [complex(0.0, float("-inf")), 0.0]]),
+    ],
+)
+def test_shift_entries_must_be_numbers(beta, shift):
+    with pytest.raises(ValueError, match="^shift: must be a finite number"):
+        ExperimentConfig(beta=beta, shift=shift)
+
+
+def test_shift_entries_accept_numbers():
+    A = ExperimentConfig(shift=[[1, 0.5], [np.float64(0.5), np.int64(-1)]]).shift
+    np.testing.assert_array_equal(A, [[1.0, 0.5], [0.5, -1.0]])
+    B = np.array([[1.0, 1j], [-1j, 0.0]])
+    np.testing.assert_array_equal(ExperimentConfig(beta=2, shift=B).shift, B)
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [
+        [["1.5", "0"], ["0", "1.5"]],
+        [[True, False], [False, True]],
+        {"real": [[0, "1"], ["1", 0]]},
+        {"real": [[0, 0], [0, 0]], "imag": [[0, None], [None, 0]]},
+    ],
+)
+def test_parsed_shift_entries_must_be_numbers(tmp_path, shift):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"beta": 2, "shift": shift}))
+    with pytest.raises(ValueError, match=r": shift: must be a finite number"):
+        parse_config(str(path))
+
+
 def test_subnormal_hurst_rejected():
     # 1/5e-324 overflows, so Q is not finite and no regime can be read off
     with pytest.raises(ValueError, match="^hurst:.*not finite"):

@@ -22,6 +22,7 @@ from eigencollide.ensembles import (
 from eigencollide.experiments import (
     BATCH,
     _gaps_from_fields,
+    _helmert,
     _min_gaps_ladder,
     _traceless_fields,
     degenerate_point_cloud,
@@ -146,10 +147,18 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_helmert_rows_orthonormal_and_traceless(d):
-    H = helmert(d)
+    H = _helmert(d)
     assert H.shape == (d - 1, d)
     np.testing.assert_allclose(H @ H.T, np.eye(d - 1), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(H @ np.ones(d), 0.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_helmert_is_scipys_bit_for_bit(d):
+    # built in numpy so the gap kernel does not import scipy.linalg
+    ours, ref = _helmert(d), helmert(d)
+    assert ours.shape == ref.shape and ours.dtype == ref.dtype
+    assert ours.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("beta", [1, 2])

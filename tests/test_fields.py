@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_toeplitz
+from scipy.sparse.linalg import LinearOperator, cg
 
 from eigencollide import experiments, fields
 from eigencollide.experiments import _field_path_batch
@@ -364,6 +365,32 @@ def test_anchor_weights_match_levinson(n, H):
         assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert v == pytest.approx(i0 ** (2 * H) - c @ ref, rel=1e-10)
         assert not w.flags.writeable
+
+
+def _scipy_cg_anchor_weights(n, H, i0):
+    # the anchor solve as scipy's cg runs it, with the same two FFT operators
+    k = np.arange(n, dtype=float)
+    c = 0.5 * ((i0 + k + 1) ** (2 * H) - (i0 + k) ** (2 * H) - (k + 1) ** (2 * H) + k ** (2 * H))
+    L = fields._fgn_half_length(n)
+    eigs = fields._fgn_unit_sqrt_eigenvalues(L, H)[: L + 1] ** 2
+    g = fields._fgn_autocov(n - 1, H)
+    precond = np.fft.rfft(((n - k) * g + k * np.roll(g[::-1], 1)) / n).real
+    gamma = LinearOperator(
+        (n, n), lambda p: np.fft.irfft(eigs * np.fft.rfft(p, 2 * L), 2 * L)[:n], dtype=float
+    )
+    m = LinearOperator((n, n), lambda r: np.fft.irfft(np.fft.rfft(r) / precond, n), dtype=float)
+    w, info = cg(gamma, c, rtol=1e-15, maxiter=500, M=m)
+    assert info == 0
+    return w
+
+
+@pytest.mark.parametrize("n", [8, 1023, 16384])
+@pytest.mark.parametrize("H", [0.05, 0.25, 0.7, 0.95])
+def test_anchor_weights_are_scipys_cg_bit_for_bit(n, H):
+    # the numpy recurrence keeps cg's arithmetic order, so no bit moves
+    for i0 in (1, n, 0.37):
+        w, _ = fields._fgn_anchor_weights(n, H, i0, False)
+        assert w.tobytes() == _scipy_cg_anchor_weights(n, H, i0).tobytes()
 
 
 def test_anchor_weights_vanish_for_brownian_motion():

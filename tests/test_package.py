@@ -69,14 +69,49 @@ def _src_env() -> dict:
     return env
 
 
-def test_cli_import_leaves_out_the_quadrature_modules():
-    # only the Volterra cross-check needs scipy.integrate and scipy.special
-    code = "import sys, eigencollide.cli; print('scipy.integrate' in sys.modules)"
+# the scipy subpackages no subcommand but selfcheck may load; importing
+# scipy.linalg and scipy.sparse nearly doubled a run's start-up time
+_HEAVY_SCIPY = (
+    "scipy.linalg", "scipy.sparse", "scipy.fft", "scipy.special",
+    "scipy.integrate", "scipy.spatial", "scipy.stats",
+)
+
+_RUN_EVERY_SUBCOMMAND = """
+import json, os, sys
+import eigencollide.cli as cli
+from eigencollide.experiments import small_time_study
+
+tmp = os.getcwd()
+for beta, d in ((1, 2), (2, 2), (1, 3), (2, 3)):
+    cfg = {
+        "beta": beta, "d": d, "hurst": 0.25, "interval": [1.0, 2.0], "intervals": 64,
+        "mesh_ladder": [32, 64], "replicas": 8, "seed": 5,
+        "sweep": {"hurst_values": [0.2, 0.7]},
+        "gapfit": {"samples": 10000},
+        "capacity": {"pairs": 200, "oracle_pairs": 400},
+        "boxdim": {"points": 1000},
+    }
+    path = os.path.join(tmp, f"b{beta}d{d}.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    for sub in ("simulate", "sweep", "gapfit", "capacity", "boxdim"):
+        out = os.path.join(tmp, f"{sub}-b{beta}d{d}")
+        assert cli.main([sub, "--config", path, "--out", out]) == 0, sub
+small_time_study(2, 4, None, [1.0, 0.5], 0.25, 16, 8, 7, threads=2)
+print(json.dumps(sorted(m for m in HEAVY if m in sys.modules)))
+"""
+
+
+def test_subcommands_import_no_scipy_subpackage(tmp_path):
+    # one fresh process runs every subcommand but selfcheck (whose
+    # cross-checks may use scipy) and the d = 4 small-time study
+    code = f"HEAVY = {_HEAVY_SCIPY!r}\n" + _RUN_EVERY_SUBCOMMAND
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code], cwd=tmp_path, env=_src_env(), capture_output=True,
+        text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_unused_import_scan_flags_a_dead_import():
