@@ -338,6 +338,8 @@ def main(argv=None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads: need >= 1 worker, got {args.threads}")
         config = parse_config(args.config) if args.config else ExperimentConfig()
         overrides = {"seed": args.seed, "replicas": args.replicas}
         config = config.replace(**{k: v for k, v in overrides.items() if v is not None})

@@ -131,7 +131,9 @@ class ExperimentConfig:
         if not kappa > 0.0:
             raise ValueError(f"kappa: threshold scale must be positive, got {self.kappa}")
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "seed", _check_integral(self.seed, "seed"))
+        if _check_integral(self.seed, "seed") < 0:
+            raise ValueError(f"seed: must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.shift is not None:
             _check_shift_entries(self.shift)
             try:

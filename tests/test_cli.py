@@ -112,6 +112,31 @@ def test_flag_overrides_file(tmp_path, small_config):
     assert m2["master_seed"] == 2222  # flag beats file
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_errors(tmp_path, small_config, capsys, threads):
+    # a count below 1 would run serially and record it in the manifest
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --threads: ") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
+def test_negative_seed_errors(tmp_path, small_config, capsys):
+    # from the file or from --seed, the error names the field before any sampling
+    path = tmp_path / "negative-seed.json"
+    path.write_text(json.dumps({"seed": -5, "replicas": 4, "intervals": 64}))
+    for args, prefix in (
+        (["--config", str(path)], f"error: config {path}: seed: "),
+        (["--config", small_config, "--seed", "-5"], "error: seed: "),
+    ):
+        out = tmp_path / "out"
+        assert run(["simulate", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "must be a nonnegative integer") and err.count("\n") == 1
+        assert not (out / "results.csv").exists()
+
+
 def test_environment_does_not_configure_a_run(tmp_path, small_config, monkeypatch):
     # settings come from flags and the config file only; a stale variable
     # left in the shell must not change a run

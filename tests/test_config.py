@@ -180,6 +180,14 @@ def test_integer_fields_reject_fractions(field):
     assert getattr(cfg, field) == 4 and type(getattr(cfg, field)) is int
 
 
+def test_seed_must_be_nonnegative():
+    # numpy's generators reject a negative seed only when the run samples,
+    # with an error that does not name the field
+    with pytest.raises(ValueError, match="^seed: must be a nonnegative integer, got -5"):
+        ExperimentConfig(seed=-5)
+    assert ExperimentConfig(seed=0).seed == 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -1,16 +1,16 @@
-"""The package's public surface, and the documented scripts end to end."""
+"""The package's public surface, and the README's command-line demos end to end."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import eigencollide
+import eigencollide.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,8 +69,8 @@ def _src_env() -> dict:
     return env
 
 
-# the scipy subpackages no subcommand but selfcheck may load; importing
-# scipy.linalg and scipy.sparse nearly doubled a run's start-up time
+# the scipy subpackages no subcommand may load; importing scipy.linalg and
+# scipy.sparse nearly doubled a run's start-up time
 _HEAVY_SCIPY = (
     "scipy.linalg", "scipy.sparse", "scipy.fft", "scipy.special",
     "scipy.integrate", "scipy.spatial", "scipy.stats",
@@ -94,7 +94,7 @@ for beta, d in ((1, 2), (2, 2), (1, 3), (2, 3)):
     path = os.path.join(tmp, f"b{beta}d{d}.json")
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    for sub in ("simulate", "sweep", "gapfit", "capacity", "boxdim"):
+    for sub in ("simulate", "sweep", "gapfit", "capacity", "boxdim", "selfcheck"):
         out = os.path.join(tmp, f"{sub}-b{beta}d{d}")
         assert cli.main([sub, "--config", path, "--out", out]) == 0, sub
 small_time_study(2, 4, None, [1.0, 0.5], 0.25, 16, 8, 7, threads=2)
@@ -103,8 +103,7 @@ print(json.dumps(sorted(m for m in HEAVY if m in sys.modules)))
 
 
 def test_subcommands_import_no_scipy_subpackage(tmp_path):
-    # one fresh process runs every subcommand but selfcheck (whose
-    # cross-checks may use scipy) and the d = 4 small-time study
+    # one fresh process runs every subcommand and the d = 4 small-time study
     code = f"HEAVY = {_HEAVY_SCIPY!r}\n" + _RUN_EVERY_SUBCOMMAND
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, env=_src_env(), capture_output=True,
@@ -141,17 +140,27 @@ def test_only_spectral_calls_the_eigensolver():
             assert not calls, f"{path.name} calls eigvalsh on lines {calls}"
 
 
-@pytest.mark.parametrize(
-    "script,args",
-    [
-        ("run_phase_sweep.py", ["--replicas", "64", "--ladder", "16", "32", "--hurst", "0.2", "0.8"]),
-        ("run_gap_exponent.py", ["--samples", "10000"]),
-        ("run_capacity_demo.py", ["--pairs", "2000"]),
-    ],
-)
-def test_script_runs(script, args, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+# the README's demos run with fewer samples and pairs, and --replicas 16;
+# every other value is the README's
+_DEMO_SIZE = {
+    "sweep": {},
+    "gapfit": {"samples": 10_000},
+    "capacity": {"pairs": 2000, "oracle_pairs": 4000},
+}
+
+
+def test_readme_demos_run(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Demos from the command line\n", 1)[1].split("\n## ", 1)[0]
+    ran = []
+    for block in section.split("```json\n")[1:]:
+        cfg = json.loads(block.split("```", 1)[0])
+        (sub,) = set(cfg) & set(_DEMO_SIZE)  # the subcommand is the demo's one section
+        cfg[sub].update(_DEMO_SIZE[sub])
+        path = tmp_path / f"{sub}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / sub
+        assert cli.main([sub, "--config", str(path), "--replicas", "16", "--out", str(out)]) == 0
+        assert (out / "results.csv").read_text().count("\n") > 1
+        ran.append(sub)
+    assert sorted(ran) == ["capacity", "gapfit", "sweep"]
