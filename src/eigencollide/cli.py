@@ -6,8 +6,9 @@ digits, rows in a fixed order. Run metadata that legitimately varies between
 runs (timestamps, thread count, host info) goes to manifest.json instead, so
 result files stay bit-identical across worker counts.
 
-Settings come from flags, then the config file, then defaults: --seed and
---replicas override the file's values; the environment is not read.
+Settings come from flags, then the config file, then defaults: --seed
+overrides the file's seed, and --replicas its replicas for the subcommands
+that read them (simulate, sweep); the environment is not read.
 """
 
 from __future__ import annotations
@@ -314,6 +315,11 @@ _DISPATCH = {
 }
 
 
+# the subcommands that read config.replicas; the others take no --replicas,
+# so a run cannot record a replica count it did not use
+_READS_REPLICAS = ("simulate", "sweep")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigencollide",
@@ -324,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--replicas", type=int, help="replica count override")
+        if name in _READS_REPLICAS:
+            p.add_argument("--replicas", type=int, help="replica count override")
         p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument(
@@ -341,7 +348,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ValueError(f"--threads: need >= 1 worker, got {args.threads}")
         config = parse_config(args.config) if args.config else ExperimentConfig()
-        overrides = {"seed": args.seed, "replicas": args.replicas}
+        overrides = {"seed": args.seed, "replicas": getattr(args, "replicas", None)}
         config = config.replace(**{k: v for k, v in overrides.items() if v is not None})
         records = _DISPATCH[args.subcommand](config, args.threads)
         path = _write_results(args.out, args.format, records)

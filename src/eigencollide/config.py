@@ -15,13 +15,12 @@ import dataclasses
 import json
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .capacity import collision_regime, q_index
+from .capacity import q_index
 from .ensembles import _check_integral, n_beta, validate_shift
 from .experiments import validate_ladder
 
@@ -113,7 +112,7 @@ class ExperimentConfig:
             if not 0.0 < h < 1.0:
                 raise ValueError(f"hurst: components must lie strictly in (0,1), got {h}")
         try:
-            Q = q_index(hurst)
+            q_index(hurst)
         except ValueError as e:
             raise ValueError(f"hurst: {e}") from e
         object.__setattr__(self, "hurst", hurst)
@@ -158,12 +157,6 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"section {name}: unknown keys {sorted(unknown)}")
             self.section(name)  # applies every value rule
-        if collision_regime(self.beta, self.hurst) == "critical":
-            warnings.warn(
-                f"Q = {Q:.6g} equals beta+1 = {self.beta + 1}: "
-                "critical case, the collision dichotomy is undecided here",
-                UserWarning,
-            )
 
     def ladder(self) -> tuple:
         return self.mesh_ladder if self.mesh_ladder is not None else (self.intervals,)

@@ -477,9 +477,18 @@ def refinement_study(
     The threshold at mesh N is delta_N = kappa * ((b-a)/N)^H. Shared replicas
     across the ladder make the trend ratios low-variance. mesh_ladder
     defaults to config.ladder(); a ladder given here must end at
-    config.intervals, the mesh the manifest records.
+    config.intervals, the mesh the manifest records. A critical H, where
+    Q = 1/H equals beta + 1 and the paper's dichotomy is undecided, runs
+    with a UserWarning.
     """
-    return _refinement_studies(config, (_require_r1(config.hurst),), mesh_ladder, threads)[0]
+    H = _require_r1(config.hurst)
+    if collision_regime(config.beta, (H,)) == "critical":
+        warnings.warn(
+            f"Q = {1.0 / H:.6g} equals beta+1 = {config.beta + 1}: "
+            "critical case, the collision dichotomy is undecided here",
+            UserWarning,
+        )
+    return _refinement_studies(config, (H,), mesh_ladder, threads)[0]
 
 
 def phase_sweep(
@@ -536,6 +545,15 @@ def gap_exponent_fit(
     The slope estimates beta + 1 (the codimension of the degenerate set).
     hurst only sets the sampling scale t0^H; the exponent itself is
     scale-free, which is why t0-invariance holds.
+
+    Samples are drawn in chunks of 4096 from substream (seed, TAG_GAPFIT,
+    chunk), each chunk as a (k, n_beta) array of normals, one sample per
+    row. The chunk is scaled into contiguous coefficient planes (n_beta, k)
+    and goes to the gap kernel as one (1, n_beta, k) block: one path of k
+    points, so the closed forms read each coefficient as one contiguous
+    row rather than a column strided by n_beta. Every sample sees the same
+    arithmetic either way, so the gaps are those of k one-point paths
+    (k, n_beta, 1) bit for bit.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a stable fit")
@@ -552,8 +570,10 @@ def gap_exponent_fit(
     for ci, start in enumerate(range(0, samples, chunk)):
         stop = min(start + chunk, samples)
         rng = substream(seed, TAG_GAPFIT, ci)
-        fields = rng.standard_normal((stop - start, nf, 1)) * scale
-        gaps[start:stop] = _gaps_from_fields(fields, beta, d, a)[:, 0]
+        draws = rng.standard_normal((stop - start, nf))
+        planes = np.empty((1, nf, stop - start))
+        np.multiply(draws.T, scale, out=planes[0])
+        gaps[start:stop] = _gaps_from_fields(planes, beta, d, a)[0]
     eps = np.geomspace(lo, hi, 12)
     cdf = np.array([np.count_nonzero(gaps < e) for e in eps]) / samples
     mask = cdf > 0

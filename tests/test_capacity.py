@@ -211,6 +211,37 @@ def test_box_counting_square():
     assert res.slope == pytest.approx(2.0, abs=0.25)
 
 
+@given(
+    dim=st.integers(1, 9),
+    distinct=st.integers(1, 400),
+    side=st.integers(1, 12),
+    steps=st.lists(st.integers(1, 8), min_size=4, max_size=6, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_box_counting_counts_the_distinct_cell_rows(dim, distinct, side, steps, seed):
+    # lattice points, spacing h, repeated to 1200 rows: every scale below is
+    # a whole number of spacings, so many points sit exactly on cell
+    # boundaries, and duplicates share a cell at every scale
+    rng = np.random.default_rng(seed)
+    h = 0.125
+    lattice = rng.integers(0, side + 1, (distinct, dim)) * h + rng.normal(size=dim)
+    pts = lattice[rng.integers(0, distinct, 1200)]
+    scales = np.sort(np.array(steps, dtype=float) * h)
+    lo = pts.min(axis=0)
+    expected = [
+        len({tuple(row) for row in np.floor((pts - lo) / eps).astype(np.int64)})
+        for eps in scales
+    ]
+    if np.all(pts.max(axis=0) == lo):
+        assert box_counting_dim(pts, scales).counts.tolist() == [1] * len(scales)
+    elif len(set(expected)) < 2:
+        with pytest.raises(ValueError, match="degenerate fit"):
+            box_counting_dim(pts, scales)
+    else:
+        assert box_counting_dim(pts, scales).counts.tolist() == expected
+
+
 def test_box_counting_identical_points_slope_zero():
     pts = np.ones((1500, 2))
     res = box_counting_dim(pts, np.geomspace(0.01, 0.5, 5))

@@ -156,6 +156,32 @@ def test_replicas_override(tmp_path, small_config):
     assert int(rows[0]["replicas"]) == 60
 
 
+@pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim", "selfcheck"])
+def test_replicas_flag_only_where_replicas_are_read(tmp_path, small_config, capsys, subcommand):
+    # these subcommands read no replica count, so --replicas would be ignored
+    # while the manifest recorded it; argparse rejects it before any run
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--config", small_config, "--out", str(out), "--replicas", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --replicas 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim"])
+def test_critical_hurst_does_not_warn_off_the_paths(tmp_path, subcommand):
+    # H = 0.5 is critical at beta = 1, but these results do not depend on
+    # the collision dichotomy
+    path = tmp_path / "critical.json"
+    path.write_text(json.dumps({
+        "beta": 1, "hurst": 0.5, "gapfit": {"samples": 10000},
+        "capacity": {"pairs": 200, "oracle_pairs": 200}, "boxdim": {"points": 1000},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_sweep_subcommand(tmp_path, small_config):
     out = tmp_path / "out"
     assert run(["sweep", "--config", small_config, "--out", str(out)]) == 0

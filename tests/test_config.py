@@ -2,12 +2,14 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eigencollide.config import ExperimentConfig, config_to_dict, parse_config
+from eigencollide.experiments import refinement_study
 
 
 def test_defaults():
@@ -273,8 +275,13 @@ def test_subnormal_hurst_rejected():
 
 
 def test_critical_hurst_warns():
-    with pytest.warns(UserWarning):
-        ExperimentConfig(beta=1, hurst=(0.5,))
+    # only a path study on the config's own H reads the dichotomy, so the
+    # config itself builds silently and refinement_study warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = ExperimentConfig(beta=1, hurst=(0.5,), intervals=16, replicas=2)
+    with pytest.warns(UserWarning, match="critical case"):
+        refinement_study(cfg)
 
 
 def test_ladder_defaults_to_intervals():

@@ -35,7 +35,7 @@ from eigencollide.experiments import (
     wilson_interval,
 )
 from eigencollide.fields import interval, sample_field_exact
-from eigencollide.streams import TAG_BOXDIM, substream
+from eigencollide.streams import TAG_BOXDIM, TAG_GAPFIT, substream
 
 
 def _cfg(**kw):
@@ -378,7 +378,7 @@ def test_gap_exponent_cdf_counts_equal_the_sorted_search(beta, d, monkeypatch):
 
     def recording(*args):
         out = kernel(*args)
-        seen.append(out[:, 0].copy())
+        seen.append(out[0].copy())  # one (1, k) path per chunk
         return out
 
     monkeypatch.setattr(experiments, "_gaps_from_fields", recording)
@@ -388,6 +388,35 @@ def test_gap_exponent_cdf_counts_equal_the_sorted_search(beta, d, monkeypatch):
     np.testing.assert_array_equal(
         fit.cdf, np.searchsorted(gaps, fit.eps, side="left") / fit.samples
     )
+
+
+def _gap_fit_on_one_point_paths(beta, d, t0, samples, window, seed, hurst):
+    # the fit as written before the chunk became coefficient planes: each
+    # chunk is k one-point paths (k, n_beta, 1), so the kernel reads every
+    # coefficient strided by n_beta
+    nf = n_beta(beta, d)
+    gaps = np.empty(samples)
+    for ci, start in enumerate(range(0, samples, 4096)):
+        stop = min(start + 4096, samples)
+        fields = substream(seed, TAG_GAPFIT, ci).standard_normal((stop - start, nf, 1))
+        fields = fields * float(t0) ** float(hurst)
+        gaps[start:stop] = experiments._gaps_from_fields(fields, beta, d, np.zeros(nf))[:, 0]
+    eps = np.geomspace(window[0], window[1], 12)
+    cdf = np.array([np.count_nonzero(gaps < e) for e in eps]) / samples
+    mask = cdf > 0
+    (slope, _), cov = np.polyfit(np.log(eps[mask]), np.log(cdf[mask]), 1, cov=True)
+    return cdf, float(slope), float(np.sqrt(cov[0, 0]))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gap_exponent_fit_equals_the_one_point_path_route(beta, d):
+    # 10_000 samples: two full chunks and a short one
+    args = (beta, d, 2.0, 10_000, (0.1, 0.9), 21, 0.3)
+    fit = gap_exponent_fit(*args[:6], hurst=args[6])
+    cdf, slope, stderr = _gap_fit_on_one_point_paths(*args)
+    assert fit.cdf.tobytes() == cdf.tobytes()
+    assert (fit.slope, fit.stderr) == (slope, stderr)
 
 
 def test_gap_exponent_scale_free():

@@ -140,8 +140,8 @@ def test_only_spectral_calls_the_eigensolver():
             assert not calls, f"{path.name} calls eigvalsh on lines {calls}"
 
 
-# the README's demos run with fewer samples and pairs, and --replicas 16;
-# every other value is the README's
+# the README's demos run with fewer samples and pairs, and the sweep with
+# --replicas 16; every other value is the README's
 _DEMO_SIZE = {
     "sweep": {},
     "gapfit": {"samples": 10_000},
@@ -160,7 +160,8 @@ def test_readme_demos_run(tmp_path):
         path = tmp_path / f"{sub}.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / sub
-        assert cli.main([sub, "--config", str(path), "--replicas", "16", "--out", str(out)]) == 0
+        fewer = ["--replicas", "16"] if sub == "sweep" else []
+        assert cli.main([sub, "--config", str(path), *fewer, "--out", str(out)]) == 0
         assert (out / "results.csv").read_text().count("\n") > 1
         ran.append(sub)
     assert sorted(ran) == ["capacity", "gapfit", "sweep"]
