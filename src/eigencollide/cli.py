@@ -159,8 +159,7 @@ def _study_records(kind, config, hurst, study, **extra):
 
 def _cmd_simulate(config: ExperimentConfig, threads: int) -> list:
     study = refinement_study(config, threads=threads)
-    (hurst,) = config.hurst
-    return _study_records("simulate", config, hurst, study)
+    return _study_records("simulate", config, config.path_hurst(), study)
 
 
 def _cmd_sweep(config: ExperimentConfig, threads: int) -> list:
@@ -180,7 +179,7 @@ def _cmd_gapfit(config: ExperimentConfig, threads: int) -> list:
     gf = config.section("gapfit")
     fit = gap_exponent_fit(
         config.beta, config.d, gf["t0"], gf["samples"], gf["window"], config.seed,
-        hurst=config.hurst[0],
+        hurst=config.path_hurst(),
     )
     return [
         {
@@ -315,9 +314,13 @@ _DISPATCH = {
 }
 
 
-# the subcommands that read config.replicas; the others take no --replicas,
-# so a run cannot record a replica count it did not use
-_READS_REPLICAS = ("simulate", "sweep")
+# the override flags each subcommand takes: only simulate and sweep read replicas
+# and only they and selfcheck run a pool, so no run records a count it did not use
+_OVERRIDES = {
+    "simulate": ("--replicas", "--threads"),
+    "sweep": ("--replicas", "--threads"),
+    "selfcheck": ("--threads",),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,9 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int, help="master seed override")
-        if name in _READS_REPLICAS:
+        flags = _OVERRIDES.get(name, ())
+        if "--replicas" in flags:
             p.add_argument("--replicas", type=int, help="replica count override")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        if "--threads" in flags:
+            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument(
             "--format", choices=("csv", "jsonl"), default="csv", help="results format (default csv)"
@@ -344,18 +349,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
+    # a subcommand without --threads runs no pool: one worker
+    threads = getattr(args, "threads", 1)
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads: need >= 1 worker, got {args.threads}")
+        if threads < 1:
+            raise ValueError(f"--threads: need >= 1 worker, got {threads}")
         config = parse_config(args.config) if args.config else ExperimentConfig()
         overrides = {"seed": args.seed, "replicas": getattr(args, "replicas", None)}
         config = config.replace(**{k: v for k, v in overrides.items() if v is not None})
-        records = _DISPATCH[args.subcommand](config, args.threads)
+        records = _DISPATCH[args.subcommand](config, threads)
         path = _write_results(args.out, args.format, records)
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_manifest(
-            args.out, args.subcommand, config, args.threads, args.format, started, finished
-        )
+        _write_manifest(args.out, args.subcommand, config, threads, args.format, started, finished)
     except (ValueError, NotImplementedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

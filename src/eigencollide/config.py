@@ -16,15 +16,14 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .capacity import q_index
 from .ensembles import _check_integral, n_beta, validate_shift
-from .experiments import validate_ladder
 
-__all__ = ["ExperimentConfig", "parse_config", "config_to_dict"]
+__all__ = ["ExperimentConfig", "parse_config", "config_to_dict", "validate_ladder"]
 
 
 def _number(v, name: str) -> float:
@@ -43,6 +42,20 @@ def _check_shift_entries(shift) -> None:
             _number(v.real, "shift")
             v = v.imag
         _number(v, "shift")
+
+
+def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
+    """Check a refinement ladder for nested-grid coupling; returns it as ints.
+
+    Meshes must be positive and strictly increasing, and each must divide the
+    finest, so every coarser grid is a strided subgrid of the finest one.
+    """
+    ladder = tuple(_check_integral(N, "mesh_ladder") for N in mesh_ladder)
+    if not ladder or list(ladder) != sorted(set(ladder)) or ladder[0] < 1:
+        raise ValueError(f"mesh_ladder: need strictly increasing positive meshes, got {ladder}")
+    if any(ladder[-1] % N for N in ladder):
+        raise ValueError(f"mesh_ladder: every mesh must divide the finest, got {ladder}")
+    return ladder
 
 
 def _numbers(v, name: str, length=None) -> tuple:
@@ -160,6 +173,15 @@ class ExperimentConfig:
 
     def ladder(self) -> tuple:
         return self.mesh_ladder if self.mesh_ladder is not None else (self.intervals,)
+
+    def path_hurst(self) -> float:
+        """The one H of a sampled path; a multi-entry hurst has none."""
+        if len(self.hurst) != 1:
+            raise NotImplementedError(
+                "path experiments are implemented for 1-parameter time only; "
+                "multiparameter Hurst vectors enter through the decision rule"
+            )
+        return self.hurst[0]
 
     def section(self, name: str) -> dict:
         """The named section's values, checked, over its defaults for this beta and d."""

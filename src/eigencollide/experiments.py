@@ -67,7 +67,6 @@ import numpy as np
 
 from .capacity import collision_regime
 from .ensembles import (
-    _check_integral,
     coefficient_scale,
     diagonal_positions,
     matrix_to_vec,
@@ -111,7 +110,6 @@ __all__ = [
     "phase_sweep",
     "small_time_study",
     "oracle_vector_reduction",
-    "validate_ladder",
     "flattened_degenerate_sampler",
     "degenerate_point_cloud",
 ]
@@ -189,15 +187,6 @@ class ExponentFit:
     samples: int
     eps: np.ndarray
     cdf: np.ndarray
-
-
-def _require_r1(hurst: tuple) -> float:
-    if len(hurst) != 1:
-        raise NotImplementedError(
-            "path experiments are implemented for 1-parameter time only; "
-            "multiparameter Hurst vectors enter through the decision rule"
-        )
-    return hurst[0]
 
 
 def _threshold(kappa: float, mesh: float, H: float) -> float:
@@ -350,20 +339,6 @@ def _gaps_from_fields(fields: np.ndarray, beta: int, d: int, a: np.ndarray) -> n
     return adjacent_gaps(eigs).min(axis=-1)
 
 
-def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
-    """Check a refinement ladder for nested-grid coupling; returns it as ints.
-
-    Meshes must be positive and strictly increasing, and each must divide the
-    finest, so every coarser grid is a strided subgrid of the finest one.
-    """
-    ladder = tuple(_check_integral(N, "mesh_ladder") for N in mesh_ladder)
-    if not ladder or list(ladder) != sorted(set(ladder)) or ladder[0] < 1:
-        raise ValueError(f"mesh_ladder: need strictly increasing positive meshes, got {ladder}")
-    if any(ladder[-1] % N for N in ladder):
-        raise ValueError(f"mesh_ladder: every mesh must divide the finest, got {ladder}")
-    return ladder
-
-
 def _window_start(a: float, b: float, N: int) -> tuple:
     """(step, i0) of the N-cell mesh on [a, b], where a = i0 * step.
 
@@ -437,11 +412,9 @@ def _stats_from_minima(
     )
 
 
-def _refinement_studies(config, hs: Sequence[float], mesh_ladder, threads: int) -> list:
-    """One RefinementResult per H in hs, every H mapping the same normals."""
-    ladder = config.ladder() if mesh_ladder is None else validate_ladder(mesh_ladder)
-    if ladder[-1] != config.intervals:
-        raise ValueError(f"mesh_ladder: must end at intervals {config.intervals}, got {ladder}")
+def _refinement_studies(config, hs: Sequence[float], threads: int) -> list:
+    """One RefinementResult per H in hs on config.ladder(), every H mapping the same normals."""
+    ladder = config.ladder()
     a, b = config.interval
     Nmax = ladder[-1]
     step, i0 = _window_start(a, b, Nmax)
@@ -472,32 +445,30 @@ def refinement_study(
     mesh_ladder: Optional[Sequence[int]] = None,
     threads: int = 1,
 ) -> RefinementResult:
-    """Collision probability across a mesh ladder with nested-grid coupling.
+    """Collision probability across config.ladder() with nested-grid coupling.
 
     The threshold at mesh N is delta_N = kappa * ((b-a)/N)^H. Shared replicas
-    across the ladder make the trend ratios low-variance. mesh_ladder
-    defaults to config.ladder(); a ladder given here must end at
-    config.intervals, the mesh the manifest records. A critical H, where
-    Q = 1/H equals beta + 1 and the paper's dichotomy is undecided, runs
-    with a UserWarning.
+    across the ladder make the trend ratios low-variance. A mesh_ladder
+    given here replaces config.mesh_ladder, so the config's validator judges
+    it. perfbench/make_reference.py is its one caller; the parameter goes
+    when that script states its ladder in its config (ROADMAP item 4, step
+    2). A critical H, where Q = 1/H equals beta + 1 and the paper's
+    dichotomy is undecided, runs with a UserWarning.
     """
-    H = _require_r1(config.hurst)
+    if mesh_ladder is not None:
+        config = config.replace(mesh_ladder=tuple(mesh_ladder))
+    H = config.path_hurst()
     if collision_regime(config.beta, (H,)) == "critical":
         warnings.warn(
             f"Q = {1.0 / H:.6g} equals beta+1 = {config.beta + 1}: "
             "critical case, the collision dichotomy is undecided here",
             UserWarning,
         )
-    return _refinement_studies(config, (H,), mesh_ladder, threads)[0]
+    return _refinement_studies(config, (H,), threads)[0]
 
 
-def phase_sweep(
-    hurst_values: Sequence[float],
-    config,
-    mesh_ladder: Optional[Sequence[int]] = None,
-    threads: int = 1,
-) -> PhaseSweepResult:
-    """One refinement study per Hurst value, on a shared mesh ladder.
+def phase_sweep(hurst_values: Sequence[float], config, threads: int = 1) -> PhaseSweepResult:
+    """One refinement study per Hurst value, on config.ladder().
 
     Every H must stay at least 0.02 away from the critical value 1/(1+beta),
     where the dichotomy is undecided. All H share each replica's normals
@@ -513,7 +484,7 @@ def phase_sweep(
             raise ValueError(
                 f"H={h} is within 0.02 of the critical value {critical:.4g}"
             )
-    studies = _refinement_studies(config, hs, mesh_ladder, threads)
+    studies = _refinement_studies(config, hs, threads)
     regimes = [collision_regime(config.beta, (h,)) for h in hs]
     coll = [s.stats[-1].p_hat for s, r in zip(studies, regimes) if r == "collision"]
     none = [s.stats[-1].p_hat for s, r in zip(studies, regimes) if r == "no_collision"]
@@ -606,13 +577,14 @@ def small_time_study(
 ) -> list:
     """Collision estimates on shrinking windows (0, T], meshed proportionally to T.
 
-    Meaningful in the collision regime H < 1/(1+beta). The shift must satisfy
+    Meaningful only in the collision regime as collision_regime decides it
+    (H < 1/(1+beta), off the critical line). The shift must satisfy
     the instant-collision hypothesis: A = 0 or spectrum cardinality d-1 (one
     repeated pair). The grid is t = k*T/N (k = 1..N); the origin is excluded
     because X(0) = 0 exactly.
     """
     H = _check_hurst(hurst)
-    if not H < 1.0 / (1.0 + beta):
+    if collision_regime(beta, (H,)) != "collision":
         raise ValueError("small-time study requires the collision regime H < 1/(1+beta)")
     A = validate_shift(A, beta, d)
     distinct = 1 + np.count_nonzero(adjacent_gaps(ordered_eigenvalues(A)) > 1e-9)
@@ -647,7 +619,7 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
     if config.d != 2:
         raise ValueError("the vector-reduction oracle is a d = 2 construction")
     beta = config.beta
-    H = _require_r1(config.hurst)
+    H = config.path_hurst()
     a, b = config.interval
     N = config.intervals
     step, i0 = _window_start(a, b, N)

@@ -169,6 +169,21 @@ def test_replicas_flag_only_where_replicas_are_read(tmp_path, small_config, caps
 
 
 @pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim"])
+def test_threads_flag_only_where_a_pool_runs(tmp_path, small_config, capsys, subcommand):
+    # these subcommands run no thread pool, so --threads would be ignored
+    # while the manifest recorded it; argparse rejects it before any run,
+    # and without it the manifest records the one worker that ran
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--config", small_config, "--out", str(out), "--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([subcommand, "--config", small_config, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["worker_count"] == 1
+
+
+@pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim"])
 def test_critical_hurst_does_not_warn_off_the_paths(tmp_path, subcommand):
     # H = 0.5 is critical at beta = 1, but these results do not depend on
     # the collision dichotomy
@@ -410,6 +425,19 @@ def test_configs_that_parse_but_do_not_simulate(tmp_path, capsys):
     parse_config(str(path))
     assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "sheet")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_gapfit_rejects_a_multi_entry_hurst(tmp_path, capsys):
+    # gapfit's sampling scale is t0^H for the path's one H; it used to read
+    # the first entry and drop the rest
+    path = tmp_path / "sheet.json"
+    path.write_text(json.dumps({"d": 2, "hurst": [0.3, 0.4], "gapfit": {"samples": 10000}}))
+    out = tmp_path / "out"
+    assert run(["gapfit", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: path experiments are implemented for 1-parameter time only")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "gapfit"])

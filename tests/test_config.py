@@ -300,6 +300,13 @@ def test_intervals_must_be_the_finest_mesh(intervals, ladder):
         ExperimentConfig(intervals=intervals, mesh_ladder=ladder)
 
 
+def test_path_hurst_is_the_one_entry():
+    # every path experiment reads its H here; a sheet's Hurst vector has none
+    assert ExperimentConfig(hurst=0.3).path_hurst() == 0.3
+    with pytest.raises(NotImplementedError, match="^path experiments are implemented for 1-param"):
+        ExperimentConfig(hurst=(0.3, 0.4)).path_hurst()
+
+
 def test_replace_hurst_and_replicas():
     cfg = ExperimentConfig(hurst=(0.3,))
     c2 = cfg.replace(hurst=(0.7,))

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import helmert
 
 from eigencollide import experiments
+from eigencollide.capacity import collision_regime
 from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import (
     diagonal_positions,
@@ -213,14 +214,27 @@ def test_min_gaps_ladder_validation():
 
 
 def test_ladder_argument_must_end_at_intervals():
-    # the run samples at the ladder's top and the manifest records intervals,
-    # so a ladder argument must end at config.intervals, as mesh_ladder must
+    # the run samples at the ladder's top and the manifest records intervals;
+    # a ladder argument replaces mesh_ladder, so the config's rule judges it
     cfg = _cfg(replicas=8)  # intervals 256
-    with pytest.raises(ValueError, match=r"^mesh_ladder: must end at intervals 256, got \(128, "):
+    finest = r"^intervals: must equal the finest mesh_ladder entry {}, got 256"
+    with pytest.raises(ValueError, match=finest.format(512)):
         refinement_study(cfg, (128, 256, 512))
-    with pytest.raises(ValueError, match=r"^mesh_ladder: must end at intervals 256, got \(64, "):
-        phase_sweep([0.2, 0.75], cfg, (64, 128))
+    with pytest.raises(ValueError, match=finest.format(128)):
+        phase_sweep([0.2, 0.75], cfg.replace(mesh_ladder=(64, 128)))
     assert refinement_study(cfg, (64, 256)).stats[-1].intervals == 256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ladder_argument_equals_the_config_ladder(threads):
+    # perfbench/make_reference.py passes its ladder positionally: that call
+    # returns exactly what the ladder stated in the config returns
+    cfg = _cfg(replicas=70)
+    ladder = (64, 128, 256)
+    by_argument = refinement_study(cfg, ladder, threads)
+    in_config = refinement_study(cfg.replace(mesh_ladder=ladder), threads=threads)
+    np.testing.assert_equal(dataclasses.asdict(by_argument), dataclasses.asdict(in_config))
+    assert [s.intervals for s in in_config.stats] == list(ladder)
 
 
 def test_refinement_study_consistency():
@@ -325,12 +339,12 @@ def test_shift_changes_hits():
 
 
 def test_phase_sweep_regimes_and_separation():
-    cfg = _cfg(replicas=300)
-    sw = phase_sweep([0.2, 0.75], cfg, (64, 256))
+    cfg = _cfg(replicas=300, mesh_ladder=(64, 256))
+    sw = phase_sweep([0.2, 0.75], cfg)
     assert sw.regimes == ("collision", "no_collision")
     assert sw.separation_ratio > 1.0
     with pytest.raises(ValueError):
-        phase_sweep([0.2, 0.505], cfg, (64, 256))  # too close to critical
+        phase_sweep([0.2, 0.505], cfg)  # too close to critical
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -348,10 +362,10 @@ def test_sweep_equals_per_hurst_refinement(beta, d, hs, shift, threads):
     # common random numbers: the sweep maps each replica's normals through
     # every H, and its stream key (seed, TAG_COLLISION, replica) does not
     # name H, so each study is the one-H run of its H, field for field
-    cfg = _cfg(beta=beta, d=d, shift=shift, replicas=70)
-    sweep = phase_sweep(hs, cfg, (64, 256), threads=threads)
+    cfg = _cfg(beta=beta, d=d, shift=shift, replicas=70, mesh_ladder=(64, 256))
+    sweep = phase_sweep(hs, cfg, threads=threads)
     for h, study in zip(hs, sweep.studies):
-        alone = refinement_study(cfg.replace(hurst=(h,)), (64, 256), threads=threads)
+        alone = refinement_study(cfg.replace(hurst=(h,)), threads=threads)
         np.testing.assert_equal(dataclasses.asdict(study), dataclasses.asdict(alone))
     assert sweep.studies[0].stats[-1].hits > 0  # the collision side is not empty
 
@@ -458,6 +472,16 @@ def test_small_time_validation():
         small_time_study(1, 2, np.diag([2.0, -2.0]), [1.0], 0.3, 64, 50, seed=1)
     with pytest.raises(ValueError):
         small_time_study(1, 2, None, [0.5, 1.0], 0.3, 64, 50, seed=1)  # increasing T
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_small_time_rejects_the_critical_line(beta):
+    # one rule decides the regime: an H that collision_regime calls critical
+    # is not in the collision regime, however close below 1/(1+beta) it is
+    H = 1.0 / (1.0 + beta) - 1e-12
+    assert collision_regime(beta, (H,)) == "critical"
+    with pytest.raises(ValueError, match="requires the collision regime"):
+        small_time_study(beta, 2, None, [1.0], H, 16, 4, seed=1)
 
 
 def test_small_time_rejects_hurst_before_sampling(monkeypatch):
