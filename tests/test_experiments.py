@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +15,7 @@ from eigencollide import experiments
 from eigencollide.capacity import collision_regime
 from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import (
+    coefficient_scale,
     diagonal_positions,
     matrix_to_vec,
     n_beta,
@@ -35,7 +37,12 @@ from eigencollide.experiments import (
     small_time_study,
     wilson_interval,
 )
-from eigencollide.fields import interval, sample_field_exact
+from eigencollide.fields import (
+    _fgn_anchor_weights,
+    _fgn_unit_sqrt_eigenvalues,
+    interval,
+    sample_field_exact,
+)
 from eigencollide.streams import TAG_BOXDIM, TAG_GAPFIT, substream
 
 
@@ -89,6 +96,11 @@ def test_wilson_coverage_meta():
 # -- gap kernel -----------------------------------------------------------------
 
 
+def _packed(F: np.ndarray, beta: int, d: int, a: np.ndarray) -> np.ndarray:
+    """Fields (m, nf, nt) as the gap kernel reads them: scaled, shifted by the packed a."""
+    return F * coefficient_scale(beta, d)[:, None] + a[:, None]
+
+
 def _reference_gaps(F: np.ndarray, beta: int, d: int, A: np.ndarray) -> np.ndarray:
     """Minimum adjacent gap of A + X(t), X built entry by entry from F (m, nf, nt).
 
@@ -137,7 +149,8 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
         G = G + 1j * rng.standard_normal((d, d))
     A = 0.5 * (G + G.conj().T)
     F = fields.reshape(m, nf, nt)
-    fast = _gaps_from_fields(F, beta, d, matrix_to_vec(validate_shift(A, beta, d), beta))
+    a = matrix_to_vec(validate_shift(A, beta, d), beta)
+    fast = _gaps_from_fields(_packed(F, beta, d, a), beta, d)
     ref = _reference_gaps(F, beta, d, A)
     assert fast.shape == (m, nt)
     np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-10)
@@ -173,14 +186,15 @@ def test_traceless_fields_keep_gaps(d, beta):
     diag = diagonal_positions(d)
     off = np.setdiff1d(np.arange(nb), diag)
     coords = np.concatenate([np.matmul(helmert(d), F[:, diag]), F[:, off]], axis=1)
-    expanded = _traceless_fields(coords, beta, d)
+    expanded = _traceless_fields(coords, beta, d, np.zeros(nb))
     rng = np.random.default_rng(7 * d + beta)
     G = rng.standard_normal((d, d))
     if beta == 2:
         G = G + 1j * rng.standard_normal((d, d))
     a = matrix_to_vec(validate_shift(0.5 * (G + G.conj().T), beta, d), beta)
     np.testing.assert_allclose(
-        _gaps_from_fields(expanded, beta, d, a), _gaps_from_fields(F, beta, d, a),
+        _gaps_from_fields(_traceless_fields(coords, beta, d, a), beta, d),
+        _gaps_from_fields(_packed(F, beta, d, a), beta, d),
         rtol=0.0, atol=1e-10,
     )
     np.testing.assert_allclose(expanded[:, diag].sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
@@ -251,6 +265,57 @@ def test_refinement_study_consistency():
     assert one.p_hat == st.stats[-1].p_hat  # same substream prefix, same mesh
 
 
+_BATCH_CASES = [
+    # (beta, d, hs, shift): d = 2 with both beta, a shift and two H; d = 3; d = 4
+    (1, 2, (0.3, 0.7), np.array([[1.0, 0.3], [0.3, -0.2]])),
+    (2, 2, (0.25, 0.45), np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.2]])),
+    (1, 3, (0.3,), None),
+    (2, 4, (0.25,), None),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_minima_do_not_depend_on_the_batch_size(threads, monkeypatch):
+    # each replica draws from its own substream and every step after the
+    # draw is per replica (numpy transforms each embedding row on its own),
+    # so the batch size moves no bit; 70 replicas leave a partial last batch
+    for beta, d, hs, shift in _BATCH_CASES:
+        A = validate_shift(shift, beta, d)
+        minima = []
+        for batch in (32, 8, 5, 1):
+            monkeypatch.setattr(experiments, "BATCH", batch)
+            minima.append(_min_gaps_ladder(
+                beta, d, hs, 1.0 / 64, 64.0, 65, (4, 2, 1), A, 70, 19, (4,), threads
+            ))
+        for other in minima[1:]:
+            assert other.tobytes() == minima[0].tobytes(), (beta, d)
+
+
+def test_window_law_is_solved_once_per_run():
+    # the anchor weights are solved before the pool starts, once per H; pool
+    # threads that each missed the cache would solve the same entry again
+    _fgn_anchor_weights.cache_clear()
+    _fgn_unit_sqrt_eigenvalues.cache_clear()
+    hs = (0.3, 0.7)
+    cfg = _cfg(intervals=16384, mesh_ladder=(4096, 16384), replicas=4 * BATCH)
+    phase_sweep(hs, cfg, threads=4)
+    assert _fgn_anchor_weights.cache_info().misses == len(hs)
+
+
+def test_sweep_working_set_is_bounded():
+    # traced allocations of one 32-replica two-H sweep at d = 2, beta = 2
+    # on the ladder 256..16384 stay below 24 MB
+    cfg = _cfg(beta=2, intervals=16384, mesh_ladder=tuple(2**k for k in range(8, 15)), replicas=32)
+    phase_sweep((0.25, 0.45), cfg)  # fills the embedding and anchor caches
+    tracemalloc.start()
+    try:
+        phase_sweep((0.25, 0.45), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
 def test_refinement_study_thread_determinism():
     cfg = _cfg(replicas=3 * BATCH + 7, mesh_ladder=(64, 256))
     a = refinement_study(cfg, threads=1)
@@ -264,14 +329,17 @@ def test_d4_gap_kernel_from_several_threads_equals_serial():
     # different blocks, returns exactly what it returns one block at a time
     beta, d, workers = 2, 4, 4
     rng = np.random.default_rng(44)
-    blocks = [rng.standard_normal((8, n_beta(beta, d), 257)) for _ in range(2 * workers)]
     a = matrix_to_vec(validate_shift(np.diag([1.0, 1.0, 0.0, -1.0]), beta, d), beta)
-    serial = [_gaps_from_fields(F, beta, d, a) for F in blocks]
+    blocks = [
+        _packed(rng.standard_normal((8, n_beta(beta, d), 257)), beta, d, a)
+        for _ in range(2 * workers)
+    ]
+    serial = [_gaps_from_fields(F, beta, d) for F in blocks]
     barrier = threading.Barrier(workers)
 
     def run(F):
         barrier.wait(timeout=60)
-        return _gaps_from_fields(F, beta, d, a)
+        return _gaps_from_fields(F, beta, d)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -311,8 +379,8 @@ def test_eigensolver_runs_one_call_at_a_time(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert stats[0].replicas == 4 * BATCH
-    # the shift check, then one call per kernel block
-    assert calls[0] == 1 + 4 * BATCH // experiments.KERNEL_BLOCK
+    # the shift check, then one call per batch
+    assert calls[0] == 1 + 4
     assert most[0] == 1
 
 
@@ -414,7 +482,8 @@ def _gap_fit_on_one_point_paths(beta, d, t0, samples, window, seed, hurst):
         stop = min(start + 4096, samples)
         fields = substream(seed, TAG_GAPFIT, ci).standard_normal((stop - start, nf, 1))
         fields = fields * float(t0) ** float(hurst)
-        gaps[start:stop] = experiments._gaps_from_fields(fields, beta, d, np.zeros(nf))[:, 0]
+        packed = _packed(fields, beta, d, np.zeros(nf))
+        gaps[start:stop] = experiments._gaps_from_fields(packed, beta, d)[:, 0]
     eps = np.geomspace(window[0], window[1], 12)
     cdf = np.array([np.count_nonzero(gaps < e) for e in eps]) / samples
     mask = cdf > 0
