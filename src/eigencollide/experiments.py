@@ -12,8 +12,8 @@ substream, numpy transforms each embedding row on its own, and every later
 step works per replica. BATCH bounds each worker's working set: a batch's
 normals, half spectrum, inverse FFT and (H, m, nf, npoints) path block, and
 the gap kernel's block, which is the whole batch. A two-H sweep at d = 2,
-beta = 2 (32 replicas, ladder 256..16384) peaks at 14 MB of traced
-allocations on one thread and 27 MB on two with BATCH = 8, against 51 MB
+beta = 2 (32 replicas, ladder 256..16384) peaks at 16 MB of traced
+allocations on one thread and 31 MB on two with BATCH = 8, against 51 MB
 with BATCH = 32 (tracemalloc, caches warm); the working set grows in
 proportion to Nmax.
 
@@ -26,8 +26,8 @@ is synthesized: a path on npoints grid points costs 2L + 1 normals and one
 real-input inverse FFT of length 2L (fields.fgn_from_normals), L the smallest
 power of two >= npoints - 1, whatever the window's distance from the origin.
 Its value at the window's start is drawn from its law given the increments,
-with weights solved once per run, before any batch starts (_window_law);
-a/step need not be an integer.
+with weights solved once per (npoints, H, a/step) and cached, before any
+batch starts (_fill_window_caches); a/step need not be an integer.
 
 The gap kernel (_gaps_from_fields) builds no matrix at d = 2 and d = 3: it
 reads the gap from the packed coefficient planes through the closed forms in
@@ -45,7 +45,7 @@ scipy.linalg for it took 0.25 s, more than numpy and scipy together
 
 Threads (the threads argument) run the replica batches in a pool. They
 speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
-256..16384) takes 0.18 s on one thread and 0.11 s on two. They do not speed
+256..16384) takes 0.19 s on one thread and 0.10 s on two. They do not speed
 up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls take as long
 as serial ones at twice the CPU time, so the eigensolver runs one call
 at a time, and a thread that would wait for it samples its next batch
@@ -213,88 +213,76 @@ def _run_batches(replicas: int, threads: int, work) -> None:
         list(pool.map(lambda s: work(*s), spans))
 
 
-@dataclass(frozen=True)
-class _WindowLaw:
-    """Per-H maps from a replica's normals to its window paths, built by _window_law.
+def _fill_window_caches(hs: Sequence[float], step: float, i0: float, npoints: int) -> None:
+    """Solve each H's embedding roots and anchor weights before a pool starts.
 
-    The window is npoints grid points step apart. roots[k] is
-    fgn_sqrt_eigenvalues(L, hs[k], step), or None where the embedding
-    fails; the anchor is X(a) = weights[k] . inc + anchor_sd[k] z
-    (fields._fgn_anchor_weights). Every batch of a run reads the same law.
+    _field_path_batch reads both from lru_caches, which do not stop two
+    threads computing the same entry: pool threads that all miss would
+    each solve it.
     """
-
-    hs: tuple
-    step: float
-    npoints: int
-    roots: tuple
-    weights: tuple
-    anchor_sd: tuple
+    n = npoints - 1
+    for H in hs:
+        sqrt_eigs = fgn_sqrt_eigenvalues(_fgn_half_length(n), H, step)
+        _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
 
 
-def _window_law(hs: Sequence[float], step: float, i0: float, npoints: int) -> _WindowLaw:
-    """The window law of every H, solved once per run before any batch starts.
+def _field_path_batch(
+    nf: int,
+    hs: Sequence[float],
+    step: float,
+    i0: float,
+    npoints: int,
+    seed: int,
+    prefix: tuple,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """nf iid fBm paths per H for replicas [lo, hi): shape (len(hs), hi-lo, nf, npoints).
 
-    The window is a + k*step, k < npoints, with a = i0*step. Pool threads
-    would each solve an entry the caches do not hold yet (an lru_cache does
-    not stop two threads computing the same entry), so runs call this
-    before the pool, and the embedding's step^H scaling is made once per
-    run rather than once per batch.
+    The paths live on the uniform grid a + k*step (k = 0..npoints-1) with
+    a = i0*step, and only that window is synthesized. Every H maps the same
+    normals (common random numbers): each replica draws nf rows of 2L
+    normals and then nf more from its own substream, in that order. Row f
+    drives field f's circulant embedding of half-length
+    L = fields._fgn_half_length(n), whose first n = npoints - 1 outputs are
+    the path's increments; the last nf draw the anchors X(a) from their law
+    given those increments, X(a) = w . inc + step^H sqrt(v) z
+    (fields._fgn_anchor_weights). An H whose embedding fails uses the first
+    n normals of each row for exact dense increments; the rows are n wide
+    only if every H fails. The matrix experiments pass nf = n_beta - 1 (see
+    _traceless_fields).
     """
     n = npoints - 1
     L = _fgn_half_length(n)
-    roots = tuple(fgn_sqrt_eigenvalues(L, H, step) for H in hs)
-    if any(r is None for r in roots):
+    roots = [fgn_sqrt_eigenvalues(L, H, step) for H in hs]
+    failed = [r is None for r in roots]
+    if any(failed):
         # embedding failure: exact dense fallback, reported not fatal
         warnings.warn(
             "circulant embedding not nonnegative definite; exact fallback",
             RuntimeWarning,
         )
-    weights, anchor_sd = [], []
-    for H, sqrt_eigs in zip(hs, roots):
-        w, v = _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
-        weights.append(w)
-        anchor_sd.append(step**H * np.sqrt(v))
-    return _WindowLaw(tuple(hs), step, npoints, roots, tuple(weights), tuple(anchor_sd))
-
-
-def _field_path_batch(
-    nf: int, law: _WindowLaw, seed: int, prefix: tuple, lo: int, hi: int
-) -> np.ndarray:
-    """nf iid fBm paths per H for replicas [lo, hi): shape (len(law.hs), hi-lo, nf, law.npoints).
-
-    Only the window of law is synthesized. Every H maps the same normals
-    (common random numbers): each replica draws nf rows of 2L normals and
-    then nf more from its own substream, in that order. Row f drives field
-    f's circulant embedding of half-length L = fields._fgn_half_length(n),
-    whose first n = npoints - 1 outputs are the path's increments; the last
-    nf draw the anchors X(a) from their law given those increments. An H
-    whose embedding fails uses the first n normals of each row for exact
-    dense increments; the rows are n wide only if every H fails. The matrix
-    experiments pass nf = n_beta - 1 (see _traceless_fields).
-    """
-    npoints, step = law.npoints, law.step
-    n = npoints - 1
-    failed = [r is None for r in law.roots]
     m = hi - lo
     rngs = [substream(seed, *prefix, r) for r in range(lo, hi)]
-    z = np.empty((m, n if all(failed) else 2 * _fgn_half_length(n)))
+    z = np.empty((m, n if all(failed) else 2 * L))
     dense = np.empty((m, nf, n)) if any(failed) else None
-    out = np.empty((len(law.hs), m, nf, npoints))
+    out = np.empty((len(hs), m, nf, npoints))
     for f in range(nf):
         for rng, row in zip(rngs, z):
             rng.standard_normal(out=row)
         if dense is not None:
             dense[:, f] = z[:, :n]
-        for k, sqrt_eigs in enumerate(law.roots):
+        for k, sqrt_eigs in enumerate(roots):
             if sqrt_eigs is not None:
                 out[k, :, f, 1:] = fgn_from_normals(z, sqrt_eigs)[:, :n]
     anchors = np.array([rng.standard_normal(nf) for rng in rngs])
-    for k, (H, sqrt_eigs) in enumerate(zip(law.hs, law.roots)):
+    for k, (H, sqrt_eigs) in enumerate(zip(hs, roots)):
         if sqrt_eigs is None:
             out[k, :, :, 1:] = _fgn_exact(n, H, step, dense.reshape(m * nf, n)).reshape(m, nf, n)
+        w, v = _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
         # anchors in column 0, increments after them: one cumsum gives the paths
-        out[k, :, :, 0] = anchors * law.anchor_sd[k]
-        out[k, :, :, 0] += out[k, :, :, 1:] @ law.weights[k]
+        out[k, :, :, 0] = anchors * (step**H * np.sqrt(v))
+        out[k, :, :, 0] += out[k, :, :, 1:] @ w
     np.cumsum(out, axis=3, out=out)
     return out
 
@@ -331,35 +319,33 @@ def _packing_layout(beta: int, d: int) -> tuple:
     return layout
 
 
-def _traceless_fields(paths: np.ndarray, beta: int, d: int, a: np.ndarray) -> np.ndarray:
-    """Packed coefficients (m, n_beta, T) of Y = A + X from n_beta - 1 iid paths (m, n_beta - 1, T).
+def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
+    """Packed coefficients (m, n_beta, T) of X from n_beta - 1 iid paths (m, n_beta - 1, T).
 
     paths[:, :d-1] are Helmert coordinates g of the diagonal, which becomes
-    helmert(d)^T g (two multiplies at d = 2, a matmul above); the rest are
-    the off-diagonal coefficients in packing order. X has the law of iid
-    fields projected onto trace zero, and gaps are invariant under
-    Y -> Y + cI, so the gap process keeps its law. The block is then scaled
-    by coefficient_scale and shifted by a = matrix_to_vec(A, beta), the
-    packed shift, in place: one allocation per call.
+    helmert(d)^T g; the rest are the off-diagonal coefficients in packing
+    order. The block is scaled by coefficient_scale in place. X has the law
+    of iid fields projected onto trace zero, and gaps are invariant under
+    Y -> Y + cI, so the gap process keeps its law.
     """
     diag, off, helmert_t, scale = _packing_layout(beta, d)
     out = np.empty(paths.shape[:1] + (diag.size + off.size,) + paths.shape[2:])
     out[:, off] = paths[:, d - 1 :]
     if d == 2:
+        # one Helmert coordinate: two multiplies, no (m, 2, T) matmul temporary
         np.multiply(helmert_t[0, 0], paths[:, 0], out=out[:, diag[0]])
         np.multiply(helmert_t[1, 0], paths[:, 0], out=out[:, diag[1]])
     else:
         out[:, diag] = np.matmul(helmert_t, paths[:, : d - 1])
     out *= scale
-    out += a[:, None]
     return out
 
 
 def _gaps_from_fields(coeffs: np.ndarray, beta: int, d: int) -> np.ndarray:
     """Minimum adjacent eigenvalue gap of Y(t): (m, npoints).
 
-    coeffs (m, n_beta, npoints) are the packed coefficients of Y, shift
-    included (_traceless_fields); they are read, not copied. d = 2 and
+    coeffs (m, n_beta, npoints) are the packed coefficients of Y = A + X,
+    the shift added; they are read, not copied. d = 2 and
     d = 3 go through the closed forms of spectral (a square root; the
     trigonometric roots of the cubic), which build no matrix and run no
     eigensolver; d >= 4 materializes matrices and diagonalizes them with
@@ -413,13 +399,15 @@ def _min_gaps_ladder(
     """
     nf = n_beta(beta, d) - 1
     a = matrix_to_vec(A, beta)
-    law = _window_law(hs, step, i0, npoints)
+    _fill_window_caches(hs, step, i0, npoints)
     minima = np.empty((len(hs), replicas, len(strides)))
 
     def work(lo: int, hi: int) -> None:
-        paths = _field_path_batch(nf, law, seed, prefix, lo, hi)
+        paths = _field_path_batch(nf, hs, step, i0, npoints, seed, prefix, lo, hi)
         for k, per_h in enumerate(paths):
-            gaps = _gaps_from_fields(_traceless_fields(per_h, beta, d, a), beta, d)
+            coeffs = _traceless_fields(per_h, beta, d)
+            coeffs += a[:, None]
+            gaps = _gaps_from_fields(coeffs, beta, d)
             for col, stride in enumerate(strides):
                 minima[k, lo:hi, col] = gaps[:, ::stride].min(axis=1)
 
@@ -660,13 +648,15 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
     step, i0 = _window_start(a, b, N)
     A = validate_shift(config.shift, beta, 2)
     a = matrix_to_vec(A, beta)
-    law = _window_law((H,), step, i0, N + 1)
+    _fill_window_caches((H,), step, i0, N + 1)
     worst = np.zeros(int(np.ceil(config.replicas / BATCH)))
 
     def work(lo: int, hi: int) -> None:
-        paths = _field_path_batch(n_beta(beta, 2) - 1, law, config.seed, (TAG_ORACLE,), lo, hi)
-        # packed and scaled, unshifted: the pipeline adds A as a matrix
-        coeffs = _traceless_fields(paths[0], beta, 2, np.zeros_like(a))
+        paths = _field_path_batch(
+            n_beta(beta, 2) - 1, (H,), step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
+        )
+        # unshifted: the pipeline adds A as a matrix
+        coeffs = _traceless_fields(paths[0], beta, 2)
         formula = _gaps_from_fields(coeffs + a[:, None], beta, 2)
         mats = vec_to_matrix(coeffs.transpose(0, 2, 1), beta, 2) + A
         eigs = ordered_eigenvalues(mats)

@@ -72,25 +72,17 @@ def gap_closed_form_2x2(x: np.ndarray, beta: int) -> np.ndarray:
     x has shape (..., n_beta(beta, 2)) in the vec_to_matrix packing
     (M11, M12, M22, then Im M12 for beta = 2). No matrix is materialized and
     no eigensolver runs: beta = 1 gives sqrt((M11-M22)^2 + 4 M12^2), and
-    beta = 2 adds 4 Im(M12)^2 under the root. The terms accumulate in the
-    result's own array through one temporary.
+    beta = 2 adds 4 Im(M12)^2 under the root.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.shape[-1] != n_beta(beta, 2):
         raise ValueError(
             f"closed form requires {n_beta(beta, 2)} packed coefficients, got {x.shape[-1]}"
         )
-    gap2 = np.subtract(x[..., 0], x[..., 2], out=np.empty(x.shape[:-1]))
-    gap2 *= gap2
-    term = np.square(x[..., 1], out=np.empty_like(gap2))
-    term *= 4.0
-    gap2 += term
+    gap2 = (x[..., 0] - x[..., 2]) ** 2 + 4.0 * x[..., 1] ** 2
     if beta == 2:
-        np.square(x[..., 3], out=term)
-        term *= 4.0
-        gap2 += term
-    # [()] returns a scalar for a single matrix, as np.sqrt would
-    return np.sqrt(gap2, out=gap2)[()]
+        gap2 += 4.0 * x[..., 3] ** 2
+    return np.sqrt(gap2)
 
 
 def _gap_closed_form_3x3(x: np.ndarray, beta: int) -> np.ndarray:

@@ -186,19 +186,19 @@ def test_traceless_fields_keep_gaps(d, beta):
     diag = diagonal_positions(d)
     off = np.setdiff1d(np.arange(nb), diag)
     coords = np.concatenate([np.matmul(helmert(d), F[:, diag]), F[:, off]], axis=1)
-    expanded = _traceless_fields(coords, beta, d, np.zeros(nb))
+    expanded = _traceless_fields(coords, beta, d)
     rng = np.random.default_rng(7 * d + beta)
     G = rng.standard_normal((d, d))
     if beta == 2:
         G = G + 1j * rng.standard_normal((d, d))
     a = matrix_to_vec(validate_shift(0.5 * (G + G.conj().T), beta, d), beta)
     np.testing.assert_allclose(
-        _gaps_from_fields(_traceless_fields(coords, beta, d, a), beta, d),
+        _gaps_from_fields(expanded + a[:, None], beta, d),
         _gaps_from_fields(_packed(F, beta, d, a), beta, d),
         rtol=0.0, atol=1e-10,
     )
     np.testing.assert_allclose(expanded[:, diag].sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(expanded[:, off], F[:, off])
+    np.testing.assert_array_equal(expanded[:, off], _packed(F, beta, d, np.zeros(nb))[:, off])
 
 
 # -- nested-grid coupling --------------------------------------------------------
@@ -292,8 +292,8 @@ def test_minima_do_not_depend_on_the_batch_size(threads, monkeypatch):
 
 
 def test_window_law_is_solved_once_per_run():
-    # the anchor weights are solved before the pool starts, once per H; pool
-    # threads that each missed the cache would solve the same entry again
+    # the caches are filled before the pool starts, once per H; pool threads
+    # that each missed the cache would solve the same entry again
     _fgn_anchor_weights.cache_clear()
     _fgn_unit_sqrt_eigenvalues.cache_clear()
     hs = (0.3, 0.7)

@@ -9,7 +9,7 @@ from scipy.linalg import solve_toeplitz
 from scipy.sparse.linalg import LinearOperator, cg
 
 from eigencollide import experiments, fields
-from eigencollide.experiments import _field_path_batch, _window_law
+from eigencollide.experiments import _field_path_batch
 from eigencollide.fields import (
     GridSpec,
     cholesky_with_jitter,
@@ -285,19 +285,14 @@ def test_circulant_increments_match_fgn_autocovariance():
 # scalar fBm paths per replica, at times (i0 + k) * step.
 
 
-def _batch(nf, hs, step, i0, npoints, seed, lo, hi):
-    # replicas [lo, hi) of a run, its window law solved as a run solves it
-    return _field_path_batch(nf, _window_law(hs, step, i0, npoints), seed, (), lo, hi)
-
-
 def _window_paths(H, step, i0, npoints, seed, replicas):
-    paths = _batch(3, (H,), step, i0, npoints, seed, 0, replicas)
+    paths = _field_path_batch(3, (H,), step, i0, npoints, seed, (), 0, replicas)
     return paths.reshape(-1, npoints)
 
 
 def test_circulant_marginal_is_gaussian():
     # KS test of the first increment against N(0,1); pinned seed
-    inc = _batch(3, (0.35,), 1.0, 1.0, 64, 0, 0, 400)[0, :, 0, 0]
+    inc = _field_path_batch(3, (0.35,), 1.0, 1.0, 64, 0, (), 0, 400)[0, :, 0, 0]
     pval = stats.kstest(inc, "norm").pvalue
     assert pval > 0.01
 
@@ -314,8 +309,8 @@ def test_field_path_batch_cumsum_variance():
 
 
 def test_field_path_batch_deterministic():
-    a = _batch(3, (0.3,), 1.0, 1.0, 32, 5, 0, 4)
-    b = _batch(3, (0.3,), 1.0, 1.0, 32, 5, 0, 4)
+    a = _field_path_batch(3, (0.3,), 1.0, 1.0, 32, 5, (), 0, 4)
+    b = _field_path_batch(3, (0.3,), 1.0, 1.0, 32, 5, (), 0, 4)
     np.testing.assert_array_equal(a, b)
 
 
@@ -424,7 +419,7 @@ def test_anchor_weights_near_linear_motion(n, exact):
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_field_path_batch_single_point_is_the_anchor(H):
     # npoints = 1: no increments, X(a) ~ N(0, a^2H) with a = i0 * step = 1.5
-    x = _batch(3, (H,), 0.5, 3.0, 1, 11, 0, 4000)
+    x = _field_path_batch(3, (H,), 0.5, 3.0, 1, 11, (), 0, 4000)
     assert x.shape == (1, 4000, 3, 1)
     var = x.var()
     assert abs(var - 1.5 ** (2 * H)) / 1.5 ** (2 * H) < 5 * np.sqrt(2.0 / x.size)
@@ -457,12 +452,12 @@ def test_mixed_fallback_sweep_keeps_each_law(monkeypatch):
     )
     hs = (0.3, 0.7)
     with pytest.warns(RuntimeWarning, match="exact fallback"):
-        paths = _batch(3, hs, 1.0 / 16, 16.0, 17, 7170, 0, 3400)
+        paths = _field_path_batch(3, hs, 1.0 / 16, 16.0, 17, 7170, (), 0, 3400)
     for H, per_h in zip(hs, paths):
         assert _law_error(per_h.reshape(-1, 17), H, 1.0, 2.0) <= 5.0
     # the circulant H maps the same normals as in a run of its own
     np.testing.assert_array_equal(
-        paths[0], _batch(3, hs[:1], 1.0 / 16, 16.0, 17, 7170, 0, 3400)[0]
+        paths[0], _field_path_batch(3, hs[:1], 1.0 / 16, 16.0, 17, 7170, (), 0, 3400)[0]
     )
 
 
