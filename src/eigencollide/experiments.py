@@ -21,7 +21,11 @@ The path sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta:
 eigenvalue gaps are invariant under Y -> Y + cI, so the trace direction is
 never sampled. The diagonal is written from d - 1 Helmert coordinates, which
 has the law of iid diagonal fields projected onto trace zero
-(_traceless_fields); the gap process keeps its law exactly. Only the window
+(_traceless_fields); the gap process keeps its law exactly. That step, with
+coefficient_scale, is one constant (n_beta, n_beta - 1) matrix per
+(beta, d), built once (_expansion) and applied as one matmul. Its Helmert
+block is built in numpy (_helmert): importing scipy.linalg for it took
+0.25 s, more than numpy and scipy together (0.11 s). Only the window
 is synthesized: a path on npoints grid points costs 2L + 1 normals and one
 real-input inverse FFT of length 2L (fields.fgn_from_normals), L the smallest
 power of two >= npoints - 1, whatever the window's distance from the origin.
@@ -38,10 +42,7 @@ machine; the eigensolver dominated d = 3 gap fits). d >= 4 materializes
 matrices (one matmul, vec_to_matrix) and diagonalizes them with
 spectral._descending_eigenvalues, with no Hermitian check (vec_to_matrix
 makes them exactly Hermitian); why d = 4 has no closed form is in
-spectral. The kernel's per-(beta, d) constants are built once
-(_packing_layout), the Helmert matrix in numpy (_helmert): importing
-scipy.linalg for it took 0.25 s, more than numpy and scipy together
-(0.11 s).
+spectral.
 
 Threads (the threads argument) run the replica batches in a pool. They
 speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
@@ -299,24 +300,21 @@ def _helmert(d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _packing_layout(beta: int, d: int) -> tuple:
-    """Read-only per-(beta, d) constants of the gap kernel, built once.
+def _expansion(beta: int, d: int) -> np.ndarray:
+    """Read-only (n_beta, n_beta - 1) map E from traceless fields to packed coefficients.
 
-    (diag, off, helmert(d)^T, scale): positions of the diagonal and
-    off-diagonal coefficients in the packing, the Helmert expansion of the
-    diagonal, and coefficient_scale as a column.
+    Diagonal rows hold helmert(d)^T, off-diagonal rows are unit vectors in
+    packing order, and every row is multiplied by coefficient_scale. Built
+    once per (beta, d).
     """
     nb = n_beta(beta, d)
     diag = diagonal_positions(d)
-    layout = (
-        diag,
-        np.setdiff1d(np.arange(nb), diag),
-        _helmert(d).T,
-        coefficient_scale(beta, d)[:, None],
-    )
-    for a in layout:
-        a.flags.writeable = False
-    return layout
+    E = np.zeros((nb, nb - 1))
+    E[diag, : d - 1] = _helmert(d).T
+    E[np.setdiff1d(np.arange(nb), diag), np.arange(d - 1, nb - 1)] = 1.0
+    E *= coefficient_scale(beta, d)[:, None]
+    E.flags.writeable = False
+    return E
 
 
 def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
@@ -324,21 +322,12 @@ def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
 
     paths[:, :d-1] are Helmert coordinates g of the diagonal, which becomes
     helmert(d)^T g; the rest are the off-diagonal coefficients in packing
-    order. The block is scaled by coefficient_scale in place. X has the law
-    of iid fields projected onto trace zero, and gaps are invariant under
-    Y -> Y + cI, so the gap process keeps its law.
+    order. Both steps and coefficient_scale are one matmul with the cached
+    map _expansion(beta, d), which writes the new block directly. X has the
+    law of iid fields projected onto trace zero, and gaps are invariant
+    under Y -> Y + cI, so the gap process keeps its law.
     """
-    diag, off, helmert_t, scale = _packing_layout(beta, d)
-    out = np.empty(paths.shape[:1] + (diag.size + off.size,) + paths.shape[2:])
-    out[:, off] = paths[:, d - 1 :]
-    if d == 2:
-        # one Helmert coordinate: two multiplies, no (m, 2, T) matmul temporary
-        np.multiply(helmert_t[0, 0], paths[:, 0], out=out[:, diag[0]])
-        np.multiply(helmert_t[1, 0], paths[:, 0], out=out[:, diag[1]])
-    else:
-        out[:, diag] = np.matmul(helmert_t, paths[:, : d - 1])
-    out *= scale
-    return out
+    return np.matmul(_expansion(beta, d), paths)
 
 
 def _gaps_from_fields(coeffs: np.ndarray, beta: int, d: int) -> np.ndarray:
@@ -557,7 +546,7 @@ def gap_exponent_fit(
         raise ValueError("window must satisfy 0 < lo < hi")
     scale = float(t0) ** float(hurst)
     nf = n_beta(beta, d)
-    coefficients = _packing_layout(beta, d)[3]
+    coefficients = coefficient_scale(beta, d)[:, None]
     gaps = np.empty(samples)
     chunk = 4096
     for ci, start in enumerate(range(0, samples, chunk)):

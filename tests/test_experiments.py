@@ -198,7 +198,29 @@ def test_traceless_fields_keep_gaps(d, beta):
         rtol=0.0, atol=1e-10,
     )
     np.testing.assert_allclose(expanded[:, diag].sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(expanded[:, off], _packed(F, beta, d, np.zeros(nb))[:, off])
+    # the map is helmert(d)^T on the diagonal and the identity off it, scaled
+    scale = coefficient_scale(beta, d)[:, None]
+    np.testing.assert_array_equal(expanded[:, off], coords[:, d - 1 :] * scale[off])
+    np.testing.assert_allclose(
+        expanded[:, diag], scale[diag] * np.matmul(helmert(d).T, coords[:, : d - 1]),
+        rtol=0.0, atol=1e-15 * np.abs(expanded).max(),
+    )
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("d, nt", [(2, 16385), (3, 4097), (4, 1025)])
+def test_traceless_fields_allocate_only_their_output(d, nt, beta):
+    # one warm call on an 8-replica block allocates its output and no
+    # temporary of comparable size
+    paths = np.random.default_rng(d + beta).standard_normal((BATCH, n_beta(beta, d) - 1, nt))
+    out = _traceless_fields(paths, beta, d)
+    tracemalloc.start()
+    try:
+        _traceless_fields(paths, beta, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.nbytes
 
 
 # -- nested-grid coupling --------------------------------------------------------
