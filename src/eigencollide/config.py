@@ -65,10 +65,20 @@ def _numbers(v, name: str, length=None) -> tuple:
     return tuple(_number(x, name) for x in v)
 
 
+def _hurst_values(v, name: str) -> tuple:
+    hs = _numbers(v, name)
+    if not hs:
+        raise ValueError(f"{name}: need at least one Hurst value, got {v!r}")
+    for h in hs:
+        if not 0.0 < h < 1.0:
+            raise ValueError(f"{name}: components must lie strictly in (0,1), got {h}")
+    return hs
+
+
 # section -> key -> (value rule, default). A callable default is worked out
 # from (beta, d); a default of None means the key has none.
 _SECTIONS = {
-    "sweep": {"hurst_values": (_numbers, None)},
+    "sweep": {"hurst_values": (_hurst_values, None)},
     "gapfit": {
         "t0": (_number, 1.0),
         "samples": (_check_integral, 100_000),
@@ -120,10 +130,7 @@ class ExperimentConfig:
         if _check_integral(self.d, "d") < 2:
             raise ValueError(f"d: matrix dimension must be >= 2, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
-        hurst = tuple(_number(h, "hurst") for h in np.atleast_1d(self.hurst).tolist())
-        for h in hurst:
-            if not 0.0 < h < 1.0:
-                raise ValueError(f"hurst: components must lie strictly in (0,1), got {h}")
+        hurst = _hurst_values(np.atleast_1d(self.hurst).tolist(), "hurst")
         try:
             q_index(hurst)
         except ValueError as e:

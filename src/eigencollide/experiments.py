@@ -81,10 +81,10 @@ from .ensembles import (
     validate_shift,
     vec_to_matrix,
 )
+from . import fields
 from .fields import (
     _check_hurst,
     _fgn_anchor_weights,
-    _fgn_exact,
     _fgn_half_length,
     fgn_from_normals,
     fgn_sqrt_eigenvalues,
@@ -105,6 +105,9 @@ from .streams import (
     TAG_SMALLTIME,
     substream,
 )
+
+# only perfbench/tracing.py reads this name (it patches it); nothing here calls it
+_fgn_exact = fields._fgn_exact
 
 __all__ = [
     "CollisionStats",
@@ -223,8 +226,8 @@ def _fill_window_caches(hs: Sequence[float], step: float, i0: float, npoints: in
     """
     n = npoints - 1
     for H in hs:
-        sqrt_eigs = fgn_sqrt_eigenvalues(_fgn_half_length(n), H, step)
-        _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
+        fgn_sqrt_eigenvalues(_fgn_half_length(n), H, step)
+        _fgn_anchor_weights(n, H, i0)
 
 
 def _field_path_batch(
@@ -248,39 +251,24 @@ def _field_path_batch(
     L = fields._fgn_half_length(n), whose first n = npoints - 1 outputs are
     the path's increments; the last nf draw the anchors X(a) from their law
     given those increments, X(a) = w . inc + step^H sqrt(v) z
-    (fields._fgn_anchor_weights). An H whose embedding fails uses the first
-    n normals of each row for exact dense increments; the rows are n wide
-    only if every H fails. The matrix experiments pass nf = n_beta - 1 (see
-    _traceless_fields).
+    (fields._fgn_anchor_weights). The matrix experiments pass
+    nf = n_beta - 1 (see _traceless_fields).
     """
     n = npoints - 1
     L = _fgn_half_length(n)
     roots = [fgn_sqrt_eigenvalues(L, H, step) for H in hs]
-    failed = [r is None for r in roots]
-    if any(failed):
-        # embedding failure: exact dense fallback, reported not fatal
-        warnings.warn(
-            "circulant embedding not nonnegative definite; exact fallback",
-            RuntimeWarning,
-        )
     m = hi - lo
     rngs = [substream(seed, *prefix, r) for r in range(lo, hi)]
-    z = np.empty((m, n if all(failed) else 2 * L))
-    dense = np.empty((m, nf, n)) if any(failed) else None
+    z = np.empty((m, 2 * L))
     out = np.empty((len(hs), m, nf, npoints))
     for f in range(nf):
         for rng, row in zip(rngs, z):
             rng.standard_normal(out=row)
-        if dense is not None:
-            dense[:, f] = z[:, :n]
         for k, sqrt_eigs in enumerate(roots):
-            if sqrt_eigs is not None:
-                out[k, :, f, 1:] = fgn_from_normals(z, sqrt_eigs)[:, :n]
+            out[k, :, f, 1:] = fgn_from_normals(z, sqrt_eigs)[:, :n]
     anchors = np.array([rng.standard_normal(nf) for rng in rngs])
-    for k, (H, sqrt_eigs) in enumerate(zip(hs, roots)):
-        if sqrt_eigs is None:
-            out[k, :, :, 1:] = _fgn_exact(n, H, step, dense.reshape(m * nf, n)).reshape(m, nf, n)
-        w, v = _fgn_anchor_weights(n, H, i0, sqrt_eigs is None)
+    for k, H in enumerate(hs):
+        w, v = _fgn_anchor_weights(n, H, i0)
         # anchors in column 0, increments after them: one cumsum gives the paths
         out[k, :, :, 0] = anchors * (step**H * np.sqrt(v))
         out[k, :, :, 0] += out[k, :, :, 1:] @ w

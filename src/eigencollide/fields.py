@@ -4,10 +4,11 @@ Fractional Brownian motion and its multiparameter product-kernel sheet, with:
 
 * exact dense factorization on arbitrary grids (the reference sampler),
 * the circulant embedding of stationary fGn increments on uniform 1-d grids
-  (embedding eigenvalues, and the normals-to-increments map by a real-input
-  inverse FFT), and the law of the path's value at the start of a window
-  given the increments inside it; the batch window sampler built on these,
-  used by every Monte Carlo experiment, is experiments._field_path_batch,
+  (nonnegative definite for every H in (0, 1): Dietrich & Newsam 1997;
+  Craigmile 2003), its normals-to-increments map by a real-input inverse
+  FFT, and the law of the path's value at the start of a window given the
+  increments inside it; the batch window sampler built on these, used by
+  every Monte Carlo experiment, is experiments._field_path_batch,
 * a Volterra-kernel quadrature used purely as a covariance cross-check.
 
 All sampling is deterministic given (seed, replica index); see streams.py.
@@ -16,10 +17,9 @@ The module imports no scipy subpackage at load time, and no experiment's
 usual path imports one: the anchor weights are solved by conjugate
 gradients written in numpy (_fgn_toeplitz_cg). The cold paths import
 scipy inside the function: the Levinson solve near H = 1, the dense
-increments behind an invalid embedding (_fgn_exact) and the Volterra
-quadrature. Loading scipy.linalg and scipy.sparse at import took
-`import eigencollide.cli` from 0.17 s to 0.48 s (2-vCPU x86 virtual
-machine).
+reference increments (_fgn_exact) and the Volterra quadrature. Loading
+scipy.linalg and scipy.sparse at import took `import eigencollide.cli` from
+0.17 s to 0.48 s (2-vCPU x86 virtual machine).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -206,27 +205,28 @@ def _fgn_autocov(n: int, H: float) -> np.ndarray:
     return 0.5 * ((k + 1) ** h2 - 2.0 * k**h2 + np.abs(k - 1) ** h2)
 
 
-def fgn_sqrt_eigenvalues(n: int, H: float, dt: float) -> Optional[np.ndarray]:
-    """sqrt eigenvalues of the 2n circulant embedding of fGn, or None.
+def fgn_sqrt_eigenvalues(n: int, H: float, dt: float) -> np.ndarray:
+    """sqrt eigenvalues of the 2n circulant embedding of fGn.
 
-    None signals a genuinely negative eigenvalue (embedding invalid); tiny
-    negatives from fft roundoff (within 1e-8 of the largest eigenvalue) are
-    clipped to zero. Cached per (n, H); dt enters as the exact scale dt^H.
+    Tiny negatives from fft roundoff (within 1e-8 of the largest eigenvalue)
+    are clipped to zero; a genuinely negative one raises LinAlgError. Cached
+    per (n, H); dt enters as the exact scale dt^H.
     """
     H = _check_hurst(H)
-    unit = _fgn_unit_sqrt_eigenvalues(int(n), H)
-    return None if unit is None else float(dt) ** H * unit
+    return float(dt) ** H * _fgn_unit_sqrt_eigenvalues(int(n), H)
 
 
 @lru_cache(maxsize=64)
-def _fgn_unit_sqrt_eigenvalues(n: int, H: float) -> Optional[np.ndarray]:
+def _fgn_unit_sqrt_eigenvalues(n: int, H: float) -> np.ndarray:
     """fgn_sqrt_eigenvalues at dt = 1; callers must not write to the result."""
     g = _fgn_autocov(n, H)
     # first circulant row: g_0 .. g_{n-1}, g_n, g_{n-1} .. g_1
     row = np.concatenate([g[:n], [g[n]], g[n - 1 : 0 : -1]])
     eigs = np.fft.fft(row).real
     if eigs.min() < -1e-8 * eigs.max():
-        return None
+        raise np.linalg.LinAlgError(
+            f"fGn circulant embedding not nonnegative definite at half-length {n}, H = {H}"
+        )
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
@@ -238,7 +238,7 @@ def _fgn_half_length(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
+def _fgn_anchor_weights(n: int, H: float, i0: float) -> tuple:
     """(w, v): the law of B(i0) given the n unit-step fGn increments after it.
 
     i0 > 0 is real, so a window need not start on the mesh. With
@@ -249,9 +249,8 @@ def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
     dt^2H. w is found by conjugate gradients: Gamma x is one product with
     the circulant embedding's eigenvalues, and T. Chan's optimal circulant
     preconditioner brings convergence to 10-21 iterations at n = 16384
-    (H from 0.05 to 0.95).
-    exact = True (an invalid embedding) solves by Levinson recursion
-    instead, as does a CG run that fails to converge. Callers must not write
+    (H from 0.05 to 0.95); a CG run that cannot start or fails to converge
+    (H near 1) solves by Levinson recursion instead. Callers must not write
     to w.
     """
     h2 = 2.0 * H
@@ -260,8 +259,6 @@ def _fgn_anchor_weights(n: int, H: float, i0: float, exact: bool) -> tuple:
     if not c.any():
         # n = 0, or H = 1/2 (independent increments): nothing to condition on
         w = np.zeros(n)
-    elif exact:
-        w = _solve_fgn_toeplitz(_fgn_autocov(n - 1, H), c)
     else:
         w = _fgn_toeplitz_cg(n, H, c)
     w.flags.writeable = False
@@ -356,8 +353,8 @@ def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
     """Exact fGn increments (k, n) from normals z (k, n), one path per row.
 
     The n x n Toeplitz covariance is factored once per call; each row is
-    mapped on its own, so a path does not depend on the other rows. Only an
-    invalid embedding comes here, so scipy.linalg is imported in the call.
+    mapped on its own, so a path does not depend on the other rows. No
+    experiment calls it, so scipy.linalg is imported in the call.
     """
     from scipy.linalg import toeplitz
 

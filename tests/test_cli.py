@@ -300,6 +300,8 @@ def test_unknown_section_key_errors(tmp_path, capsys):
         ("gapfit", "window", [0.5]),
         ("capacity", "alpha", None),
         ("sweep", "hurst_values", 0.3),
+        ("sweep", "hurst_values", [1.5]),  # not in (0, 1)
+        ("sweep", "hurst_values", []),
         ("gapfit", "samples", 20000.7),  # int() would run 20000 samples
         ("capacity", "pairs", 10.9),
         ("boxdim", "points", "1500"),

@@ -1,5 +1,7 @@
 """Covariances, grids, exact sampler, circulant engine and window sampler, Volterra."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -225,7 +227,24 @@ def test_fgn_embedding_nonnegative_for_fbm():
     # window sampler uses, up to the 16384 of an Nmax = 16384 ladder
     for n in (1, 2, 16, 1024, 16384):
         for H in (1e-4, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 0.9999999999999999):
-            assert fgn_sqrt_eigenvalues(n, H, 1.0) is not None, (n, H)
+            assert fgn_sqrt_eigenvalues(n, H, 1.0).shape == (2 * n,), (n, H)
+
+
+def test_invalid_embedding_raises(monkeypatch):
+    # fBm never fails the embedding's check, so a non-PSD autocovariance
+    # (1, -1, -1, ...) stands in: the embedding and the window sampler
+    # raise a LinAlgError naming the half-length and H, with no warning and
+    # no fallback. The cache is cleared to force the solve; a raise is never
+    # cached
+    fields._fgn_unit_sqrt_eigenvalues.cache_clear()
+    monkeypatch.setattr(fields, "_fgn_autocov", lambda n, H: np.r_[1.0, np.full(n, -1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=r"half-length 16, H = 0\.3$"):
+            fgn_sqrt_eigenvalues(16, 0.3, 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"half-length 16, H = 0\.3$"):
+            _field_path_batch(3, (0.3,), 1.0 / 16, 16.0, 17, 7, (), 0, 4)
+    assert fields._fgn_unit_sqrt_eigenvalues.cache_info().currsize == 0
 
 
 def test_fgn_from_normals_consumes_2n():
@@ -353,14 +372,19 @@ def test_field_path_batch_off_mesh_window_law(H):
     assert _window_law_error(H, a=0.5, b=2.0, seed=6061, replicas=20_000) <= 5.0
 
 
+def _anchor_cov(n, H, i0):
+    # c_k = Cov(inc_k, B(i0)) for the n unit-step increments after i0
+    k = np.arange(n, dtype=float)
+    return 0.5 * ((i0 + k + 1) ** (2 * H) - (i0 + k) ** (2 * H) - (k + 1) ** (2 * H) + k ** (2 * H))
+
+
 @pytest.mark.parametrize("n", [16, 1023, 16384])
 @pytest.mark.parametrize("H", [0.25, 0.7])
 def test_anchor_weights_match_levinson(n, H):
     # conjugate gradients on the embedding against a direct Toeplitz solve
     for i0 in (1, n):
-        w, v = fields._fgn_anchor_weights(n, H, i0, False)
-        k = np.arange(n, dtype=float)
-        c = 0.5 * ((i0 + k + 1) ** (2 * H) - (i0 + k) ** (2 * H) - (k + 1) ** (2 * H) + k ** (2 * H))
+        w, v = fields._fgn_anchor_weights(n, H, i0)
+        c = _anchor_cov(n, H, i0)
         ref = solve_toeplitz(fields._fgn_autocov(n - 1, H), c)
         assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert v == pytest.approx(i0 ** (2 * H) - c @ ref, rel=1e-10)
@@ -370,7 +394,7 @@ def test_anchor_weights_match_levinson(n, H):
 def _scipy_cg_anchor_weights(n, H, i0):
     # the anchor solve as scipy's cg runs it, with the same two FFT operators
     k = np.arange(n, dtype=float)
-    c = 0.5 * ((i0 + k + 1) ** (2 * H) - (i0 + k) ** (2 * H) - (k + 1) ** (2 * H) + k ** (2 * H))
+    c = _anchor_cov(n, H, i0)
     L = fields._fgn_half_length(n)
     eigs = fields._fgn_unit_sqrt_eigenvalues(L, H)[: L + 1] ** 2
     g = fields._fgn_autocov(n - 1, H)
@@ -389,29 +413,36 @@ def _scipy_cg_anchor_weights(n, H, i0):
 def test_anchor_weights_are_scipys_cg_bit_for_bit(n, H):
     # the numpy recurrence keeps cg's arithmetic order, so no bit moves
     for i0 in (1, n, 0.37):
-        w, _ = fields._fgn_anchor_weights(n, H, i0, False)
+        w, _ = fields._fgn_anchor_weights(n, H, i0)
         assert w.tobytes() == _scipy_cg_anchor_weights(n, H, i0).tobytes()
 
 
 def test_anchor_weights_vanish_for_brownian_motion():
     # H = 1/2: increments are independent of X(a), so w = 0 and v = i0
-    w, v = fields._fgn_anchor_weights(64, 0.5, 8, False)
+    w, v = fields._fgn_anchor_weights(64, 0.5, 8)
     assert not w.any() and v == 8.0
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("levinson", [False, True])
 @pytest.mark.parametrize("n", [8, 1024])
-def test_anchor_weights_near_linear_motion(n, exact):
+def test_anchor_weights_near_linear_motion(n, levinson):
     # H within a few ulps of 1: B(t) is t Z up to rounding, so E[B(i0) | inc]
     # is i0 times the mean increment and nothing is left to draw. The Toeplitz
     # covariance is singular in floating point (plain Levinson raises) and
     # small jitters give noise; the solve must settle on a true solution.
     # Where the CG preconditioner is not positive (n = 8 at the second H),
     # the solve goes to Levinson without dividing by it: no warning.
+    # levinson = True runs CG's fallback, the jittered Levinson solve, on its
+    # own, with v clamped at 0 as _fgn_anchor_weights clamps it
     i0 = n / 2
     for H in (0.9999999999999999, 0.999999999999999):
-        w, v = fields._fgn_anchor_weights(n, H, i0, exact)
+        if levinson:
+            c = _anchor_cov(n, H, i0)
+            w = fields._solve_fgn_toeplitz(fields._fgn_autocov(n - 1, H), c)
+            v = max(i0 ** (2 * H) - c @ w, 0.0)
+        else:
+            w, v = fields._fgn_anchor_weights(n, H, i0)
         assert w.sum() == pytest.approx(i0, rel=1e-6)
         assert 0.0 <= v <= 1e-6 * i0**2
 
@@ -423,55 +454,6 @@ def test_field_path_batch_single_point_is_the_anchor(H):
     assert x.shape == (1, 4000, 3, 1)
     var = x.var()
     assert abs(var - 1.5 ** (2 * H)) / 1.5 ** (2 * H) < 5 * np.sqrt(2.0 / x.size)
-
-
-def test_field_path_batch_dense_fallback_law(monkeypatch):
-    # an invalid embedding switches to exact dense increments, with a warning;
-    # the Toeplitz covariance is factored once per batch, not once per path
-    factorizations = []
-
-    def counting_cholesky(C):
-        factorizations.append(C.shape)
-        return cholesky_with_jitter(C)
-
-    monkeypatch.setattr(experiments, "fgn_sqrt_eigenvalues", lambda n, H, dt: None)
-    monkeypatch.setattr(fields, "cholesky_with_jitter", counting_cholesky)
-    with pytest.warns(RuntimeWarning, match="exact fallback"):
-        assert _window_law_error(0.7) <= 5.0
-    assert factorizations == [(16, 16)]  # one _field_path_batch call, 16 window increments
-
-
-def test_mixed_fallback_sweep_keeps_each_law(monkeypatch):
-    # one H's embedding fails, the other's does not: each row of normals is
-    # 2L wide for the circulant H, the fallback H reads its first n, and
-    # both keep their window law
-    embedding = experiments.fgn_sqrt_eigenvalues
-    monkeypatch.setattr(
-        experiments, "fgn_sqrt_eigenvalues",
-        lambda n, H, dt: None if H == 0.7 else embedding(n, H, dt),
-    )
-    hs = (0.3, 0.7)
-    with pytest.warns(RuntimeWarning, match="exact fallback"):
-        paths = _field_path_batch(3, hs, 1.0 / 16, 16.0, 17, 7170, (), 0, 3400)
-    for H, per_h in zip(hs, paths):
-        assert _law_error(per_h.reshape(-1, 17), H, 1.0, 2.0) <= 5.0
-    # the circulant H maps the same normals as in a run of its own
-    np.testing.assert_array_equal(
-        paths[0], _field_path_batch(3, hs[:1], 1.0 / 16, 16.0, 17, 7170, (), 0, 3400)[0]
-    )
-
-
-def test_dense_fallback_weights_do_not_use_the_embedding(monkeypatch):
-    # with the weight cache cleared, the fallback solves for the anchor
-    # weights directly; the (broken) embedding is never consulted for them
-    def no_embedding(*args):
-        raise AssertionError("embedding used by the exact fallback")
-
-    fields._fgn_anchor_weights.cache_clear()
-    monkeypatch.setattr(experiments, "fgn_sqrt_eigenvalues", lambda n, H, dt: None)
-    monkeypatch.setattr(fields, "_fgn_unit_sqrt_eigenvalues", no_embedding)
-    with pytest.warns(RuntimeWarning, match="exact fallback"):
-        assert _window_law_error(0.3) <= 5.0
 
 
 def test_embedding_cache_is_bounded_and_shared_by_threads():
