@@ -1,7 +1,7 @@
 """Numerics for eigenvalue collisions of matrix-valued fractional Gaussian paths.
 
 Layout:
-    fields       fractional Brownian covariances, exact sampler, circulant embedding
+    fields       fractional Brownian covariances, circulant embedding, window anchor law
     ensembles    packing of symmetric/Hermitian matrices into real coefficients
     spectral     ordered spectra, adjacent gaps, closed-form 2x2 and 3x3 gaps, projectors
     geometry     charts around matrices with a repeated eigenvalue
@@ -34,7 +34,6 @@ from .fields import (
     GridSpec,
     fbm_covariance,
     interval,
-    sample_field_exact,
     sheet_covariance,
     verify_regularity_bounds,
     volterra_kernel,
@@ -71,7 +70,6 @@ __all__ = [
     "random_stiefel",
     "refinement_study",
     "sample_degenerate",
-    "sample_field_exact",
     "sheet_covariance",
     "small_time_study",
     "substream",

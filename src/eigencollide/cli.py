@@ -35,6 +35,7 @@ from .capacity import (
 from .config import ExperimentConfig, config_to_dict, parse_config
 from .ensembles import n_beta
 from .experiments import (
+    _field_path_batch,
     degenerate_point_cloud,
     flattened_degenerate_sampler,
     gap_exponent_fit,
@@ -42,9 +43,9 @@ from .experiments import (
     phase_sweep,
     refinement_study,
 )
-from .fields import covariance_matrix, interval, sample_field_exact
+from .fields import covariance_matrix, interval
 from .spectral import eigenprojection_contour, ordered_eigenvalues
-from .streams import STREAM_VERSION, substream
+from .streams import STREAM_VERSION, TAG_FIELD, substream
 
 
 def _fmt(v) -> str:
@@ -263,10 +264,9 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
     """Quick composition of the documented checks; small sizes, fixed seeds."""
     records = []
 
-    # covariance exactness of the reference sampler
-    grid = interval(1.0, 2.0, 8)
-    X = sample_field_exact(grid, 0.5, config.seed, 2000)
-    R = covariance_matrix(grid, 0.5)
+    # covariance of the window sampler every experiment runs: 8 points on [1, 2]
+    X = _field_path_batch(1, (0.5,), 1 / 7, 7.0, 8, config.seed, (TAG_FIELD,), 0, 2000)[0, :, 0]
+    R = covariance_matrix(interval(1.0, 2.0, 8), 0.5)
     S = X.T @ X / len(X)
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
     cov_err = float(np.max(np.abs(S - R) / (5.0 * se)))

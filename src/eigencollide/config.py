@@ -65,6 +65,14 @@ def _numbers(v, name: str, length=None) -> tuple:
     return tuple(_number(x, name) for x in v)
 
 
+def _time_ladder(v, name: str) -> tuple:
+    """Window lengths T of a small-time study: positive and non-increasing."""
+    Ts = _numbers(v, name)
+    if any(T <= 0 for T in Ts) or sorted(Ts, reverse=True) != list(Ts):
+        raise ValueError(f"{name}: need positive, non-increasing window lengths, got {v!r}")
+    return Ts
+
+
 def _hurst_values(v, name: str) -> tuple:
     hs = _numbers(v, name)
     if not hs:
@@ -95,7 +103,7 @@ _SECTIONS = {
         "oracle_pairs": (_check_integral, 1_000_000),
     },
     "boxdim": {"points": (_check_integral, 4000), "nscales": (_check_integral, 6)},
-    "smalltime": {"T_values": (_numbers, None)},
+    "smalltime": {"T_values": (_time_ladder, None)},
 }
 
 
@@ -155,11 +163,15 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.shift is not None:
             _check_shift_entries(self.shift)
+            # a read-only copy: the caller's array stays writable, and
+            # writing to it later cannot change this config
+            shift = np.array(self.shift)
+            shift.flags.writeable = False
             try:
-                validate_shift(self.shift, self.beta, self.d)
+                validate_shift(shift, self.beta, self.d)
             except ValueError as e:
                 raise ValueError(f"shift: {e}") from e
-            object.__setattr__(self, "shift", np.asarray(self.shift))
+            object.__setattr__(self, "shift", shift)
         if self.mesh_ladder is not None:
             object.__setattr__(self, "mesh_ladder", validate_ladder(self.mesh_ladder))
             if self.mesh_ladder[-1] != self.intervals:

@@ -178,4 +178,6 @@ def validate_shift(A: Optional[np.ndarray], beta: int, d: int) -> np.ndarray:
     if A.shape != (d, d):
         raise ValueError(f"shift matrix must be {d}x{d}, got {A.shape}")
     A = _check_hermitian(A, beta)
+    if not np.isfinite(A).all():
+        raise ValueError("shift matrix entries must be finite")
     return np.real(A).astype(float) if beta == 1 else A.astype(complex)

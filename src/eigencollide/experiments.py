@@ -73,6 +73,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import collision_regime
+from .config import _time_ladder
 from .ensembles import (
     coefficient_scale,
     diagonal_positions,
@@ -449,7 +450,7 @@ def refinement_study(
     across the ladder make the trend ratios low-variance. A mesh_ladder
     given here replaces config.mesh_ladder, so the config's validator judges
     it. perfbench/make_reference.py is its one caller; the parameter goes
-    when that script states its ladder in its config (ROADMAP item 4, step
+    when that script states its ladder in its config (ROADMAP item 1, step
     2). A critical H, where Q = 1/H equals beta + 1 and the paper's
     dichotomy is undecided, runs with a UserWarning.
     """
@@ -592,11 +593,8 @@ def small_time_study(
         raise ValueError(
             "shift must be 0 or have spectrum cardinality d-1 (one repeated pair)"
         )
-    Ts = [float(T) for T in T_values]
-    if any(T <= 0 for T in Ts) or sorted(Ts, reverse=True) != Ts:
-        raise ValueError("T ladder must be positive and decreasing")
     out = []
-    for ti, T in enumerate(Ts):
+    for ti, T in enumerate(_time_ladder(list(T_values), "T_values")):
         step = T / intervals
         minima = _min_gaps_ladder(
             beta, d, (H,), step, 1.0, intervals, (1,), A, replicas, seed, (TAG_SMALLTIME, ti),

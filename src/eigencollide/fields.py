@@ -2,7 +2,8 @@
 
 Fractional Brownian motion and its multiparameter product-kernel sheet, with:
 
-* exact dense factorization on arbitrary grids (the reference sampler),
+* exact dense covariances on arbitrary grids, the law the window sampler
+  is tested against,
 * the circulant embedding of stationary fGn increments on uniform 1-d grids
   (nonnegative definite for every H in (0, 1): Dietrich & Newsam 1997;
   Craigmile 2003), its normals-to-increments map by a real-input inverse
@@ -11,7 +12,7 @@ Fractional Brownian motion and its multiparameter product-kernel sheet, with:
   every Monte Carlo experiment, is experiments._field_path_batch,
 * a Volterra-kernel quadrature used purely as a covariance cross-check.
 
-All sampling is deterministic given (seed, replica index); see streams.py.
+The module draws no random numbers: its maps take the normals as input.
 
 The module imports no scipy subpackage at load time, and no experiment's
 usual path imports one: the anchor weights are solved by conjugate
@@ -30,15 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .streams import TAG_FIELD, substream
-
 __all__ = [
     "GridSpec",
     "RegularityReport",
     "fbm_covariance",
     "sheet_covariance",
     "covariance_matrix",
-    "sample_field_exact",
     "fgn_sqrt_eigenvalues",
     "fgn_from_normals",
     "volterra_kernel",
@@ -175,25 +173,6 @@ def cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_field_exact(grid: GridSpec, hurst, seed: int, replicas: int) -> np.ndarray:
-    """Exact draws of the sheet with Hurst vector hurst on grid, (replicas, npoints).
-
-    Row r is generated from the substream (seed, TAG_FIELD, r). Dense O(N^3)
-    factorization; meant for reference-quality sampling on grids of at most
-    a few thousand points. Output is bit-identical for fixed (seed, replicas)
-    no matter how the replica loop is scheduled.
-    """
-    if replicas < 0:
-        raise ValueError("replicas must be nonnegative")
-    N = grid.npoints
-    L = cholesky_with_jitter(covariance_matrix(grid, hurst))
-    values = np.empty((replicas, N))
-    for r in range(replicas):
-        z = substream(seed, TAG_FIELD, r).standard_normal(N)
-        values[r] = L @ z
-    return values
-
-
 # ---------------------------------------------------------------------------
 # circulant embedding of fractional Gaussian noise
 # ---------------------------------------------------------------------------
@@ -227,7 +206,9 @@ def _fgn_unit_sqrt_eigenvalues(n: int, H: float) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"fGn circulant embedding not nonnegative definite at half-length {n}, H = {H}"
         )
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    roots = np.sqrt(np.clip(eigs, 0.0, None))
+    roots.flags.writeable = False
+    return roots
 
 
 def _fgn_half_length(n: int) -> int:

@@ -23,8 +23,9 @@ import numpy as np
 # 2: it draws n_beta - 1, the diagonal in traceless Helmert coordinates;
 # 3: window increments plus a conditional anchor;
 # 4: a sweep's H values share each replica's normals;
-# 5: degenerate samples draw every frame, then every level
-STREAM_VERSION = 5
+# 5: degenerate samples draw every frame, then every level;
+# 6: (seed, TAG_FIELD, r) drives the window sampler, not a dense Cholesky one
+STREAM_VERSION = 6
 
 # experiment tags, part of the stream key; never reorder or reuse
 TAG_FIELD = 0

@@ -21,6 +21,8 @@ from eigencollide.capacity import (
 from eigencollide.cli import main as cli_main
 from eigencollide.config import ExperimentConfig
 from eigencollide.experiments import (
+    _field_path_batch,
+    _window_start,
     degenerate_point_cloud,
     flattened_degenerate_sampler,
     gap_exponent_fit,
@@ -31,11 +33,11 @@ from eigencollide.fields import (
     covariance_matrix,
     fbm_covariance,
     interval,
-    sample_field_exact,
     volterra_covariance_quadrature,
 )
 from eigencollide.geometry import complete_frame, random_stiefel, sample_degenerate
 from eigencollide.spectral import eigenprojection_contour, ordered_eigenvalues
+from eigencollide.streams import TAG_FIELD
 
 SEED = 20260822
 
@@ -51,16 +53,19 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-# -- 1: exact sampler reproduces the fbm covariance ---------------------------
+# -- 1: the window sampler reproduces the fbm covariance ----------------------
 
 
 def test_criterion_01_covariance_exactness(capsys):
+    # the sampler every experiment runs, 16 points on [1, 2]; every H maps
+    # the same normals, so each H's block is its one-H draw bit for bit
     t0 = time.monotonic()
     worst = 0.0
-    for H in (0.3, 0.5, 0.7):
-        g = interval(1.0, 2.0, 16)
-        X = sample_field_exact(g, H, SEED, 10_000)
-        R = covariance_matrix(g, H)
+    step, i0 = _window_start(1.0, 2.0, 15)
+    paths = _field_path_batch(1, (0.3, 0.5, 0.7), step, i0, 16, SEED, (TAG_FIELD,), 0, 10_000)
+    for H, per_h in zip((0.3, 0.5, 0.7), paths):
+        X = per_h[:, 0]
+        R = covariance_matrix(interval(1.0, 2.0, 16), H)
         S = X.T @ X / len(X)
         # MC standard error of a Gaussian second moment: (R_ii R_jj + R_ij^2)/m
         se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))

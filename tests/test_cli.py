@@ -59,7 +59,7 @@ def test_simulate_writes_results_and_manifest(tmp_path, small_config):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 4242
     assert manifest["subcommand"] == "simulate"
-    assert manifest["stream_version"] == STREAM_VERSION == 5
+    assert manifest["stream_version"] == STREAM_VERSION == 6
     assert manifest["config"]["replicas"] == 150
     assert "started" in manifest and "finished" in manifest
 
@@ -305,15 +305,18 @@ def test_unknown_section_key_errors(tmp_path, capsys):
         ("gapfit", "samples", 20000.7),  # int() would run 20000 samples
         ("capacity", "pairs", 10.9),
         ("boxdim", "points", "1500"),
+        ("smalltime", "T_values", [0.5, 1.0]),  # increasing: small_time_study's own rule
     ],
 )
 def test_malformed_section_value_errors(tmp_path, capsys, section, key, value):
     # checked when the config is built: one error line naming the field,
-    # no traceback from deep in the run, and no silently coerced value
+    # no traceback from deep in the run, and no silently coerced value.
+    # No subcommand reads the smalltime section, but every one parses it
     path = tmp_path / "config.json"
     path.write_text(json.dumps({section: {key: value}}))
     out = tmp_path / "out"
-    assert run([section, "--config", str(path), "--out", str(out)]) == 1
+    command = "simulate" if section == "smalltime" else section
+    assert run([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {path}: {section}.{key}: ") and err.count("\n") == 1
     assert not (out / "results.csv").exists()
@@ -354,7 +357,7 @@ def test_malformed_shift_errors(tmp_path, capsys, shift):
 
 def test_hurst_near_one_on_a_large_mesh_errors(tmp_path, capsys):
     # the window-start Toeplitz solve fails for 1 - H <= 1e-13 at 4096 cells
-    # (ROADMAP item 5); until that is fixed the run must end in one error line
+    # (ROADMAP item 8); until that is fixed the run must end in one error line
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"hurst": 0.9999999999999999, "intervals": 4096, "interval": [1, 2]}))
     out = tmp_path / "out"

@@ -323,6 +323,18 @@ def test_config_to_dict_json_safe():
     assert d["beta"] == 2
 
 
+def test_shift_is_a_read_only_copy():
+    # a config's shift cannot be changed after validation, e.g. to nan, which
+    # would make a run report 0 hits; the caller's array is left writable
+    A = np.zeros((2, 2))
+    cfg = ExperimentConfig(shift=A)
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.shift[0, 0] = np.nan
+    A[0, 0] = 1.0
+    assert A.flags.writeable and cfg.shift[0, 0] == 0.0
+    assert not cfg.replace(replicas=5).shift.flags.writeable
+
+
 def test_equality_uses_shift_values():
     a = ExperimentConfig(shift=np.zeros((2, 2)))
     b = ExperimentConfig(shift=None)

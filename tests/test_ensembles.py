@@ -199,6 +199,16 @@ def test_validate_shift_rejects():
         validate_shift(np.array([[0.0, 1j], [-1j, 0.0]]), 1, 2)  # complex for beta=1
 
 
+def test_validate_shift_rejects_non_finite():
+    # nan passes the Hermitian check (its defect is nan, not > 1e-12), and a
+    # nan shift makes every gap nan, which no threshold counts as a hit
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            validate_shift(np.array([[bad, 0.0], [0.0, 0.0]]), 1, 2)
+    with pytest.raises(ValueError, match="finite"):
+        validate_shift(np.array([[0.0, complex(0.0, np.nan)], [complex(0.0, np.nan), 0.0]]), 2, 2)
+
+
 def test_one_hermitian_check_for_every_entry_point():
     # matrix_to_vec, validate_shift and the spectral entry points share one check
     from eigencollide.spectral import eigenprojection_contour, ordered_eigenvalues

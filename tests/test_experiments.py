@@ -37,12 +37,7 @@ from eigencollide.experiments import (
     small_time_study,
     wilson_interval,
 )
-from eigencollide.fields import (
-    _fgn_anchor_weights,
-    _fgn_unit_sqrt_eigenvalues,
-    interval,
-    sample_field_exact,
-)
+from eigencollide.fields import _fgn_anchor_weights, _fgn_unit_sqrt_eigenvalues
 from eigencollide.streams import TAG_BOXDIM, TAG_GAPFIT, substream
 
 
@@ -142,13 +137,12 @@ def test_gap_kernel_matches_reference_pipeline(d, beta):
     # nonzero Hermitian shift; the reference shares no packing helper with it
     m, nt = 3, 9
     nf = n_beta(beta, d)
-    fields = sample_field_exact(interval(1.0, 2.0, nt), 0.3, 17, m * nf)
+    F = experiments._field_path_batch(nf, (0.3,), 1 / 8, 8.0, nt, 17, (), 0, m)[0]
     rng = np.random.default_rng(10 * beta + d)
     G = rng.standard_normal((d, d))
     if beta == 2:
         G = G + 1j * rng.standard_normal((d, d))
     A = 0.5 * (G + G.conj().T)
-    F = fields.reshape(m, nf, nt)
     a = matrix_to_vec(validate_shift(A, beta, d), beta)
     fast = _gaps_from_fields(_packed(F, beta, d, a), beta, d)
     ref = _reference_gaps(F, beta, d, A)
@@ -563,6 +557,9 @@ def test_small_time_validation():
         small_time_study(1, 2, np.diag([2.0, -2.0]), [1.0], 0.3, 64, 50, seed=1)
     with pytest.raises(ValueError):
         small_time_study(1, 2, None, [0.5, 1.0], 0.3, 64, 50, seed=1)  # increasing T
+    with pytest.raises(ValueError, match="finite"):
+        # a nan shift makes every gap nan, so it would report 0 hits
+        small_time_study(1, 2, [[np.nan, 0.0], [0.0, 0.0]], [1.0, 0.5], 0.25, 64, 16, 7)
 
 
 @pytest.mark.parametrize("beta", [1, 2])

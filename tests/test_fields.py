@@ -1,4 +1,4 @@
-"""Covariances, grids, exact sampler, circulant engine and window sampler, Volterra."""
+"""Covariances, grids, circulant engine and window sampler, Volterra."""
 
 import warnings
 
@@ -20,7 +20,6 @@ from eigencollide.fields import (
     fgn_from_normals,
     fgn_sqrt_eigenvalues,
     interval,
-    sample_field_exact,
     sheet_covariance,
     verify_regularity_bounds,
     volterra_covariance_quadrature,
@@ -167,28 +166,6 @@ def test_cholesky_with_jitter_rejects_indefinite():
         cholesky_with_jitter(C)
 
 
-def test_sample_field_exact_deterministic():
-    g = interval(1.0, 2.0, 6)
-    s1 = sample_field_exact(g, 0.4, 123, 4)
-    s2 = sample_field_exact(g, 0.4, 123, 4)
-    np.testing.assert_array_equal(s1, s2)
-    s3 = sample_field_exact(g, 0.4, 124, 4)
-    assert np.any(s1 != s3)
-
-
-def test_sample_field_exact_replica_prefix_stability():
-    # replica r is the same draw no matter how many replicas are requested
-    g = interval(1.0, 2.0, 6)
-    few = sample_field_exact(g, 0.4, 9, 3)
-    many = sample_field_exact(g, 0.4, 9, 10)
-    np.testing.assert_array_equal(few, many[:3])
-
-
-def test_sample_field_exact_zero_replicas():
-    g = interval(1.0, 2.0, 6)
-    assert sample_field_exact(g, 0.3, 1, 0).shape == (0, 6)
-
-
 _LINE = interval(1.0, 2.0, 4)
 _SQUARE = GridSpec(a=(1.0, 1.0), b=(2.0, 2.0), n=(3, 3))
 
@@ -203,19 +180,7 @@ def test_hurst_length_must_match_grid(grid, hurst):
     with pytest.raises(ValueError):
         covariance_matrix(grid, hurst)
     with pytest.raises(ValueError):
-        sample_field_exact(grid, hurst, 1, 2)
-    with pytest.raises(ValueError):
         verify_regularity_bounds(grid, hurst)
-
-
-def test_sample_field_exact_covariance_brownian():
-    # H = 1/2 on 8 points; known-mean sample covariance within 6 MC sigmas
-    g = interval(1.0, 2.0, 7)
-    X = sample_field_exact(g, 0.5, 2024, 4000)
-    R = covariance_matrix(g, 0.5)
-    S = X.T @ X / len(X)
-    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
-    assert np.max(np.abs(S - R) / se) < 6.0
 
 
 # -- circulant engine -------------------------------------------------------
@@ -370,6 +335,13 @@ def test_field_path_batch_off_mesh_window_law(H):
     # 5.3, 9.4 and 13.7 SE here
     assert experiments._window_start(0.5, 2.0, 16)[1] == pytest.approx(16 / 3, abs=1e-12)
     assert _window_law_error(H, a=0.5, b=2.0, seed=6061, replicas=20_000) <= 5.0
+
+
+def test_cached_embedding_roots_are_read_only():
+    # every caller shares the cached array; a write would change later draws
+    roots = fields._fgn_unit_sqrt_eigenvalues(8, 0.3)
+    assert not roots.flags.writeable
+    assert fgn_sqrt_eigenvalues(8, 0.3, 0.5).flags.writeable  # the scaled copy is the caller's
 
 
 def _anchor_cov(n, H, i0):

@@ -21,7 +21,7 @@ PUBLIC = {
     "f_alpha", "q_index",
     "complete_frame", "random_stiefel", "sample_degenerate",
     "eigenprojection_contour", "gap_closed_form_2x2", "ordered_eigenvalues",
-    "fbm_covariance", "interval", "sample_field_exact", "sheet_covariance",
+    "fbm_covariance", "interval", "sheet_covariance",
     "verify_regularity_bounds", "volterra_kernel",
     "gap_exponent_fit", "phase_sweep", "refinement_study", "small_time_study",
     "wilson_interval",
@@ -31,7 +31,7 @@ PUBLIC = {
 
 
 def test_package_exports_are_pinned():
-    assert len(eigencollide.__all__) == len(set(eigencollide.__all__)) == len(PUBLIC) == 31
+    assert len(eigencollide.__all__) == len(set(eigencollide.__all__)) == len(PUBLIC) == 30
     assert set(eigencollide.__all__) == PUBLIC
 
 
