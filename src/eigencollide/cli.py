@@ -3,8 +3,9 @@
 Result files (results.csv or results.jsonl) are a pure function of (config,
 seed): no timestamps, no worker counts, floats printed with 17 significant
 digits, rows in a fixed order. Run metadata that legitimately varies between
-runs (timestamps, thread count, host info) goes to manifest.json instead, so
-result files stay bit-identical across worker counts.
+runs (timestamps, thread count, host info, CPU time, peak memory and page
+faults) goes to manifest.json instead, so result files stay bit-identical
+across worker counts.
 
 Settings come from flags, then the config file, then defaults: --seed
 overrides the file's seed, and --replicas its replicas for the subcommands
@@ -18,6 +19,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import sys
 import time
 
@@ -100,7 +102,19 @@ def _write_results(out_dir: str, fmt: str, records: list) -> str:
     return path
 
 
-def _write_manifest(out_dir, subcommand, config, threads, fmt, started, finished):
+def _resources(start) -> dict:
+    """What the run cost the process since start, a getrusage record: CPU
+    seconds over all threads, minor page faults, and the peak resident set."""
+    now = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "cpu_s": (now.ru_utime + now.ru_stime) - (start.ru_utime + start.ru_stime),
+        # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+        "peak_rss_mb": now.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10),
+        "minor_faults": now.ru_minflt - start.ru_minflt,
+    }
+
+
+def _write_manifest(out_dir, subcommand, config, threads, fmt, started, finished, resources):
     manifest = {
         "subcommand": subcommand,
         "artifact_version": __version__,
@@ -110,6 +124,7 @@ def _write_manifest(out_dir, subcommand, config, threads, fmt, started, finished
         "format": fmt,
         "started": started,
         "finished": finished,
+        "resources": resources,
         "config": config_to_dict(config),
         "environment": {
             "python": platform.python_version(),
@@ -349,6 +364,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     # a subcommand without --threads runs no pool: one worker
     threads = getattr(args, "threads", 1)
     try:
@@ -360,7 +376,10 @@ def main(argv=None) -> int:
         records = _DISPATCH[args.subcommand](config, threads)
         path = _write_results(args.out, args.format, records)
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_manifest(args.out, args.subcommand, config, threads, args.format, started, finished)
+        _write_manifest(
+            args.out, args.subcommand, config, threads, args.format, started, finished,
+            _resources(usage),
+        )
     except (ValueError, NotImplementedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

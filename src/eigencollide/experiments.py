@@ -5,7 +5,7 @@ closed-form oracle.
 Performance notes. Collision runs sample each replica once at the finest mesh
 and reuse strided subgrids for the coarser ladder entries, so refining the
 grid never increases a replica's minimum gap by construction. All randomness
-is drawn from per-replica counter-based substreams in fixed-size batches
+is drawn from per-replica keyed substreams in fixed-size batches
 (BATCH below), which makes every result bit-identical for any worker count.
 No result depends on BATCH either: each replica draws from its own
 substream, numpy transforms each embedding row on its own, and every later
@@ -13,7 +13,7 @@ step works per replica. BATCH bounds each worker's working set: a batch's
 normals, half spectrum, inverse FFT and (H, m, nf, npoints) path block, and
 the gap kernel's block, which is the whole batch. A two-H sweep at d = 2,
 beta = 2 (32 replicas, ladder 256..16384) peaks at 16 MB of traced
-allocations on one thread and 31 MB on two with BATCH = 8, against 51 MB
+allocations on one thread and 29-31 MB on two with BATCH = 8, against 63 MB
 with BATCH = 32 (tracemalloc, caches warm); the working set grows in
 proportion to Nmax.
 
@@ -26,12 +26,17 @@ coefficient_scale, is one constant (n_beta, n_beta - 1) matrix per
 (beta, d), built once (_expansion) and applied as one matmul. Its Helmert
 block is built in numpy (_helmert): importing scipy.linalg for it took
 0.25 s, more than numpy and scipy together (0.11 s). Only the window
-is synthesized: a path on npoints grid points costs 2L + 1 normals and one
-real-input inverse FFT of length 2L (fields.fgn_from_normals), L the smallest
-power of two >= npoints - 1, whatever the window's distance from the origin.
-Its value at the window's start is drawn from its law given the increments,
-with weights solved once per (npoints, H, a/step) and cached, before any
-batch starts (_fill_window_caches); a/step need not be an integer.
+is synthesized: a path on npoints grid points costs 2L float32 normals, one
+float32 real-input inverse FFT of length 2L (fields.fgn_from_normals) and
+one float64 normal for its start, L the smallest power of two
+>= npoints - 1, whatever the window's distance from the origin. Single
+precision halves the bytes the generator fills and the FFT moves; the
+embedding is exact for any normals, and the path error it adds is bounded in
+tests/test_fields.py (test_single_precision_synthesis_error). The spectral
+weights (fields._fgn_weights) and the law of the path's value at the
+window's start given the increments are solved once per (npoints, H, step)
+and (npoints, H, a/step), cached, and filled before any batch starts
+(_fill_window_caches); a/step need not be an integer.
 
 The gap kernel (_gaps_from_fields) builds no matrix at d = 2 and d = 3: it
 reads the gap from the packed coefficient planes through the closed forms in
@@ -46,14 +51,15 @@ spectral.
 
 Threads (the threads argument) run the replica batches in a pool. They
 speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
-256..16384) takes 0.19 s on one thread and 0.10 s on two. They do not speed
+256..16384) takes 0.29 s on one thread and 0.14 s on two. They do not speed
 up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls take as long
 as serial ones at twice the CPU time, so the eigensolver runs one call
 at a time, and a thread that would wait for it samples its next batch
 instead. small_time_study at d = 4, beta = 2 (64 replicas, 1024 cells, four
-windows) takes 1.19 s on one thread and 1.02 s on two, with 1.27 s of CPU
-time; without the lock two threads took 1.06 s and 1.96 s of CPU time.
-(Medians of five runs, 2-vCPU x86 virtual machine.)
+windows) takes 1.07 s on one thread and 0.97 s on two, with 1.24 s of CPU
+time; without the lock two threads took 1.06 s and 1.96 s of CPU time
+(measured before single-precision synthesis). (Medians of five runs,
+2-vCPU x86 virtual machine.)
 
 A collision run over several Hurst values (phase_sweep) draws each
 replica's normals once and maps them through every H's embedding and
@@ -87,8 +93,8 @@ from .fields import (
     _check_hurst,
     _fgn_anchor_weights,
     _fgn_half_length,
+    _fgn_weights,
     fgn_from_normals,
-    fgn_sqrt_eigenvalues,
 )
 from .spectral import (
     _descending_eigenvalues,
@@ -107,8 +113,11 @@ from .streams import (
     substream,
 )
 
-# only perfbench/tracing.py reads this name (it patches it); nothing here calls it
+# only perfbench/tracing.py reads these names (it patches them); nothing here
+# calls them: the embedding's roots reach the sampler inside the cached
+# fields._fgn_weights
 _fgn_exact = fields._fgn_exact
+fgn_sqrt_eigenvalues = fields.fgn_sqrt_eigenvalues
 
 __all__ = [
     "CollisionStats",
@@ -127,6 +136,9 @@ __all__ = [
 
 # replicas per batch and per gap-kernel call; any value gives the same bits
 BATCH = 8
+
+# precision of the window sampler's normals and synthesis (fields.fgn_from_normals)
+_NORMALS = np.dtype(np.float32)
 
 _Z95 = 1.959963984540054
 
@@ -219,7 +231,7 @@ def _run_batches(replicas: int, threads: int, work) -> None:
 
 
 def _fill_window_caches(hs: Sequence[float], step: float, i0: float, npoints: int) -> None:
-    """Solve each H's embedding roots and anchor weights before a pool starts.
+    """Solve each H's spectral and anchor weights before a pool starts.
 
     _field_path_batch reads both from lru_caches, which do not stop two
     threads computing the same entry: pool threads that all miss would
@@ -227,7 +239,7 @@ def _fill_window_caches(hs: Sequence[float], step: float, i0: float, npoints: in
     """
     n = npoints - 1
     for H in hs:
-        fgn_sqrt_eigenvalues(_fgn_half_length(n), H, step)
+        _fgn_weights(_fgn_half_length(n), H, step, _NORMALS)
         _fgn_anchor_weights(n, H, i0)
 
 
@@ -247,26 +259,26 @@ def _field_path_batch(
     The paths live on the uniform grid a + k*step (k = 0..npoints-1) with
     a = i0*step, and only that window is synthesized. Every H maps the same
     normals (common random numbers): each replica draws nf rows of 2L
-    normals and then nf more from its own substream, in that order. Row f
-    drives field f's circulant embedding of half-length
-    L = fields._fgn_half_length(n), whose first n = npoints - 1 outputs are
-    the path's increments; the last nf draw the anchors X(a) from their law
-    given those increments, X(a) = w . inc + step^H sqrt(v) z
-    (fields._fgn_anchor_weights). The matrix experiments pass
-    nf = n_beta - 1 (see _traceless_fields).
+    float32 normals and then nf float64 ones from its own substream, in that
+    order. Row f drives field f's circulant embedding of half-length
+    L = fields._fgn_half_length(n), synthesized in float32, whose first
+    n = npoints - 1 outputs are the path's increments; the last nf draw the
+    anchors X(a) from their law given those increments,
+    X(a) = w . inc + step^H sqrt(v) z (fields._fgn_anchor_weights). The
+    anchors, the cumulative sum and everything after it are float64. The
+    matrix experiments pass nf = n_beta - 1 (see _traceless_fields).
     """
     n = npoints - 1
     L = _fgn_half_length(n)
-    roots = [fgn_sqrt_eigenvalues(L, H, step) for H in hs]
     m = hi - lo
     rngs = [substream(seed, *prefix, r) for r in range(lo, hi)]
-    z = np.empty((m, 2 * L))
+    z = np.empty((m, 2 * L), dtype=_NORMALS)
     out = np.empty((len(hs), m, nf, npoints))
     for f in range(nf):
         for rng, row in zip(rngs, z):
-            rng.standard_normal(out=row)
-        for k, sqrt_eigs in enumerate(roots):
-            out[k, :, f, 1:] = fgn_from_normals(z, sqrt_eigs)[:, :n]
+            rng.standard_normal(out=row, dtype=_NORMALS)
+        for k, H in enumerate(hs):
+            out[k, :, f, 1:] = fgn_from_normals(z, H, step)[:, :n]
     anchors = np.array([rng.standard_normal(nf) for rng in rngs])
     for k, H in enumerate(hs):
         w, v = _fgn_anchor_weights(n, H, i0)

@@ -211,6 +211,25 @@ def _fgn_unit_sqrt_eigenvalues(n: int, H: float) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=64)
+def _fgn_weights(n: int, H: float, dt: float, dtype: np.dtype) -> np.ndarray:
+    """Read-only (2n,) row of dtype that fgn_from_normals multiplies z by.
+
+    With r = fgn_sqrt_eigenvalues(n, H, dt): entries 0 and 1 are
+    sqrt(2n) r_0 and sqrt(2n) r_n, entries 2k and 2k+1 are
+    sqrt(2n) r_k / sqrt(2) (k = 1..n-1). They are formed in float64 and
+    rounded once to dtype.
+    """
+    weights = np.sqrt(2 * n) * fgn_sqrt_eigenvalues(n, H, dt)[: n + 1]
+    weights[1:n] /= np.sqrt(2.0)
+    row = np.empty(2 * n, dtype=dtype)
+    row[0] = weights[0]
+    row[1] = weights[n]
+    row[2:] = np.repeat(weights[1:n], 2)
+    row.flags.writeable = False
+    return row
+
+
 def _fgn_half_length(n: int) -> int:
     """Half-length L of the circulant that embeds n fGn increments: the
     smallest power of two >= n (1 for n = 0); the first n of its L outputs
@@ -304,29 +323,36 @@ def _solve_fgn_toeplitz(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("fGn Toeplitz solve failed with jitter up to 1e-10 (H near 1)")
 
 
-def fgn_from_normals(z: np.ndarray, sqrt_eigs: np.ndarray) -> np.ndarray:
-    """Map standard normals (m, 2n) to fGn increments (m, n).
+def fgn_from_normals(z: np.ndarray, H: float, dt: float) -> np.ndarray:
+    """Map standard normals (m, 2n) to fGn increments (m, n) of Hurst index H at step dt.
 
     Consumes exactly 2n normals per path in a fixed order, so per-replica
     substreams stay aligned regardless of batching: z[:, 0] and z[:, 1] drive
     the real frequencies 0 and n, and the pairs z[:, 2k], z[:, 2k+1] the real
-    and imaginary parts of frequency k (k = 1..n-1). The spectrum is
+    and imaginary parts of frequency k (k = 1..n-1), each weighted by the
+    embedding's root (fgn_sqrt_eigenvalues(n, H, dt)). The spectrum is
     Hermitian, so a real-input inverse FFT of its n+1 half does the synthesis.
+
+    The synthesis runs in the precision of z: float32 normals give a
+    complex64 half spectrum and a float32 inverse FFT (the experiments'
+    route), anything else is cast to float64. The weights come from
+    _fgn_weights, built once per (n, H, dt, dtype).
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = np.atleast_2d(np.asarray(z))
+    dtype = np.dtype(np.float32 if z.dtype == np.float32 else np.float64)
+    z = z.astype(dtype, copy=False)
     m, L = z.shape
     n = L // 2
-    if L != 2 * n or L != sqrt_eigs.shape[0]:
-        raise ValueError("normals must have shape (m, 2n) matching the embedding")
-    weights = np.sqrt(L) * sqrt_eigs[: n + 1]
-    weights[1:n] /= np.sqrt(2.0)
-    half = np.empty((m, n + 1), dtype=complex)
-    # written through its (re, im) float view, one multiply per segment
-    parts = half.view(float)
-    np.multiply(z[:, 0], weights[0], out=parts[:, 0])
-    np.multiply(z[:, 1], weights[n], out=parts[:, 2 * n])
+    if L != 2 * n or n < 1:
+        raise ValueError(f"normals must have shape (m, 2n) with n >= 1, got {z.shape}")
+    w = _fgn_weights(n, _check_hurst(H), float(dt), dtype)
+    half = np.empty((m, n + 1), dtype=np.result_type(dtype, np.complex64))
+    # written through its (re, im) view, one multiply per segment
+    parts = half.view(dtype)
+    np.multiply(z[:, 0], w[0], out=parts[:, 0])
+    np.multiply(z[:, 1], w[1], out=parts[:, 2 * n])
     parts[:, 1] = parts[:, 2 * n + 1] = 0.0
-    np.multiply(z[:, 2:], np.repeat(weights[1:n], 2), out=parts[:, 2 : 2 * n])
+    np.multiply(z[:, 2:], w[2:], out=parts[:, 2 : 2 * n])
     return np.fft.irfft(half, n=L, axis=1)[:, :n]
 
 

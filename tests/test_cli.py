@@ -59,7 +59,7 @@ def test_simulate_writes_results_and_manifest(tmp_path, small_config):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 4242
     assert manifest["subcommand"] == "simulate"
-    assert manifest["stream_version"] == STREAM_VERSION == 6
+    assert manifest["stream_version"] == STREAM_VERSION == 7
     assert manifest["config"]["replicas"] == 150
     assert "started" in manifest and "finished" in manifest
 
@@ -71,6 +71,19 @@ def test_manifest_records_the_environment(tmp_path, small_config):
     assert set(env) == {"python", "numpy", "scipy", "nproc"}
     assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
     assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+
+
+def test_manifest_records_what_the_run_cost(tmp_path, small_config):
+    # process CPU seconds and minor page faults over the run, and the peak
+    # resident set, from getrusage; the results file does not carry them
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", small_config, "--out", str(out)]) == 0
+    res = json.loads((out / "manifest.json").read_text())["resources"]
+    assert set(res) == {"cpu_s", "peak_rss_mb", "minor_faults"}
+    assert isinstance(res["cpu_s"], float) and res["cpu_s"] > 0
+    assert isinstance(res["peak_rss_mb"], float) and res["peak_rss_mb"] > 1
+    assert isinstance(res["minor_faults"], int) and res["minor_faults"] >= 0
+    assert "cpu_s" not in (out / "results.csv").read_text()
 
 
 def test_results_have_no_timestamps(tmp_path, small_config):

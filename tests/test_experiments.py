@@ -37,7 +37,7 @@ from eigencollide.experiments import (
     small_time_study,
     wilson_interval,
 )
-from eigencollide.fields import _fgn_anchor_weights, _fgn_unit_sqrt_eigenvalues
+from eigencollide.fields import _fgn_anchor_weights, _fgn_unit_sqrt_eigenvalues, _fgn_weights
 from eigencollide.streams import TAG_BOXDIM, TAG_GAPFIT, substream
 
 
@@ -312,10 +312,12 @@ def test_window_law_is_solved_once_per_run():
     # that each missed the cache would solve the same entry again
     _fgn_anchor_weights.cache_clear()
     _fgn_unit_sqrt_eigenvalues.cache_clear()
+    _fgn_weights.cache_clear()
     hs = (0.3, 0.7)
     cfg = _cfg(intervals=16384, mesh_ladder=(4096, 16384), replicas=4 * BATCH)
     phase_sweep(hs, cfg, threads=4)
     assert _fgn_anchor_weights.cache_info().misses == len(hs)
+    assert _fgn_weights.cache_info().misses == len(hs)
 
 
 def test_sweep_working_set_is_bounded():

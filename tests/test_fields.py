@@ -25,6 +25,7 @@ from eigencollide.fields import (
     volterra_covariance_quadrature,
     volterra_kernel,
 )
+from eigencollide.streams import TAG_COLLISION, substream
 
 hursts = st.floats(0.05, 0.95)
 times = st.floats(0.01, 8.0)
@@ -213,12 +214,12 @@ def test_invalid_embedding_raises(monkeypatch):
 
 
 def test_fgn_from_normals_consumes_2n():
-    sq = fgn_sqrt_eigenvalues(16, 0.3, 1.0)
     z = np.random.default_rng(0).standard_normal((2, 32))
-    inc = fgn_from_normals(z, sq)
+    inc = fgn_from_normals(z, 0.3, 1.0)
     assert inc.shape == (2, 16)
-    with pytest.raises(ValueError):
-        fgn_from_normals(z[:, :30], sq)
+    for bad in (z[:, :31], z[:, :0]):
+        with pytest.raises(ValueError):
+            fgn_from_normals(bad, 0.3, 1.0)
 
 
 def _fgn_complex_ifft(z, sqrt_eigs):
@@ -240,7 +241,28 @@ def test_fgn_from_normals_matches_complex_ifft(n):
     sq = fgn_sqrt_eigenvalues(n, 0.3, 1.0 / n)
     z = np.random.default_rng(n).standard_normal((3, 2 * n))
     ref = _fgn_complex_ifft(z, sq)
-    assert np.max(np.abs(fgn_from_normals(z, sq) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(fgn_from_normals(z, 0.3, 1.0 / n) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_fgn_from_normals_works_in_the_precision_of_the_normals():
+    # float32 normals are synthesized in float32; anything else in float64
+    z = np.random.default_rng(3).standard_normal((2, 64))
+    assert fgn_from_normals(z.astype(np.float32), 0.3, 1.0).dtype == np.float32
+    for x in (z, z.astype(np.float16), np.ones((2, 64), dtype=int)):
+        assert fgn_from_normals(x, 0.3, 1.0).dtype == np.float64
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95])
+def test_single_precision_synthesis_error(H):
+    # the window sampler synthesizes float32 normals in float32. On the
+    # criteria's finest mesh (N = 16384 cells on [1, 2]) the path, summed in
+    # float64, stays within 2e-3 delta_N of float64 synthesis of the same
+    # normals, delta_N = (1/N)^H being the smallest threshold
+    N = 16384
+    z = np.random.default_rng(16384).standard_normal((4, 2 * N), dtype=np.float32)
+    single = np.cumsum(fgn_from_normals(z, H, 1.0 / N), axis=1, dtype=np.float64)
+    double = np.cumsum(fgn_from_normals(z.astype(np.float64), H, 1.0 / N), axis=1)
+    assert np.max(np.abs(single - double)) <= 2e-3 * (1.0 / N) ** H
 
 
 def test_fgn_dt_scaling_exact():
@@ -253,9 +275,8 @@ def test_fgn_dt_scaling_exact():
 def test_circulant_increments_match_fgn_autocovariance():
     # sample autocovariance at lags 0..3 against the analytic values
     n, H, reps = 128, 0.3, 3000
-    sq = fgn_sqrt_eigenvalues(n, H, 1.0)
     z = np.random.default_rng(77).standard_normal((reps, 2 * n))
-    inc = fgn_from_normals(z, sq)
+    inc = fgn_from_normals(z, H, 1.0)
     k = np.arange(4, dtype=float)
     gamma = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
     for lag in range(4):
@@ -296,6 +317,36 @@ def test_field_path_batch_deterministic():
     a = _field_path_batch(3, (0.3,), 1.0, 1.0, 32, 5, (), 0, 4)
     b = _field_path_batch(3, (0.3,), 1.0, 1.0, 32, 5, (), 0, 4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_field_path_batch_stream_contract():
+    # STREAM_VERSION 7, rebuilt by hand for replica r: substream(seed,
+    # *prefix, r) gives nf rows of 2L float32 normals, then nf float64 anchor
+    # normals. Row f's weighted half spectrum (weights formed in float64,
+    # rounded to float32) goes through a float32 inverse FFT; the anchor and
+    # the cumulative sum are float64
+    nf, hs, npoints, seed, prefix, r = 2, (0.3, 0.7), 13, 99, (TAG_COLLISION,), 5
+    n, L = npoints - 1, 16
+    step, i0 = experiments._window_start(1.0, 2.0, n)
+    got = _field_path_batch(nf, hs, step, i0, npoints, seed, prefix, 3, 7)[:, r - 3]
+    rng = substream(seed, *prefix, r)
+    rows = [rng.standard_normal(2 * L, dtype=np.float32) for _ in range(nf)]
+    anchors = rng.standard_normal(nf)
+    for k, H in enumerate(hs):
+        w = np.sqrt(2 * L) * fgn_sqrt_eigenvalues(L, H, step)[: L + 1]
+        w[1:L] /= np.sqrt(2.0)
+        w = w.astype(np.float32)
+        want = np.empty((nf, npoints))
+        for f, z in enumerate(rows):
+            half = np.zeros(L + 1, dtype=np.complex64)
+            half.real[0], half.real[L] = z[0] * w[0], z[1] * w[L]
+            half.real[1:L] = z[2::2] * w[1:L]
+            half.imag[1:L] = z[3::2] * w[1:L]
+            want[f, 1:] = np.fft.irfft(half, n=2 * L)[:n]
+        aw, v = fields._fgn_anchor_weights(n, H, i0)
+        want[:, 0] = anchors * (step**H * np.sqrt(v))
+        want[:, 0] += want[:, 1:] @ aw
+        assert got[k].tobytes() == np.cumsum(want, axis=1).tobytes(), H
 
 
 def _window_law_error(H, a=1.0, b=None, seed=2024, replicas=3400):
@@ -342,6 +393,8 @@ def test_cached_embedding_roots_are_read_only():
     roots = fields._fgn_unit_sqrt_eigenvalues(8, 0.3)
     assert not roots.flags.writeable
     assert fgn_sqrt_eigenvalues(8, 0.3, 0.5).flags.writeable  # the scaled copy is the caller's
+    for dtype in (np.float32, np.float64):
+        assert not fields._fgn_weights(8, 0.3, 0.5, np.dtype(dtype)).flags.writeable
 
 
 def _anchor_cov(n, H, i0):
@@ -429,19 +482,25 @@ def test_field_path_batch_single_point_is_the_anchor(H):
 
 
 def test_embedding_cache_is_bounded_and_shared_by_threads():
-    # worker threads share the (n, H) eigenvalue cache; it holds at most 64 entries
+    # worker threads share the (n, H) eigenvalue cache and the (n, H, dt,
+    # dtype) weight cache; each holds at most 64 entries
     from concurrent.futures import ThreadPoolExecutor
 
     module_dicts = [k for k, v in vars(fields).items() if isinstance(v, dict) and k[:2] != "__"]
     assert module_dicts == []
     keys = [(n, H) for n in range(8, 48) for H in (0.3, 0.7)]
-    serial = [fgn_sqrt_eigenvalues(n, H, 0.5) for n, H in keys]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(lambda k: fgn_sqrt_eigenvalues(k[0], k[1], 0.5), keys))
-    for a, b in zip(serial, threaded):
-        np.testing.assert_array_equal(a, b)
+    for solve in (
+        lambda k: fgn_sqrt_eigenvalues(k[0], k[1], 0.5),
+        lambda k: fields._fgn_weights(k[0], k[1], 0.5, np.dtype(np.float32)),
+    ):
+        serial = [solve(k) for k in keys]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(solve, keys))
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
     for cached in (
         fields._fgn_unit_sqrt_eigenvalues,
+        fields._fgn_weights,
         fields._fgn_anchor_weights,
     ):
         info = cached.cache_info()
