@@ -230,7 +230,16 @@ def _cmd_capacity(config: ExperimentConfig, threads: int) -> list:
             "z_score": (est.value - ref) / est.stderr if est.stderr > 0 else np.nan,
         }
     )
-    sampler = flattened_degenerate_sampler(config.d, config.beta)
+    draw = flattened_degenerate_sampler(config.d, config.beta)
+    drawn = []
+
+    def sampler(n: int, rng) -> np.ndarray:
+        # both bounds draw 2 * pairs points from the same capacity substream,
+        # so the second call replays the first draw instead of repeating it
+        if not drawn:
+            drawn.append(draw(n, rng))
+        return drawn[0]
+
     for a in (cap["alpha"], cap["divergent_alpha"]):
         cb = capacity_lower_bound(sampler, a, cap["pairs"], config.seed)
         records.append(

@@ -8,14 +8,16 @@ grid never increases a replica's minimum gap by construction. All randomness
 is drawn from per-replica keyed substreams in fixed-size batches
 (BATCH below), which makes every result bit-identical for any worker count.
 No result depends on BATCH either: each replica draws from its own
-substream, numpy transforms each embedding row on its own, and every later
-step works per replica. BATCH bounds each worker's working set: a batch's
-normals, half spectrum, inverse FFT and (H, m, nf, npoints) path block, and
-the gap kernel's block, which is the whole batch. A two-H sweep at d = 2,
+substream, the polar map turns each raw word into its pair of normals on
+its own, numpy transforms each embedding row on its own, and every later
+step works per replica (on one machine: see streams._polar_normals). BATCH
+bounds each worker's working set: a batch's normals, half spectrum, inverse
+FFT and (H, m, nf, npoints) path block, and the gap kernel's block, which is
+the whole batch. A two-H sweep at d = 2,
 beta = 2 (32 replicas, ladder 256..16384) peaks at 16 MB of traced
-allocations on one thread and 29-31 MB on two with BATCH = 8, against 63 MB
-with BATCH = 32 (tracemalloc, caches warm); the working set grows in
-proportion to Nmax.
+allocations on one thread and 25-31 MB on two with BATCH = 8 (depending on
+how the threads interleave), against 63 MB with BATCH = 32 (tracemalloc,
+caches warm); the working set grows in proportion to Nmax.
 
 The path sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta:
 eigenvalue gaps are invariant under Y -> Y + cI, so the trace direction is
@@ -26,17 +28,23 @@ coefficient_scale, is one constant (n_beta, n_beta - 1) matrix per
 (beta, d), built once (_expansion) and applied as one matmul. Its Helmert
 block is built in numpy (_helmert): importing scipy.linalg for it took
 0.25 s, more than numpy and scipy together (0.11 s). Only the window
-is synthesized: a path on npoints grid points costs 2L float32 normals, one
-float32 real-input inverse FFT of length 2L (fields.fgn_from_normals) and
-one float64 normal for its start, L the smallest power of two
->= npoints - 1, whatever the window's distance from the origin. Single
-precision halves the bytes the generator fills and the FFT moves; the
-embedding is exact for any normals, and the path error it adds is bounded in
-tests/test_fields.py (test_single_precision_synthesis_error). The spectral
-weights (fields._fgn_weights) and the law of the path's value at the
-window's start given the increments are solved once per (npoints, H, step)
-and (npoints, H, a/step), cached, and filled before any batch starts
-(_fill_window_caches); a/step need not be an integer.
+is synthesized: a path on npoints grid points costs L raw words mapped to
+2L float32 normals (streams._polar_normals), one float32 real-input inverse
+FFT of length 2L (fields.fgn_from_normals) and one float64 normal for its
+start, L the smallest power of two >= npoints - 1, whatever the window's
+distance from the origin. Per float32 normal the polar map takes 0.5-0.6
+of the time of Generator.standard_normal (6.0 against 12.6 ns and 9.9
+against 16.6 ns in two runs at L = 16384). Each map call also costs about
+30 us, so rows shorter than _MAP_WORDS words are mapped several at a time
+(at L = 1024, 26 ns per normal one row per call, 11 ns eight rows per
+call; shared 2-vCPU Intel Xeon virtual machine), and its buffers are
+allocated once per batch. Single precision halves the bytes the FFT moves;
+the embedding is exact for any normals, and the path error it adds is
+bounded in tests/test_fields.py (test_single_precision_synthesis_error).
+The spectral weights (fields._fgn_weights) and the law of the path's value
+at the window's start given the increments are solved once per
+(npoints, H, step) and (npoints, H, a/step), cached, and filled before any
+batch starts (_fill_window_caches); a/step need not be an integer.
 
 The gap kernel (_gaps_from_fields) builds no matrix at d = 2 and d = 3: it
 reads the gap from the packed coefficient planes through the closed forms in
@@ -51,15 +59,16 @@ spectral.
 
 Threads (the threads argument) run the replica batches in a pool. They
 speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
-256..16384) takes 0.29 s on one thread and 0.14 s on two. They do not speed
-up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls take as long
-as serial ones at twice the CPU time, so the eigensolver runs one call
-at a time, and a thread that would wait for it samples its next batch
-instead. small_time_study at d = 4, beta = 2 (64 replicas, 1024 cells, four
-windows) takes 1.07 s on one thread and 0.97 s on two, with 1.24 s of CPU
-time; without the lock two threads took 1.06 s and 1.96 s of CPU time
-(measured before single-precision synthesis). (Medians of five runs,
-2-vCPU x86 virtual machine.)
+256..16384) takes 0.17-0.25 s on one thread and 0.10-0.11 s on two. They do
+not speed up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls
+take as long as serial ones at twice the CPU time, so the eigensolver runs
+one call at a time, and a thread that would wait for it samples its next
+batch instead. small_time_study at d = 4, beta = 2 (64 replicas, 1024
+cells, four windows) takes 0.8-1.1 s on one thread and 0.95-1.05 s on two,
+with 1.2 s of CPU time; without the lock two threads took 1.06 s and 1.96 s
+of CPU time (measured before single-precision synthesis). (Medians of five
+to ten runs, several runs each, shared 2-vCPU Intel Xeon virtual machine,
+whose other guests' load makes the ranges.)
 
 A collision run over several Hurst values (phase_sweep) draws each
 replica's normals once and maps them through every H's embedding and
@@ -110,6 +119,7 @@ from .streams import (
     TAG_GAPFIT,
     TAG_ORACLE,
     TAG_SMALLTIME,
+    _polar_normals,
     substream,
 )
 
@@ -139,6 +149,11 @@ BATCH = 8
 
 # precision of the window sampler's normals and synthesis (fields.fgn_from_normals)
 _NORMALS = np.dtype(np.float32)
+
+# raw words per streams._polar_normals call, whole rows of the batch's
+# normals: each call costs about 30 us besides its per-word work, so short
+# rows are mapped several at a time; one row of L = 16384 words is a call
+_MAP_WORDS = 2**14
 
 _Z95 = 1.959963984540054
 
@@ -259,8 +274,9 @@ def _field_path_batch(
     The paths live on the uniform grid a + k*step (k = 0..npoints-1) with
     a = i0*step, and only that window is synthesized. Every H maps the same
     normals (common random numbers): each replica draws nf rows of 2L
-    float32 normals and then nf float64 ones from its own substream, in that
-    order. Row f drives field f's circulant embedding of half-length
+    float32 normals, each from L raw words (streams._polar_normals), and then
+    nf float64 ones (Generator.standard_normal) from its own substream, in
+    that order. Row f drives field f's circulant embedding of half-length
     L = fields._fgn_half_length(n), synthesized in float32, whose first
     n = npoints - 1 outputs are the path's increments; the last nf draw the
     anchors X(a) from their law given those increments,
@@ -273,10 +289,18 @@ def _field_path_batch(
     m = hi - lo
     rngs = [substream(seed, *prefix, r) for r in range(lo, hi)]
     z = np.empty((m, 2 * L), dtype=_NORMALS)
+    # the polar map's buffers, for `rows` rows of z per call
+    rows = min(m, max(1, _MAP_WORDS // L))
+    words = np.empty(rows * L, dtype=np.uint64)
+    scratch = np.empty((3, rows * L), dtype=_NORMALS)
     out = np.empty((len(hs), m, nf, npoints))
     for f in range(nf):
-        for rng, row in zip(rngs, z):
-            rng.standard_normal(out=row, dtype=_NORMALS)
+        for r in range(0, m, rows):
+            block = z[r : r + rows]
+            count = block.size // 2
+            draws = [rng.bit_generator.random_raw(L) for rng in rngs[r : r + rows]]
+            np.concatenate(draws, out=words[:count])
+            _polar_normals(words[:count], block.reshape(-1), scratch[:, :count])
         for k, H in enumerate(hs):
             out[k, :, f, 1:] = fgn_from_normals(z, H, step)[:, :n]
     anchors = np.array([rng.standard_normal(nf) for rng in rngs])

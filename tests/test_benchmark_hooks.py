@@ -9,6 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigencollide import capacity, cli, config, experiments
@@ -54,11 +55,56 @@ def test_tracing_patch_points_exist_and_are_restored(d):
         assert {"ensembles.vec_to_matrix", "spectral.adjacent_gaps"} <= names
 
 
+class _CountingBitGenerator:
+    """Delegates to a bit generator, adding the words random_raw returns to words[0]."""
+
+    def __init__(self, bit_generator, words):
+        self._bit_generator = bit_generator
+        self._words = words
+
+    def random_raw(self, size=None):
+        out = self._bit_generator.random_raw(size)
+        self._words[0] += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._bit_generator, name)
+
+
+class _CountingGenerator:
+    """A Generator whose bit_generator counts the raw words drawn from it."""
+
+    def __init__(self, rng, words):
+        self._rng = rng
+        self.bit_generator = _CountingBitGenerator(rng.bit_generator, words)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def raw_words(monkeypatch):
+    """Raw words the sampler draws through experiments.substream, as words[0].
+
+    The tracer counts Generator.standard_normal only, which the window
+    sampler calls for the anchors; the increments' normals come from raw
+    words (streams._polar_normals).
+    """
+    words = [0]
+    orig = experiments.substream
+    monkeypatch.setattr(
+        experiments, "substream", lambda *key: _CountingGenerator(orig(*key), words)
+    )
+    return words
+
+
 @pytest.mark.parametrize("beta", [1, 2])
-def test_traced_normals_count_is_the_sampler_work(beta):
-    # n_beta - 1 paths per replica (no trace field); each path draws 2L
-    # normals for the N window increments (L = N, a power of two) and one for
-    # its value at the window's start, nothing for the part before it
+def test_traced_normals_count_is_the_sampler_work(beta, raw_words):
+    # n_beta - 1 paths per replica (no trace field); each path draws L raw
+    # words, one per pair of the 2L normals for the N window increments
+    # (L = N, a power of two), and one standard normal for its value at the
+    # window's start, nothing for the part before it. The tracer's
+    # normals count sees the standard normals, the anchors
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     replicas, N = 3, 16
@@ -67,12 +113,14 @@ def test_traced_normals_count_is_the_sampler_work(beta):
         experiments.refinement_study(cfg)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     L = N
-    assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * (2 * L + 1)
+    paths = replicas * (n_beta(beta, 2) - 1)
+    assert metrics["streams.normals.count"] == paths
+    assert raw_words[0] == paths * L
     assert metrics["fields.embedding_fallbacks"] == 0
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-def test_traced_sweep_draws_each_replica_once(beta):
+def test_traced_sweep_draws_each_replica_once(beta, raw_words):
     # a two-H sweep maps each replica's normals through both H: one
     # substream and one set of draws per replica, not one per (H, replica)
     tracing = _load_tracing()
@@ -84,14 +132,16 @@ def test_traced_sweep_draws_each_replica_once(beta):
         experiments.phase_sweep(hs, cfg)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     L = N
-    assert metrics["streams.normals.count"] == replicas * (n_beta(beta, 2) - 1) * (2 * L + 1)
+    paths = replicas * (n_beta(beta, 2) - 1)
+    assert metrics["streams.normals.count"] == paths
+    assert raw_words[0] == paths * L
     assert metrics["streams.substream.calls"] == replicas
     assert metrics["fields.fgn_from_normals.calls"] == len(hs) * (n_beta(beta, 2) - 1)
 
 
 def test_traced_capacity_and_boxdim_draw_the_degenerate_set_once_per_bound(tmp_path):
-    # a capacity run computes two bounds (alpha and divergent_alpha); each
-    # draws its 2 * pairs degenerate points in one sample_degenerate call
+    # a capacity run computes two bounds (alpha and divergent_alpha) from
+    # the same 2 * pairs degenerate points, drawn in one sample_degenerate call
     tracing = _load_tracing()
     modules = (capacity, cli, config, experiments)
     before = [dict(vars(m)) for m in modules]
@@ -115,4 +165,4 @@ def test_traced_capacity_and_boxdim_draw_the_degenerate_set_once_per_bound(tmp_p
     for module, saved in zip(modules, before):
         for name, value in saved.items():
             assert getattr(module, name) is value, f"{module.__name__}.{name} not restored"
-    assert calls == {"capacity": 2, "boxdim": 1}
+    assert calls == {"capacity": 1, "boxdim": 1}

@@ -59,7 +59,7 @@ def test_simulate_writes_results_and_manifest(tmp_path, small_config):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 4242
     assert manifest["subcommand"] == "simulate"
-    assert manifest["stream_version"] == STREAM_VERSION == 7
+    assert manifest["stream_version"] == STREAM_VERSION == 8
     assert manifest["config"]["replicas"] == 150
     assert "started" in manifest and "finished" in manifest
 

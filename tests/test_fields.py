@@ -252,7 +252,7 @@ def test_fgn_from_normals_works_in_the_precision_of_the_normals():
         assert fgn_from_normals(x, 0.3, 1.0).dtype == np.float64
 
 
-@pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95])
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.97, 0.99])
 def test_single_precision_synthesis_error(H):
     # the window sampler synthesizes float32 normals in float32. On the
     # criteria's finest mesh (N = 16384 cells on [1, 2]) the path, summed in
@@ -320,17 +320,28 @@ def test_field_path_batch_deterministic():
 
 
 def test_field_path_batch_stream_contract():
-    # STREAM_VERSION 7, rebuilt by hand for replica r: substream(seed,
-    # *prefix, r) gives nf rows of 2L float32 normals, then nf float64 anchor
-    # normals. Row f's weighted half spectrum (weights formed in float64,
-    # rounded to float32) goes through a float32 inverse FFT; the anchor and
-    # the cumulative sum are float64
+    # STREAM_VERSION 8, rebuilt by hand for replica r: substream(seed,
+    # *prefix, r) gives nf rows of L raw words, then nf float64 anchor
+    # normals. Word k of a row, high bits h and low bits l, gives the float32
+    # pair R (cos theta, sin theta) in slots 2k, 2k + 1, with
+    # R = sqrt(-2 ln((h + 1/2) 2^-32)) in float64 and
+    # theta = 2 pi (l + 1/2) 2^-32 rounded to float32. Row f's weighted half
+    # spectrum (weights formed in float64, rounded to float32) goes through a
+    # float32 inverse FFT; the anchor and the cumulative sum are float64
     nf, hs, npoints, seed, prefix, r = 2, (0.3, 0.7), 13, 99, (TAG_COLLISION,), 5
     n, L = npoints - 1, 16
     step, i0 = experiments._window_start(1.0, 2.0, n)
     got = _field_path_batch(nf, hs, step, i0, npoints, seed, prefix, 3, 7)[:, r - 3]
     rng = substream(seed, *prefix, r)
-    rows = [rng.standard_normal(2 * L, dtype=np.float32) for _ in range(nf)]
+    rows = []
+    for _ in range(nf):
+        words = rng.bit_generator.random_raw(L)
+        h, l = words >> np.uint64(32), words & np.uint64(0xFFFFFFFF)
+        R = np.sqrt(-2.0 * np.log((h + 0.5) * 2.0**-32)).astype(np.float32)
+        theta = (2.0 * np.pi * (l + 0.5) * 2.0**-32).astype(np.float32)
+        z = np.empty(2 * L, dtype=np.float32)
+        z[0::2], z[1::2] = R * np.cos(theta), R * np.sin(theta)
+        rows.append(z)
     anchors = rng.standard_normal(nf)
     for k, H in enumerate(hs):
         w = np.sqrt(2 * L) * fgn_sqrt_eigenvalues(L, H, step)[: L + 1]
