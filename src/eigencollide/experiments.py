@@ -2,79 +2,45 @@
 Hurst phase sweeps, small-gap exponent fits, small-time studies, and the d=2
 closed-form oracle.
 
-Performance notes. Collision runs sample each replica once at the finest mesh
-and reuse strided subgrids for the coarser ladder entries, so refining the
-grid never increases a replica's minimum gap by construction. All randomness
-is drawn from per-replica keyed substreams in fixed-size batches
-(BATCH below), which makes every result bit-identical for any worker count.
-No result depends on BATCH either: each replica draws from its own
-substream, the polar map turns each raw word into its pair of normals on
-its own, numpy transforms each embedding row on its own, and every later
-step works per replica (on one machine: see streams._polar_normals). BATCH
-bounds each worker's working set: a batch's normals, half spectrum, inverse
-FFT and (H, m, nf, npoints) path block, and the gap kernel's block, which is
-the whole batch. A two-H sweep at d = 2,
-beta = 2 (32 replicas, ladder 256..16384) peaks at 16 MB of traced
-allocations on one thread and 25-31 MB on two with BATCH = 8 (depending on
-how the threads interleave), against 63 MB with BATCH = 32 (tracemalloc,
-caches warm); the working set grows in proportion to Nmax.
+Collision runs sample each replica once at the finest mesh and reuse strided
+subgrids for the coarser ladder entries, so refining the grid never
+increases a replica's minimum gap. All randomness is drawn from per-replica
+keyed substreams in fixed-size batches (BATCH), so every result is
+bit-identical for any worker count and any BATCH (on one machine: see
+streams._polar_normals). BATCH bounds each worker's working set, which grows
+in proportion to Nmax. Threads run the batches in a pool; the d >= 4
+eigensolver runs one call at a time (spectral).
 
-The path sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta:
-eigenvalue gaps are invariant under Y -> Y + cI, so the trace direction is
-never sampled. The diagonal is written from d - 1 Helmert coordinates, which
-has the law of iid diagonal fields projected onto trace zero
-(_traceless_fields); the gap process keeps its law exactly. That step, with
-coefficient_scale, is one constant (n_beta, n_beta - 1) matrix per
-(beta, d), built once (_expansion) and applied as one matmul. Its Helmert
-block is built in numpy (_helmert): importing scipy.linalg for it took
-0.25 s, more than numpy and scipy together (0.11 s). Only the window
-is synthesized: a path on npoints grid points costs L raw words mapped to
-2L float32 normals (streams._polar_normals), one float32 real-input inverse
-FFT of length 2L (fields.fgn_from_normals) and one float64 normal for its
-start, L the smallest power of two >= npoints - 1, whatever the window's
-distance from the origin. Per float32 normal the polar map takes 0.5-0.6
-of the time of Generator.standard_normal (6.0 against 12.6 ns and 9.9
-against 16.6 ns in two runs at L = 16384). Each map call also costs about
-30 us, so rows shorter than _MAP_WORDS words are mapped several at a time
-(at L = 1024, 26 ns per normal one row per call, 11 ns eight rows per
-call; shared 2-vCPU Intel Xeon virtual machine), and its buffers are
-allocated once per batch. Single precision halves the bytes the FFT moves;
-the embedding is exact for any normals, and the path error it adds is
-bounded in tests/test_fields.py (test_single_precision_synthesis_error).
-The spectral weights (fields._fgn_weights) and the law of the path's value
-at the window's start given the increments are solved once per
-(npoints, H, step) and (npoints, H, a/step), cached, and filled before any
-batch starts (_fill_window_caches); a/step need not be an integer.
+The sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta: gaps
+are invariant under Y -> Y + cI, so the trace direction is never sampled.
+The diagonal is written from d - 1 Helmert coordinates (_helmert, built in
+numpy to keep scipy.linalg off the import path), which has the law of iid
+diagonal fields projected onto trace zero; with coefficient_scale that is
+one cached (n_beta, n_beta - 1) map per (beta, d) (_expansion). Only the
+window is synthesized: a path on npoints points costs L raw words mapped to
+2L float32 normals (streams._polar_normals, _MAP_WORDS words per call), one
+float32 real-input inverse FFT of length 2L (fields.fgn_from_normals) and
+one float64 normal for its start, L the smallest power of two >= npoints - 1.
+The spectral weights and the law of the start given the increments are
+solved once per (npoints, H, step) and (npoints, H, a/step), cached, and
+filled before any batch starts (_fill_window_caches); a/step need not be an
+integer. The float32 path error is bounded in tests/test_fields.py.
 
-The gap kernel (_gaps_from_fields) builds no matrix at d = 2 and d = 3: it
-reads the gap from the packed coefficient planes through the closed forms in
-spectral, a square root at d = 2 and the trigonometric roots of the
-characteristic cubic at d = 3 (17-28x faster than vec_to_matrix with
-np.linalg.eigvalsh on batches of 4096 to 8200 matrices, 2-vCPU x86 virtual
-machine; the eigensolver dominated d = 3 gap fits). d >= 4 materializes
-matrices (one matmul, vec_to_matrix) and diagonalizes them with
-spectral._descending_eigenvalues, with no Hermitian check (vec_to_matrix
-makes them exactly Hermitian); why d = 4 has no closed form is in
-spectral.
-
-Threads (the threads argument) run the replica batches in a pool. They
-speed up the sampler: a two-H sweep at d = 2 (64 replicas, ladder
-256..16384) takes 0.17-0.25 s on one thread and 0.10-0.11 s on two. They do
-not speed up the d >= 4 eigensolver: concurrent np.linalg.eigvalsh calls
-take as long as serial ones at twice the CPU time, so the eigensolver runs
-one call at a time, and a thread that would wait for it samples its next
-batch instead. small_time_study at d = 4, beta = 2 (64 replicas, 1024
-cells, four windows) takes 0.8-1.1 s on one thread and 0.95-1.05 s on two,
-with 1.2 s of CPU time; without the lock two threads took 1.06 s and 1.96 s
-of CPU time (measured before single-precision synthesis). (Medians of five
-to ten runs, several runs each, shared 2-vCPU Intel Xeon virtual machine,
-whose other guests' load makes the ranges.)
+The collision loop's gap kernel is _path_gaps. At d = 2 it reads the gap
+from the paths as a weighted norm of the shifted traceless coordinates
+(_path_form), with no packed coefficients and no matrix. At d >= 3 it
+expands the paths to packed coefficients and calls _gaps_from_fields: the
+trigonometric roots of the characteristic cubic at d = 3, and at d >= 4
+matrices from vec_to_matrix diagonalized by spectral._descending_eigenvalues
+without a Hermitian check (vec_to_matrix makes them exactly Hermitian).
+gap_exponent_fit calls _gaps_from_fields at every d.
 
 A collision run over several Hurst values (phase_sweep) draws each
 replica's normals once and maps them through every H's embedding and
 anchor weights (common random numbers). The stream key does not name H, so
 each H's estimate keeps its law and equals its one-H run bit for bit, while
-estimates across H are positively correlated.
+estimates across H are positively correlated. Measured costs are in the
+README (Performance).
 """
 
 from __future__ import annotations
@@ -90,6 +56,7 @@ import numpy as np
 from .capacity import collision_regime
 from .config import _time_ladder
 from .ensembles import (
+    _unpacking_basis,
     coefficient_scale,
     diagonal_positions,
     matrix_to_vec,
@@ -150,9 +117,8 @@ BATCH = 8
 # precision of the window sampler's normals and synthesis (fields.fgn_from_normals)
 _NORMALS = np.dtype(np.float32)
 
-# raw words per streams._polar_normals call, whole rows of the batch's
-# normals: each call costs about 30 us besides its per-word work, so short
-# rows are mapped several at a time; one row of L = 16384 words is a call
+# raw words per streams._polar_normals call, in whole rows of the batch's
+# normals: short rows are mapped several at a time (README, Performance)
 _MAP_WORDS = 2**14
 
 _Z95 = 1.959963984540054
@@ -348,9 +314,7 @@ def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
     paths[:, :d-1] are Helmert coordinates g of the diagonal, which becomes
     helmert(d)^T g; the rest are the off-diagonal coefficients in packing
     order. Both steps and coefficient_scale are one matmul with the cached
-    map _expansion(beta, d), which writes the new block directly. X has the
-    law of iid fields projected onto trace zero, and gaps are invariant
-    under Y -> Y + cI, so the gap process keeps its law.
+    map _expansion(beta, d), which writes the new block directly.
     """
     return np.matmul(_expansion(beta, d), paths)
 
@@ -359,11 +323,9 @@ def _gaps_from_fields(coeffs: np.ndarray, beta: int, d: int) -> np.ndarray:
     """Minimum adjacent eigenvalue gap of Y(t): (m, npoints).
 
     coeffs (m, n_beta, npoints) are the packed coefficients of Y = A + X,
-    the shift added; they are read, not copied. d = 2 and
-    d = 3 go through the closed forms of spectral (a square root; the
-    trigonometric roots of the cubic), which build no matrix and run no
-    eigensolver; d >= 4 materializes matrices and diagonalizes them with
-    _descending_eigenvalues, one thread at a time.
+    the shift added; they are read, not copied. d = 2 and d = 3 go through
+    the closed forms of spectral, d >= 4 through vec_to_matrix and
+    _descending_eigenvalues.
     """
     x = np.moveaxis(coeffs, 1, -1)
     if d == 2:
@@ -372,6 +334,49 @@ def _gaps_from_fields(coeffs: np.ndarray, beta: int, d: int) -> np.ndarray:
         return _gap_closed_form_3x3(x, beta)
     eigs = _descending_eigenvalues(vec_to_matrix(x, beta, d))
     return adjacent_gaps(eigs).min(axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _path_form(beta: int) -> tuple:
+    """Read-only (w, S): at d = 2 the gap is |w * (P + S a)| over the traceless paths P.
+
+    Y = A + E P with E = _expansion and a the packed shift. The gap of a
+    2 x 2 Hermitian M is |D x|, D x = (M11 - M22, 2 Re M12, 2 Im M12) read
+    off its matrix (_unpacking_basis). D E is diagonal, diag(2, 2) at
+    beta 1 and diag(sqrt 2, 2, 2) at beta 2, so w = diag and S a = D a / w.
+    """
+    nb = n_beta(beta, 2)
+    M = np.vstack([_expansion(beta, 2).T, np.eye(nb)]) @ _unpacking_basis(beta, 2)
+    M = M.reshape(len(M), 2, 2, beta)
+    Dx = np.vstack([M[:, 0, 0, 0] - M[:, 1, 1, 0], 2.0 * M[:, 0, 1].T])
+    w = np.diag(Dx[:, : nb - 1]).copy()
+    if np.any(Dx[:, : nb - 1] != np.diag(w)):
+        raise AssertionError(f"the d = 2 gap is not a weighted norm of the paths (beta {beta})")
+    S = Dx[:, nb - 1 :] / w[:, None]
+    w.flags.writeable = S.flags.writeable = False
+    return w, S
+
+
+def _path_gaps(paths: np.ndarray, a: np.ndarray, beta: int, d: int) -> np.ndarray:
+    """Minimum adjacent gap (m, T) of A + X from one batch's traceless paths (m, n_beta - 1, T).
+
+    a is the packed shift. d = 2 reads the paths as the weighted norm of
+    _path_form, in two (m, T) buffers; d >= 3 expands them
+    (_traceless_fields), adds a and calls _gaps_from_fields.
+    """
+    if d != 2:
+        coeffs = _traceless_fields(paths, beta, d)
+        coeffs += a[:, None]
+        return _gaps_from_fields(coeffs, beta, d)
+    w, S = _path_form(beta)
+    gap2 = np.empty((paths.shape[0], paths.shape[2]))
+    term = np.empty_like(gap2)
+    for f, shift in enumerate(S @ a):  # field 0's square starts the sum
+        np.multiply(np.add(paths[:, f], shift, out=term), w[f], out=term)
+        np.square(term, out=term if f else gap2)
+        if f:
+            gap2 += term
+    return np.sqrt(gap2, out=gap2)
 
 
 def _window_start(a: float, b: float, N: int) -> tuple:
@@ -419,9 +424,7 @@ def _min_gaps_ladder(
     def work(lo: int, hi: int) -> None:
         paths = _field_path_batch(nf, hs, step, i0, npoints, seed, prefix, lo, hi)
         for k, per_h in enumerate(paths):
-            coeffs = _traceless_fields(per_h, beta, d)
-            coeffs += a[:, None]
-            gaps = _gaps_from_fields(coeffs, beta, d)
+            gaps = _path_gaps(per_h, a, beta, d)
             for col, stride in enumerate(strides):
                 minima[k, lo:hi, col] = gaps[:, ::stride].min(axis=1)
 
@@ -555,12 +558,9 @@ def gap_exponent_fit(
     Samples are drawn in chunks of 4096 from substream (seed, TAG_GAPFIT,
     chunk), each chunk as a (k, n_beta) array of normals, one sample per
     row. The chunk is scaled by t0^H, then by coefficient_scale, into
-    contiguous coefficient planes (n_beta, k) and goes to the gap kernel as
-    one (1, n_beta, k) block: one path of k points, so the closed forms
-    read each coefficient as one contiguous row rather than a column
-    strided by n_beta. Every sample sees the same arithmetic either way, so
-    the gaps are those of k one-point paths (k, n_beta, 1) bit for bit.
-    There is no shift.
+    contiguous coefficient planes (n_beta, k) and goes to _gaps_from_fields
+    as one (1, n_beta, k) block, one path of k points, whose gaps are those
+    of k one-point paths bit for bit. There is no shift.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a stable fit")
@@ -644,11 +644,11 @@ def small_time_study(
 def oracle_vector_reduction(config, threads: int = 1) -> float:
     """Max pathwise |eigensolver gap - closed-form gap| for d = 2 paths Y = A + X.
 
-    Rebuilds the gap path straight from the retained scalar fields and the
-    shift A = config.shift, for beta = config.beta, and compares with the
-    full pipeline (pack, materialize, add A, diagonalize). The two agree up
-    to eigensolver tolerance; anything above 1e-10 indicates a packing or
-    assembly bug.
+    The formula side is the collision loop's kernel, _path_gaps, on the
+    sampled paths and the packed shift A = config.shift; the pipeline side
+    expands the paths, materializes the matrices, adds A and diagonalizes.
+    The two agree up to eigensolver tolerance; anything above 1e-10
+    indicates a packing or assembly bug.
     """
     if config.d != 2:
         raise ValueError("the vector-reduction oracle is a d = 2 construction")
@@ -666,9 +666,9 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
         paths = _field_path_batch(
             n_beta(beta, 2) - 1, (H,), step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
         )
+        formula = _path_gaps(paths[0], a, beta, 2)
         # unshifted: the pipeline adds A as a matrix
         coeffs = _traceless_fields(paths[0], beta, 2)
-        formula = _gaps_from_fields(coeffs + a[:, None], beta, 2)
         mats = vec_to_matrix(coeffs.transpose(0, 2, 1), beta, 2) + A
         eigs = ordered_eigenvalues(mats)
         pipeline = eigs[..., 0] - eigs[..., 1]

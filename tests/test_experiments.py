@@ -217,6 +217,76 @@ def test_traceless_fields_allocate_only_their_output(d, nt, beta):
     assert peak <= 1.05 * out.nbytes
 
 
+def _shift(beta: int, d: int, seed: int) -> tuple:
+    """A nonzero Hermitian shift A and its packed coefficients."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d, d))
+    if beta == 2:
+        G = G + 1j * rng.standard_normal((d, d))
+    A = validate_shift(0.5 * (G + G.conj().T), beta, d)
+    return A, matrix_to_vec(A, beta)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_path_gaps_match_reference_pipeline(beta):
+    # the ladder's d = 2 kernel on Helmert coordinates of iid fields against
+    # the explicit per-entry build and eigvalsh on the fields themselves:
+    # they differ by a multiple of the identity, so the gaps agree
+    m, nt = 3, 9
+    nb = n_beta(beta, 2)
+    F = experiments._field_path_batch(nb, (0.3,), 1 / 8, 8.0, nt, 23, (), 0, m)[0]
+    diag = diagonal_positions(2)
+    off = np.setdiff1d(np.arange(nb), diag)
+    coords = np.concatenate([np.matmul(helmert(2), F[:, diag]), F[:, off]], axis=1)
+    A, a = _shift(beta, 2, 30 + beta)
+    fast = experiments._path_gaps(coords, a, beta, 2)
+    assert fast.shape == (m, nt)
+    np.testing.assert_allclose(fast, _reference_gaps(F, beta, 2, A), rtol=0.0, atol=1e-10)
+    # D E = diag(2, 2) at beta 1 and diag(sqrt 2, 2, 2) at beta 2
+    w, _ = experiments._path_form(beta)
+    np.testing.assert_allclose(w, [2.0, 2.0] if beta == 1 else [np.sqrt(2.0), 2.0, 2.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_path_gaps_equal_the_expanded_route(d, beta, shifted):
+    # against expand, shift, _gaps_from_fields on the sampler's paths: at
+    # d = 2 bit for bit without a shift and to rounding with one, at d >= 3
+    # it is that route
+    nt = {2: 1025, 3: 257, 4: 65}[d]
+    paths = experiments._field_path_batch(
+        n_beta(beta, d) - 1, (0.3,), 1 / 256, 256.0, nt, 2611, (), 0, BATCH
+    )[0]
+    A, a = _shift(beta, d, 40 + 2 * d + beta) if shifted else (None, np.zeros(n_beta(beta, d)))
+    coeffs = _traceless_fields(paths, beta, d)
+    coeffs += a[:, None]
+    old = _gaps_from_fields(coeffs, beta, d)
+    new = experiments._path_gaps(paths, a, beta, d)
+    if d >= 3 or not shifted:
+        np.testing.assert_array_equal(new, old)
+    else:
+        np.testing.assert_allclose(new, old, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_path_gaps_allocate_only_two_buffers(beta):
+    # one warm d = 2 call on an 8-replica block at the finest mesh allocates
+    # its output and one scratch buffer of the same (m, T) shape, nothing of
+    # the size of the (m, n_beta, T) coefficient block
+    paths = np.random.default_rng(beta).standard_normal((BATCH, n_beta(beta, 2) - 1, 16385))
+    a = np.arange(1.0, n_beta(beta, 2) + 1)
+    out = experiments._path_gaps(paths, a, beta, 2)
+    tracemalloc.start()
+    try:
+        experiments._path_gaps(paths, a, beta, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (BATCH, 16385)
+    assert peak <= 2.05 * out.nbytes
+
+
 # -- nested-grid coupling --------------------------------------------------------
 
 

@@ -200,9 +200,11 @@ def test_invalid_embedding_raises(monkeypatch):
     # fBm never fails the embedding's check, so a non-PSD autocovariance
     # (1, -1, -1, ...) stands in: the embedding and the window sampler
     # raise a LinAlgError naming the half-length and H, with no warning and
-    # no fallback. The cache is cleared to force the solve; a raise is never
-    # cached
-    fields._fgn_unit_sqrt_eigenvalues.cache_clear()
+    # no fallback. The caches are cleared to force the solve, whatever an
+    # earlier test filled (the sampler reads the cached weight rows, not the
+    # roots); a raise is never cached
+    for cache in (fields._fgn_unit_sqrt_eigenvalues, fields._fgn_weights, fields._fgn_anchor_weights):
+        cache.cache_clear()
     monkeypatch.setattr(fields, "_fgn_autocov", lambda n, H: np.r_[1.0, np.full(n, -1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
