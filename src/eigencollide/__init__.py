@@ -28,16 +28,8 @@ from .experiments import (
     phase_sweep,
     refinement_study,
     small_time_study,
-    wilson_interval,
 )
-from .fields import (
-    GridSpec,
-    fbm_covariance,
-    interval,
-    sheet_covariance,
-    verify_regularity_bounds,
-    volterra_kernel,
-)
+from .fields import fbm_covariance, sheet_covariance, volterra_kernel
 from .geometry import complete_frame, random_stiefel, sample_degenerate
 from .spectral import (
     eigenprojection_contour,
@@ -49,7 +41,6 @@ from .streams import substream
 __all__ = [
     "__version__",
     "ExperimentConfig",
-    "GridSpec",
     "box_counting_dim",
     "capacity_lower_bound",
     "collision_regime",
@@ -60,7 +51,6 @@ __all__ = [
     "fbm_covariance",
     "gap_closed_form_2x2",
     "gap_exponent_fit",
-    "interval",
     "matrix_to_vec",
     "n_beta",
     "ordered_eigenvalues",
@@ -73,8 +63,6 @@ __all__ = [
     "sheet_covariance",
     "small_time_study",
     "substream",
-    "verify_regularity_bounds",
     "vec_to_matrix",
     "volterra_kernel",
-    "wilson_interval",
 ]

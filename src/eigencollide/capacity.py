@@ -121,8 +121,7 @@ def _pair_energy(x: np.ndarray, y: np.ndarray, alpha: float) -> EnergyEstimate:
     r = np.linalg.norm(x - y, axis=-1)
     divergent = (r < _DIVERGENCE_DISTANCE) & (alpha >= 0.0)
     pairs, ndiv = r.size, int(divergent.sum())
-    # no copy when every pair is finite: 200 000 oracle pairs took 4.5 ms
-    # instead of 5.7 (2-vCPU x86 virtual machine)
+    # no copy when every pair is finite, the usual case (README, Performance)
     vals = f_alpha(r[~divergent] if ndiv else r, alpha)
     if vals.size == 0:
         return EnergyEstimate(value=np.inf, stderr=0.0, pairs=pairs, divergent_pairs=ndiv)
@@ -210,10 +209,8 @@ def box_counting_dim(points: np.ndarray, scales) -> BoxCountResult:
     over their columns, so equal rows are adjacent, and the occupied boxes
     are counted as 1 plus the number of adjacent rows that differ. The
     count is exact, and so equals the row count of np.unique(cells,
-    axis=0), which sorts the rows as structured void records instead: at
-    d = 3 with 2000 points and six scales the counts took 3.7 / 4.6 ms this
-    way against 15.8 / 23.4 ms with np.unique for beta 1 / 2 (2-vCPU x86
-    virtual machine).
+    axis=0), which sorts the rows as structured void records instead and
+    is several times slower (README, Performance).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:

@@ -45,7 +45,7 @@ from .experiments import (
     phase_sweep,
     refinement_study,
 )
-from .fields import covariance_matrix, interval
+from .fields import covariance_matrix
 from .spectral import eigenprojection_contour, ordered_eigenvalues
 from .streams import STREAM_VERSION, TAG_FIELD, substream
 
@@ -290,7 +290,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
 
     # covariance of the window sampler every experiment runs: 8 points on [1, 2]
     X = _field_path_batch(1, (0.5,), 1 / 7, 7.0, 8, config.seed, (TAG_FIELD,), 0, 2000)[0, :, 0]
-    R = covariance_matrix(interval(1.0, 2.0, 8), 0.5)
+    R = covariance_matrix(np.linspace(1.0, 2.0, 8), 0.5)
     S = X.T @ X / len(X)
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
     cov_err = float(np.max(np.abs(S - R) / (5.0 * se)))

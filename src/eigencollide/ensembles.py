@@ -22,8 +22,6 @@ __all__ = [
     "n_beta",
     "vec_to_matrix",
     "matrix_to_vec",
-    "upper_indices",
-    "strict_upper_indices",
     "diagonal_positions",
     "coefficient_scale",
     "validate_shift",
@@ -71,18 +69,9 @@ def n_beta(beta: int, d: int) -> int:
     return d * (d + 1) // 2 if beta == 1 else d * d
 
 
-def upper_indices(d: int):
-    """Row-major upper-triangle (i <= j) index pair, the packing order."""
-    return np.triu_indices(d)
-
-
-def strict_upper_indices(d: int):
-    return np.triu_indices(d, k=1)
-
-
 def diagonal_positions(d: int) -> np.ndarray:
     """Positions of the (i,i) entries inside the row-major upper-triangle packing."""
-    iu, ju = upper_indices(d)
+    iu, ju = np.triu_indices(d)
     return np.flatnonzero(iu == ju)
 
 
@@ -109,7 +98,7 @@ def _unpacking_basis(beta: int, d: int) -> np.ndarray:
     complex d x d matrix (real and imaginary parts interleaved).
     """
     n1 = d * (d + 1) // 2
-    iu, ju = upper_indices(d)
+    iu, ju = np.triu_indices(d)
     k = np.arange(n1)
     if beta == 1:
         B = np.zeros((n1, d, d))
@@ -119,7 +108,7 @@ def _unpacking_basis(beta: int, d: int) -> np.ndarray:
         B = np.zeros((d * d, d, d, 2))
         B[k, iu, ju, 0] = 1.0
         B[k, ju, iu, 0] = 1.0
-        si, sj = strict_upper_indices(d)
+        si, sj = np.triu_indices(d, k=1)
         k = n1 + np.arange(si.size)
         B[k, si, sj, 1] = 1.0
         B[k, sj, si, 1] = -1.0
@@ -161,11 +150,11 @@ def matrix_to_vec(M: np.ndarray, beta: int) -> np.ndarray:
     M = _check_hermitian(M, beta)
     d = M.shape[-1]
     Mh = 0.5 * (M + np.swapaxes(M, -1, -2).conj())
-    iu, ju = upper_indices(d)
+    iu, ju = np.triu_indices(d)
     real_part = np.real(Mh[..., iu, ju])
     if beta == 1:
         return real_part
-    si, sj = strict_upper_indices(d)
+    si, sj = np.triu_indices(d, k=1)
     return np.concatenate([real_part, np.imag(Mh[..., si, sj])], axis=-1)
 
 

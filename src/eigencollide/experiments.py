@@ -101,7 +101,6 @@ __all__ = [
     "RefinementResult",
     "PhaseSweepResult",
     "ExponentFit",
-    "wilson_interval",
     "refinement_study",
     "gap_exponent_fit",
     "phase_sweep",
@@ -124,7 +123,7 @@ _MAP_WORDS = 2**14
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(hits: int, n: int) -> tuple:
+def _wilson_interval(hits: int, n: int) -> tuple:
     """Wilson 95% score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("need at least one trial")
@@ -437,7 +436,7 @@ def _stats_from_minima(
 ) -> CollisionStats:
     n = minima_col.shape[0]
     hits = int(np.count_nonzero(minima_col < delta))
-    lo, hi = wilson_interval(hits, n)
+    lo, hi = _wilson_interval(hits, n)
     return CollisionStats(
         p_hat=hits / n,
         wilson_lo=lo,
@@ -489,7 +488,7 @@ def refinement_study(
     across the ladder make the trend ratios low-variance. A mesh_ladder
     given here replaces config.mesh_ladder, so the config's validator judges
     it. perfbench/make_reference.py is its one caller; the parameter goes
-    when that script states its ladder in its config (ROADMAP item 1, step
+    when that script states its ladder in its config (ROADMAP item 3, step
     2). A critical H, where Q = 1/H equals beta + 1 and the paper's
     dichotomy is undecided, runs with a UserWarning.
     """

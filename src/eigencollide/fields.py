@@ -2,8 +2,8 @@
 
 Fractional Brownian motion and its multiparameter product-kernel sheet, with:
 
-* exact dense covariances on arbitrary grids, the law the window sampler
-  is tested against,
+* exact dense covariances at given time points (or sheet points), the law
+  the window sampler is tested against,
 * the circulant embedding of stationary fGn increments on uniform 1-d grids
   (nonnegative definite for every H in (0, 1): Dietrich & Newsam 1997;
   Craigmile 2003), its normals-to-increments map by a real-input inverse
@@ -19,21 +19,18 @@ usual path imports one: the anchor weights are solved by conjugate
 gradients written in numpy (_fgn_toeplitz_cg). The cold paths import
 scipy inside the function: the Levinson solve near H = 1, the dense
 reference increments (_fgn_exact) and the Volterra quadrature. Loading
-scipy.linalg and scipy.sparse at import took `import eigencollide.cli` from
-0.17 s to 0.48 s (2-vCPU x86 virtual machine).
+scipy.linalg and scipy.sparse at import would nearly triple the import
+time of the command line (README, Performance).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "GridSpec",
-    "RegularityReport",
     "fbm_covariance",
     "sheet_covariance",
     "covariance_matrix",
@@ -41,7 +38,6 @@ __all__ = [
     "fgn_from_normals",
     "volterra_kernel",
     "volterra_covariance_quadrature",
-    "verify_regularity_bounds",
     "cholesky_with_jitter",
 ]
 
@@ -88,65 +84,17 @@ def sheet_covariance(s, t, H):
     return out.item() if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular evaluation grid: axis j holds n[j] equispaced points in [a[j], b[j]].
+def covariance_matrix(points, hurst) -> np.ndarray:
+    """Dense covariance matrix of the sheet with Hurst vector hurst at points.
 
-    A singleton axis (n_j = 1) must have a_j = b_j. Points are enumerated in
-    C order (last axis fastest), matching points().
+    points is (n,) times for fBm or (n, r) points of the r-parameter sheet,
+    with nonnegative coordinates; hurst is a scalar or one entry per
+    coordinate.
     """
-
-    a: tuple
-    b: tuple
-    n: tuple
-
-    def __post_init__(self):
-        a = tuple(float(x) for x in np.atleast_1d(self.a))
-        b = tuple(float(x) for x in np.atleast_1d(self.b))
-        n = tuple(int(x) for x in np.atleast_1d(self.n))
-        if not len(a) == len(b) == len(n):
-            raise ValueError("a, b, n must have equal lengths")
-        for j, (aj, bj, nj) in enumerate(zip(a, b, n)):
-            if aj < 0:
-                raise ValueError(f"axis {j}: left endpoint {aj} < 0")
-            if bj < aj:
-                raise ValueError(f"axis {j}: endpoints out of order ({aj} > {bj})")
-            if nj < 1:
-                raise ValueError(f"axis {j}: need at least one point, got {nj}")
-            if nj == 1 and aj != bj:
-                raise ValueError(f"axis {j}: singleton axis requires a == b")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def r(self) -> int:
-        return len(self.n)
-
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.n))
-
-    def axes(self):
-        return [np.linspace(aj, bj, nj) for aj, bj, nj in zip(self.a, self.b, self.n)]
-
-    def points(self) -> np.ndarray:
-        """All grid points as an (npoints, r) array, C order."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def interval(a: float, b: float, n: int) -> GridSpec:
-    """1-d grid shorthand."""
-    return GridSpec((a,), (b,), (n,))
-
-
-def covariance_matrix(grid: GridSpec, hurst) -> np.ndarray:
-    """Dense covariance matrix of the sheet with Hurst vector hurst on grid.points().
-
-    hurst is a scalar or one entry per grid axis (r = 1 is fBm).
-    """
-    pts = grid.points()
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"points must have shape (n,) or (n, r), got {pts.shape}")
+    pts = pts[:, None] if pts.ndim == 1 else pts
     return sheet_covariance(pts[:, None, :], pts[None, :, :], hurst)
 
 
@@ -440,56 +388,3 @@ def volterra_covariance_quadrature(s: float, t: float, H: float) -> float:
             lo, hi, epsabs=0.0, epsrel=1e-8, limit=300,
         )
     return val
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Empirical regularity constants of a field over a finite grid.
-
-    var_min:                min_t R(t,t)
-    increment_ratio_min/max: range of E[(xi(s)-xi(t))^2] / sum_j |s_j-t_j|^(2H_j)
-    conditional_ratio_min:  min of Var[xi(t)|xi(s)] over the same denominator
-    ok:                     all constants strictly positive and finite
-    """
-
-    var_min: float
-    increment_ratio_min: float
-    increment_ratio_max: float
-    conditional_ratio_min: float
-    ok: bool
-
-
-def verify_regularity_bounds(grid: GridSpec, hurst) -> RegularityReport:
-    """Scan a grid for the two-sided increment and conditional-variance bounds.
-
-    hurst is a scalar or one entry per grid axis, as in covariance_matrix.
-
-    Empirical check on a finite grid only; it reports the observed constants
-    and flags a violation when any of them is nonpositive or non-finite. It
-    cannot certify the infimum over the continuum.
-    """
-    if any(nj < 2 for nj in grid.n):
-        raise ValueError("regularity scan needs at least 2 points per axis")
-    R = covariance_matrix(grid, hurst)  # checks each H_j and that there are grid.r of them
-    pts = grid.points()
-    var = np.diag(R)
-    # sum_j |s_j - t_j|^(2H_j) for every ordered pair
-    denom = np.zeros_like(R)
-    for j, h in enumerate(np.atleast_1d(hurst)):
-        dj = np.abs(pts[:, j][:, None] - pts[:, j][None, :])
-        denom += dj ** (2.0 * h)
-    off = denom > 0.0
-    incr = var[:, None] + var[None, :] - 2.0 * R
-    ratios = incr[off] / denom[off]
-    # condition on s (rows), evaluate at t (columns); rows with zero variance
-    # cannot be conditioned on and would be a violation anyway
-    with np.errstate(divide="ignore", invalid="ignore"):
-        condvar = var[None, :] - R**2 / var[:, None]
-        cond_ratios = (condvar / denom)[off]
-    var_min = float(var.min())
-    rmin = float(ratios.min())
-    rmax = float(ratios.max())
-    cmin = float(np.min(cond_ratios))
-    vals = (var_min, rmin, rmax, cmin)
-    ok = all(np.isfinite(v) and v > 0.0 for v in vals)
-    return RegularityReport(var_min, rmin, rmax, cmin, ok)

@@ -32,7 +32,6 @@ from eigencollide.experiments import (
 from eigencollide.fields import (
     covariance_matrix,
     fbm_covariance,
-    interval,
     volterra_covariance_quadrature,
 )
 from eigencollide.geometry import complete_frame, random_stiefel, sample_degenerate
@@ -65,7 +64,7 @@ def test_criterion_01_covariance_exactness(capsys):
     paths = _field_path_batch(1, (0.3, 0.5, 0.7), step, i0, 16, SEED, (TAG_FIELD,), 0, 10_000)
     for H, per_h in zip((0.3, 0.5, 0.7), paths):
         X = per_h[:, 0]
-        R = covariance_matrix(interval(1.0, 2.0, 16), H)
+        R = covariance_matrix(np.linspace(1.0, 2.0, 16), H)
         S = X.T @ X / len(X)
         # MC standard error of a Gaussian second moment: (R_ii R_jj + R_ij^2)/m
         se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))

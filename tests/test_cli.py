@@ -370,7 +370,7 @@ def test_malformed_shift_errors(tmp_path, capsys, shift):
 
 def test_hurst_near_one_on_a_large_mesh_errors(tmp_path, capsys):
     # the window-start Toeplitz solve fails for 1 - H <= 1e-13 at 4096 cells
-    # (ROADMAP item 8); until that is fixed the run must end in one error line
+    # (ROADMAP item 9); until that is fixed the run must end in one error line
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"hurst": 0.9999999999999999, "intervals": 4096, "interval": [1, 2]}))
     out = tmp_path / "out"

@@ -28,6 +28,7 @@ from eigencollide.experiments import (
     _helmert,
     _min_gaps_ladder,
     _traceless_fields,
+    _wilson_interval,
     degenerate_point_cloud,
     flattened_degenerate_sampler,
     gap_exponent_fit,
@@ -35,7 +36,6 @@ from eigencollide.experiments import (
     phase_sweep,
     refinement_study,
     small_time_study,
-    wilson_interval,
 )
 from eigencollide.fields import _fgn_anchor_weights, _fgn_unit_sqrt_eigenvalues, _fgn_weights
 from eigencollide.streams import TAG_BOXDIM, TAG_GAPFIT, substream
@@ -55,25 +55,25 @@ def _cfg(**kw):
 
 def test_wilson_interval_known_values():
     # z = 1.96: 5/10 -> (0.2366, 0.7634); standard worked example
-    lo, hi = wilson_interval(5, 10)
+    lo, hi = _wilson_interval(5, 10)
     assert lo == pytest.approx(0.2366, abs=2e-3)
     assert hi == pytest.approx(0.7634, abs=2e-3)
-    lo, hi = wilson_interval(0, 50)
+    lo, hi = _wilson_interval(0, 50)
     assert lo == 0.0
     assert 0.0 < hi < 0.1
 
 
 def test_wilson_interval_bounds_and_order():
     for hits, n in [(0, 5), (5, 5), (3, 7), (1, 1000)]:
-        lo, hi = wilson_interval(hits, n)
+        lo, hi = _wilson_interval(hits, n)
         assert 0.0 <= lo <= hits / n <= hi <= 1.0
 
 
 def test_wilson_interval_validation():
     with pytest.raises(ValueError):
-        wilson_interval(3, 0)
+        _wilson_interval(3, 0)
     with pytest.raises(ValueError):
-        wilson_interval(7, 5)
+        _wilson_interval(7, 5)
 
 
 def test_wilson_coverage_meta():
@@ -83,7 +83,7 @@ def test_wilson_coverage_meta():
     hits = rng.binomial(n, p, size=sims)
     covered = 0
     for h in hits:
-        lo, hi = wilson_interval(int(h), n)
+        lo, hi = _wilson_interval(int(h), n)
         covered += lo <= p <= hi
     assert covered / sims > 0.92
 

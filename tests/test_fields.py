@@ -1,4 +1,4 @@
-"""Covariances, grids, circulant engine and window sampler, Volterra."""
+"""Covariances, circulant engine and window sampler, Volterra."""
 
 import warnings
 
@@ -13,15 +13,12 @@ from scipy.sparse.linalg import LinearOperator, cg
 from eigencollide import experiments, fields
 from eigencollide.experiments import _field_path_batch
 from eigencollide.fields import (
-    GridSpec,
     cholesky_with_jitter,
     covariance_matrix,
     fbm_covariance,
     fgn_from_normals,
     fgn_sqrt_eigenvalues,
-    interval,
     sheet_covariance,
-    verify_regularity_bounds,
     volterra_covariance_quadrature,
     volterra_kernel,
 )
@@ -92,67 +89,61 @@ def test_sheet_broadcast_matches_scalar():
         assert vals[k] == pytest.approx(sheet_covariance(s[k], t[k], H))
 
 
-# -- grids ------------------------------------------------------------------
+# -- covariance matrices -----------------------------------------------------
 
 
 def test_grid_points_c_order():
-    g = GridSpec(a=(0.0, 10.0), b=(1.0, 12.0), n=(3, 2))
-    pts = g.points()
-    # last axis varies fastest
-    expected = np.array(
-        [[0.0, 10.0], [0.0, 12.0],
-         [0.5, 10.0], [0.5, 12.0],
-         [1.0, 10.0], [1.0, 12.0]]
+    # row and column k of the matrix belong to points[k], in the order given
+    pts = np.array(
+        [[0.5, 10.0], [0.5, 12.0],
+         [1.0, 10.0], [1.0, 12.0],
+         [1.5, 10.0], [1.5, 12.0]]
     )
-    np.testing.assert_allclose(pts, expected)
-    assert g.npoints == 6
-    assert g.r == 2
-
-
-def test_interval_helper():
-    g = interval(1.0, 2.0, 5)
-    np.testing.assert_allclose(g.axes()[0], [1.0, 1.25, 1.5, 1.75, 2.0])
-    assert g.npoints == 5
+    C = covariance_matrix(pts, (0.3, 0.7))
+    assert C.shape == (6, 6)
+    for k in range(6):
+        for l in range(6):
+            assert C[k, l] == sheet_covariance(pts[k], pts[l], (0.3, 0.7))
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        GridSpec(a=(2.0,), b=(1.0,), n=(4,))  # b < a
+        covariance_matrix(np.array([-1.0, 0.5, 1.0]), 0.3)  # negative time
     with pytest.raises(ValueError):
-        GridSpec(a=(-1.0,), b=(1.0,), n=(4,))  # negative corner
+        covariance_matrix(np.array([[1.0, -0.5], [1.0, 1.0]]), (0.3, 0.4))  # negative coordinate
     with pytest.raises(ValueError):
-        GridSpec(a=(0.0,), b=(1.0,), n=(0,))  # no points
+        covariance_matrix(np.ones((2, 2, 2)), (0.3, 0.4))  # neither (n,) nor (n, r)
     with pytest.raises(ValueError):
-        GridSpec(a=(0.0, 1.0), b=(1.0,), n=(2, 2))  # mismatched lengths
-    with pytest.raises(ValueError):
-        GridSpec(a=(0.0,), b=(1.0,), n=(1,))  # singleton needs a == b
+        covariance_matrix(1.0, 0.3)  # a scalar
 
 
 def test_grid_singleton_axis():
-    g = GridSpec(a=(1.0, 0.0), b=(1.0, 1.0), n=(1, 2))
-    assert g.npoints == 2
-    # a == b with n == 1 means a single coordinate on that axis
-    assert np.unique(g.points()[:, 0]).size == 1
-
-
-# -- dense sampling ---------------------------------------------------------
+    # a coordinate held at a scales the other axis's fBm law by a^(2 H_1)
+    t = np.linspace(0.0, 1.0, 5)
+    pts = np.stack([np.full_like(t, 2.0), t], axis=-1)
+    np.testing.assert_allclose(
+        covariance_matrix(pts, (0.3, 0.7)),
+        2.0**0.6 * covariance_matrix(t, 0.7),
+        rtol=1e-14,
+    )
 
 
 def test_covariance_matrix_psd_and_symmetric():
-    g = interval(0.5, 3.0, 12)
+    t = np.linspace(0.5, 3.0, 12)
     for H in (0.2, 0.5, 0.8):
-        C = covariance_matrix(g, H)
+        C = covariance_matrix(t, H)
         np.testing.assert_allclose(C, C.T, atol=1e-14)
         w = np.linalg.eigvalsh(C)
         assert w.min() >= -1e-9 * w.max()
 
 
 def test_fbm_is_the_one_parameter_sheet():
-    g = interval(0.5, 2.0, 9)
-    t = g.axes()[0]
+    # (n,) times and (n, 1) points, scalar or one-entry Hurst: the fbm matrix bit for bit
+    t = np.linspace(0.5, 2.0, 9)
     expected = fbm_covariance(t[:, None], t[None, :], 0.3)
-    np.testing.assert_array_equal(covariance_matrix(g, 0.3), expected)
-    np.testing.assert_array_equal(covariance_matrix(g, (0.3,)), expected)
+    for points in (t, t[:, None]):
+        np.testing.assert_array_equal(covariance_matrix(points, 0.3), expected)
+        np.testing.assert_array_equal(covariance_matrix(points, (0.3,)), expected)
 
 
 def test_cholesky_with_jitter_handles_singular():
@@ -167,21 +158,19 @@ def test_cholesky_with_jitter_rejects_indefinite():
         cholesky_with_jitter(C)
 
 
-_LINE = interval(1.0, 2.0, 4)
-_SQUARE = GridSpec(a=(1.0, 1.0), b=(2.0, 2.0), n=(3, 3))
+_LINE = np.linspace(1.0, 2.0, 4)
+_SQUARE = np.array([[s, t] for s in (1.0, 1.5, 2.0) for t in (1.0, 1.5, 2.0)])
 
 
 @pytest.mark.parametrize(
-    "grid,hurst",
+    "points,hurst",
     [(_LINE, (0.3, 0.4)), (_SQUARE, 0.3), (_SQUARE, (0.3,)), (_SQUARE, (0.3, 0.4, 0.5))],
     ids=["r1-two-H", "r2-scalar-H", "r2-one-H", "r2-three-H"],
 )
-def test_hurst_length_must_match_grid(grid, hurst):
-    # one Hurst entry per axis: too few or too many raise, never a silent axis-0 law
+def test_hurst_length_must_match_grid(points, hurst):
+    # one Hurst entry per coordinate: too few or too many raise, never a silent axis-0 law
     with pytest.raises(ValueError):
-        covariance_matrix(grid, hurst)
-    with pytest.raises(ValueError):
-        verify_regularity_bounds(grid, hurst)
+        covariance_matrix(points, hurst)
 
 
 # -- circulant engine -------------------------------------------------------
@@ -374,7 +363,7 @@ def _window_law_error(H, a=1.0, b=None, seed=2024, replicas=3400):
 
 def _law_error(X, H, a, b):
     # max |S - R| / SE over the covariance entries of paths X (rows) on [a, b]
-    R = covariance_matrix(interval(a, b, X.shape[1]), H)
+    R = covariance_matrix(np.linspace(a, b, X.shape[1]), H)
     S = X.T @ X / X.shape[0]
     se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / X.shape[0])
     return np.max(np.abs(S - R) / se)
@@ -542,28 +531,3 @@ def test_volterra_reproduces_fbm_variance():
 def test_volterra_reproduces_fbm_cross_covariance():
     val = volterra_covariance_quadrature(0.5, 1.5, 0.3)
     assert val == pytest.approx(fbm_covariance(0.5, 1.5, 0.3), rel=1e-3)
-
-
-# -- regularity --------------------------------------------------------------
-
-
-def test_verify_regularity_bounds_fbm():
-    g = interval(1.0, 2.0, 8)
-    rep = verify_regularity_bounds(g, 0.3)
-    assert rep.ok
-    assert rep.var_min > 0
-    assert rep.increment_ratio_min > 0
-    assert np.isfinite(rep.increment_ratio_max)
-    assert rep.conditional_ratio_min > 0
-
-
-def test_verify_regularity_bounds_sheet():
-    g = GridSpec(a=(0.5, 0.5), b=(1.5, 1.5), n=(3, 3))
-    rep = verify_regularity_bounds(g, (0.3, 0.4))
-    assert rep.ok
-
-
-def test_verify_regularity_bounds_needs_two_points():
-    g = GridSpec(a=(1.0,), b=(1.0,), n=(1,))
-    with pytest.raises(ValueError):
-        verify_regularity_bounds(g, 0.3)
