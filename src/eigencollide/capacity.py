@@ -10,7 +10,7 @@ is used as the standard surrogate and labeled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -162,29 +162,32 @@ _STABILITY_JUMP = 0.15
 
 
 def capacity_lower_bound(
-    sampler: Callable, alpha: float, pairs: int, seed: int
-) -> CapacityBound:
-    """1/energy of the sampler's measure: a lower bound on the set's capacity.
+    sampler: Callable, alphas: Sequence[float], pairs: int, seed: int
+) -> tuple:
+    """1/energy of the sampler's measure for each alpha, one CapacityBound each, in order.
 
-    Positive iff the estimated energy is finite; all-divergent energy gives
-    bound 0. The sampler is called once for 2 * pairs points: the energy
-    takes points [:pairs] against [pairs:], and the half probe is a slice of
-    the same draw, [:h] against [h:2h] with h = max(1, pairs // 2). The
-    divergence flag therefore measures pure sample-growth instability.
+    Each bound is a lower bound on the set's alpha-capacity, positive iff the
+    estimated energy is finite; all-divergent energy gives bound 0. The
+    sampler is called once for 2 * pairs points, whatever len(alphas): every
+    energy takes points [:pairs] against [pairs:], and the half probe is a
+    slice of the same draw, [:h] against [h:2h] with h = max(1, pairs // 2).
+    The divergence flag therefore measures pure sample-growth instability.
     """
-    alpha = float(alpha)
     points = _draw_pairs(sampler, pairs, seed)
     h = max(1, pairs // 2)
-    e_half = _pair_energy(points[:h], points[h : 2 * h], alpha)
-    e_full = _pair_energy(points[:pairs], points[pairs:], alpha)
-    bound = 0.0 if np.isinf(e_full.value) else 1.0 / e_full.value
-    b_half = 0.0 if np.isinf(e_half.value) else 1.0 / e_half.value
-    divergent = e_full.divergent_pairs > 0 or e_half.divergent_pairs > 0
-    if bound > 0.0:
-        divergent = divergent or abs(bound - b_half) > _STABILITY_JUMP * bound
-    else:
-        divergent = True
-    return CapacityBound(bound=bound, divergent=divergent, energy=e_full, energy_half=e_half)
+    bounds = []
+    for alpha in map(float, alphas):
+        e_half = _pair_energy(points[:h], points[h : 2 * h], alpha)
+        e_full = _pair_energy(points[:pairs], points[pairs:], alpha)
+        bound = 0.0 if np.isinf(e_full.value) else 1.0 / e_full.value
+        b_half = 0.0 if np.isinf(e_half.value) else 1.0 / e_half.value
+        divergent = e_full.divergent_pairs > 0 or e_half.divergent_pairs > 0
+        if bound > 0.0:
+            divergent = divergent or abs(bound - b_half) > _STABILITY_JUMP * bound
+        else:
+            divergent = True
+        bounds.append(CapacityBound(bound, divergent, energy=e_full, energy_half=e_half))
+    return tuple(bounds)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .config import ExperimentConfig, config_to_dict, parse_config
 from .ensembles import n_beta
 from .experiments import (
     _field_path_batch,
+    _window_start,
     degenerate_point_cloud,
     flattened_degenerate_sampler,
     gap_exponent_fit,
@@ -71,14 +72,10 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_token(v) -> str:
-    """One JSON token: _fmt's spelling, except non-finite floats, null, lists and strings."""
+    """One JSON token: _fmt's spelling, except non-finite floats and strings."""
     if isinstance(v, (bool, int, float, np.integer, np.floating)):
         token = _fmt(v)
         return _JSON_NONFINITE.get(token, token)
-    if v is None:
-        return "null"
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_json_token(x) for x in v) + "]"
     return json.dumps(str(v))
 
 
@@ -230,18 +227,10 @@ def _cmd_capacity(config: ExperimentConfig, threads: int) -> list:
             "z_score": (est.value - ref) / est.stderr if est.stderr > 0 else np.nan,
         }
     )
-    draw = flattened_degenerate_sampler(config.d, config.beta)
-    drawn = []
-
-    def sampler(n: int, rng) -> np.ndarray:
-        # both bounds draw 2 * pairs points from the same capacity substream,
-        # so the second call replays the first draw instead of repeating it
-        if not drawn:
-            drawn.append(draw(n, rng))
-        return drawn[0]
-
-    for a in (cap["alpha"], cap["divergent_alpha"]):
-        cb = capacity_lower_bound(sampler, a, cap["pairs"], config.seed)
+    alphas = (cap["alpha"], cap["divergent_alpha"])
+    sampler = flattened_degenerate_sampler(config.d, config.beta)
+    bounds = capacity_lower_bound(sampler, alphas, cap["pairs"], config.seed)
+    for a, cb in zip(alphas, bounds):
         records.append(
             {
                 "kind": "degenerate_chart_bound",
@@ -288,12 +277,17 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
     """Quick composition of the documented checks; small sizes, fixed seeds."""
     records = []
 
-    # covariance of the window sampler every experiment runs: 8 points on [1, 2]
-    X = _field_path_batch(1, (0.5,), 1 / 7, 7.0, 8, config.seed, (TAG_FIELD,), 0, 2000)[0, :, 0]
-    R = covariance_matrix(np.linspace(1.0, 2.0, 8), 0.5)
-    S = X.T @ X / len(X)
-    se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
-    cov_err = float(np.max(np.abs(S - R) / (5.0 * se)))
+    # covariance of the window sampler, 8 points on [1, 2], at three H mapping the
+    # same normals: at H = 0.5 alone the anchor weights are 0 and the spectrum flat
+    hs = (0.3, 0.5, 0.7)
+    step, i0 = _window_start(1.0, 2.0, 7)
+    paths = _field_path_batch(1, hs, step, i0, 8, config.seed, (TAG_FIELD,), 0, 2000)
+    cov_err = 0.0
+    for H, X in zip(hs, paths[:, :, 0]):
+        R = covariance_matrix(np.linspace(1.0, 2.0, 8), H)
+        S = X.T @ X / len(X)
+        se = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / len(X))
+        cov_err = max(cov_err, float(np.max(np.abs(S - R) / (5.0 * se))))
     records.append(_selfcheck_record("covariance_exactness", cov_err, 1.0))
 
     # d = 2 closed-form oracle against the eigensolver pipeline

@@ -23,7 +23,7 @@ import numpy as np
 from .capacity import q_index
 from .ensembles import _check_integral, n_beta, validate_shift
 
-__all__ = ["ExperimentConfig", "parse_config", "config_to_dict", "validate_ladder"]
+__all__ = ["ExperimentConfig", "parse_config", "config_to_dict"]
 
 
 def _number(v, name: str) -> float:
@@ -44,7 +44,7 @@ def _check_shift_entries(shift) -> None:
         _number(v, "shift")
 
 
-def validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
+def _validate_ladder(mesh_ladder: Sequence[int]) -> tuple:
     """Check a refinement ladder for nested-grid coupling; returns it as ints.
 
     Meshes must be positive and strictly increasing, and each must divide the
@@ -173,7 +173,7 @@ class ExperimentConfig:
                 raise ValueError(f"shift: {e}") from e
             object.__setattr__(self, "shift", shift)
         if self.mesh_ladder is not None:
-            object.__setattr__(self, "mesh_ladder", validate_ladder(self.mesh_ladder))
+            object.__setattr__(self, "mesh_ladder", _validate_ladder(self.mesh_ladder))
             if self.mesh_ladder[-1] != self.intervals:
                 raise ValueError(
                     f"intervals: must equal the finest mesh_ladder entry "

@@ -247,7 +247,7 @@ def _field_path_batch(
     anchors X(a) from their law given those increments,
     X(a) = w . inc + step^H sqrt(v) z (fields._fgn_anchor_weights). The
     anchors, the cumulative sum and everything after it are float64. The
-    matrix experiments pass nf = n_beta - 1 (see _traceless_fields).
+    matrix experiments pass nf = n_beta - 1 (see _expansion).
     """
     n = npoints - 1
     L = _fgn_half_length(n)
@@ -295,7 +295,8 @@ def _expansion(beta: int, d: int) -> np.ndarray:
 
     Diagonal rows hold helmert(d)^T, off-diagonal rows are unit vectors in
     packing order, and every row is multiplied by coefficient_scale. Built
-    once per (beta, d).
+    once per (beta, d); np.matmul(E, paths) expands a batch of paths
+    (m, n_beta - 1, T), writing the (m, n_beta, T) block directly.
     """
     nb = n_beta(beta, d)
     diag = diagonal_positions(d)
@@ -305,17 +306,6 @@ def _expansion(beta: int, d: int) -> np.ndarray:
     E *= coefficient_scale(beta, d)[:, None]
     E.flags.writeable = False
     return E
-
-
-def _traceless_fields(paths: np.ndarray, beta: int, d: int) -> np.ndarray:
-    """Packed coefficients (m, n_beta, T) of X from n_beta - 1 iid paths (m, n_beta - 1, T).
-
-    paths[:, :d-1] are Helmert coordinates g of the diagonal, which becomes
-    helmert(d)^T g; the rest are the off-diagonal coefficients in packing
-    order. Both steps and coefficient_scale are one matmul with the cached
-    map _expansion(beta, d), which writes the new block directly.
-    """
-    return np.matmul(_expansion(beta, d), paths)
 
 
 def _gaps_from_fields(coeffs: np.ndarray, beta: int, d: int) -> np.ndarray:
@@ -360,11 +350,11 @@ def _path_gaps(paths: np.ndarray, a: np.ndarray, beta: int, d: int) -> np.ndarra
     """Minimum adjacent gap (m, T) of A + X from one batch's traceless paths (m, n_beta - 1, T).
 
     a is the packed shift. d = 2 reads the paths as the weighted norm of
-    _path_form, in two (m, T) buffers; d >= 3 expands them
-    (_traceless_fields), adds a and calls _gaps_from_fields.
+    _path_form, in two (m, T) buffers; d >= 3 expands them by _expansion,
+    adds a in place and calls _gaps_from_fields.
     """
     if d != 2:
-        coeffs = _traceless_fields(paths, beta, d)
+        coeffs = np.matmul(_expansion(beta, d), paths)
         coeffs += a[:, None]
         return _gaps_from_fields(coeffs, beta, d)
     w, S = _path_form(beta)
@@ -667,7 +657,7 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
         )
         formula = _path_gaps(paths[0], a, beta, 2)
         # unshifted: the pipeline adds A as a matrix
-        coeffs = _traceless_fields(paths[0], beta, 2)
+        coeffs = np.matmul(_expansion(beta, 2), paths[0])
         mats = vec_to_matrix(coeffs.transpose(0, 2, 1), beta, 2) + A
         eigs = ordered_eigenvalues(mats)
         pipeline = eigs[..., 0] - eigs[..., 1]

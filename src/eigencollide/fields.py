@@ -38,7 +38,6 @@ __all__ = [
     "fgn_from_normals",
     "volterra_kernel",
     "volterra_covariance_quadrature",
-    "cholesky_with_jitter",
 ]
 
 
@@ -102,7 +101,7 @@ def covariance_matrix(points, hurst) -> np.ndarray:
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
 
 
-def cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
+def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of C, adding diagonal jitter up to 1e-10 if needed.
 
     Failure past the largest jitter signals a kernel that is not positive
@@ -255,7 +254,7 @@ def _solve_fgn_toeplitz(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Gamma^-1 c by Levinson recursion, Gamma = toeplitz(g).
 
     As H -> 1, Gamma rounds to a singular or indefinite matrix, where Levinson
-    raises or returns noise; the diagonal then gets cholesky_with_jitter's
+    raises or returns noise; the diagonal then gets _cholesky_with_jitter's
     jitter until the residual is within 1e-6 of |c|. Only the anchor
     weights near H = 1 come here, so scipy.linalg is imported in the call.
     """
@@ -314,7 +313,7 @@ def _fgn_exact(n: int, H: float, dt: float, z: np.ndarray) -> np.ndarray:
     from scipy.linalg import toeplitz
 
     g = _fgn_autocov(n - 1, H) * float(dt) ** (2.0 * H)
-    L = cholesky_with_jitter(toeplitz(g))
+    L = _cholesky_with_jitter(toeplitz(g))
     return np.stack([L @ row for row in z])
 
 

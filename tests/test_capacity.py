@@ -140,16 +140,17 @@ def test_energy_counts_divergent_pairs():
 
 
 def test_energy_rejects_no_pairs():
-    for estimate in (energy_integral, capacity_lower_bound):
-        with pytest.raises(ValueError, match="at least one pair"):
-            estimate(uniform_unit_interval, 0.5, 0, 1)
+    with pytest.raises(ValueError, match="at least one pair"):
+        energy_integral(uniform_unit_interval, 0.5, 0, 1)
+    with pytest.raises(ValueError, match="at least one pair"):
+        capacity_lower_bound(uniform_unit_interval, (0.5,), 0, 1)
 
 
 # -- capacity bound -----------------------------------------------------------
 
 
 def test_capacity_bound_unit_interval_stable():
-    cb = capacity_lower_bound(uniform_unit_interval, 0.5, 40_000, 3)
+    (cb,) = capacity_lower_bound(uniform_unit_interval, (0.5,), 40_000, 3)
     assert cb.bound == pytest.approx(3.0 / 8.0, rel=0.05)
     assert not cb.divergent
 
@@ -158,7 +159,7 @@ def test_capacity_bound_flags_point_mass():
     def atom(n, rng):
         return np.zeros((n, 1))
 
-    cb = capacity_lower_bound(atom, 0.5, 1000, 3)
+    (cb,) = capacity_lower_bound(atom, (0.5,), 1000, 3)
     assert cb.divergent
     assert cb.bound == 0.0
 
@@ -166,13 +167,14 @@ def test_capacity_bound_flags_point_mass():
 def test_capacity_bound_flags_supercritical_alpha():
     # alpha above the support dimension: energy grows without bound, the
     # half-vs-full probe sees the jump even without exact coincidences
-    cb = capacity_lower_bound(uniform_unit_interval, 1.5, 40_000, 3)
+    (cb,) = capacity_lower_bound(uniform_unit_interval, (1.5,), 40_000, 3)
     assert cb.divergent
 
 
 def test_energy_and_bound_call_the_sampler_once():
-    # one sampler call of 2 * pairs points per estimate; the half probe is
-    # the energy of the first 2h points of that draw, h = pairs // 2
+    # one sampler call of 2 * pairs points per estimate, whatever the number
+    # of alphas; the half probe is the energy of the first 2h points of that
+    # draw, h = pairs // 2
     calls = []
 
     def counting(n, rng):
@@ -183,10 +185,14 @@ def test_energy_and_bound_call_the_sampler_once():
     assert calls == [1200]
     assert est == energy_integral(uniform_unit_interval, 0.5, 600, 5)
     calls.clear()
-    cb = capacity_lower_bound(counting, 0.5, 601, 5)
+    bounds = capacity_lower_bound(counting, (0.5, 1.5), 601, 5)
     assert calls == [1202]
-    assert cb.energy == energy_integral(uniform_unit_interval, 0.5, 601, 5)
-    assert cb.energy_half == energy_integral(uniform_unit_interval, 0.5, 300, 5)
+    assert len(bounds) == 2
+    for alpha, cb in zip((0.5, 1.5), bounds):
+        # field for field what a one-alpha call on the same draw gives
+        assert capacity_lower_bound(uniform_unit_interval, (alpha,), 601, 5) == (cb,)
+        assert cb.energy == energy_integral(uniform_unit_interval, alpha, 601, 5)
+        assert cb.energy_half == energy_integral(uniform_unit_interval, alpha, 300, 5)
 
 
 # -- box counting -------------------------------------------------------------

@@ -368,6 +368,24 @@ def test_malformed_shift_errors(tmp_path, capsys, shift):
     assert not (out / "results.csv").exists()
 
 
+def test_real_list_shift_simulates_and_round_trips(tmp_path):
+    # a real shift given as a list of rows parses to a float array, runs, and
+    # the manifest records it as rows again, which parse back to the same config
+    shift = [[1.0, 0.25], [0.25, -0.5]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"shift": shift, "replicas": 4, "intervals": 64}))
+    cfg = parse_config(str(path))
+    assert cfg.shift.dtype == np.float64
+    np.testing.assert_array_equal(cfg.shift, shift)
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    block = json.loads((out / "manifest.json").read_text())["config"]
+    assert block["shift"] == shift
+    back = tmp_path / "back.json"
+    back.write_text(json.dumps(block))
+    assert parse_config(str(back)) == cfg
+
+
 def test_hurst_near_one_on_a_large_mesh_errors(tmp_path, capsys):
     # the window-start Toeplitz solve fails for 1 - H <= 1e-13 at 4096 cells
     # (ROADMAP item 9); until that is fixed the run must end in one error line

@@ -54,6 +54,23 @@ def test_parse_rejects_unknown_keys(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"beta": 1,', "invalid JSON ("),
+        ("[1, 2]", "top level must be an object"),
+        ('{"beta": 2, "shift": {"real": [[1, 0], [0, 1]], "imga": [[0, 1], [-1, 0]]}}',
+         "shift: unknown keys ['imga']"),
+    ],
+)
+def test_parse_rejects_malformed_files(tmp_path, text, message):
+    # each error names the file; a misspelt shift part is not read as zero
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"config {path}: {message}")):
+        parse_config(str(path))
+
+
 def test_parse_collects_experiment_sections(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"sweep": {"hurst_values": [0.2, 0.8]}, "gapfit": {"t0": 2.0}}))

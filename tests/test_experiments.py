@@ -24,10 +24,10 @@ from eigencollide.ensembles import (
 )
 from eigencollide.experiments import (
     BATCH,
+    _expansion,
     _gaps_from_fields,
     _helmert,
     _min_gaps_ladder,
-    _traceless_fields,
     _wilson_interval,
     degenerate_point_cloud,
     flattened_degenerate_sampler,
@@ -180,7 +180,7 @@ def test_traceless_fields_keep_gaps(d, beta):
     diag = diagonal_positions(d)
     off = np.setdiff1d(np.arange(nb), diag)
     coords = np.concatenate([np.matmul(helmert(d), F[:, diag]), F[:, off]], axis=1)
-    expanded = _traceless_fields(coords, beta, d)
+    expanded = np.matmul(_expansion(beta, d), coords)
     rng = np.random.default_rng(7 * d + beta)
     G = rng.standard_normal((d, d))
     if beta == 2:
@@ -204,13 +204,13 @@ def test_traceless_fields_keep_gaps(d, beta):
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("d, nt", [(2, 16385), (3, 4097), (4, 1025)])
 def test_traceless_fields_allocate_only_their_output(d, nt, beta):
-    # one warm call on an 8-replica block allocates its output and no
-    # temporary of comparable size
+    # one warm expansion of an 8-replica block, the matmul the d >= 3 gap
+    # kernel runs, allocates its output and no temporary of comparable size
     paths = np.random.default_rng(d + beta).standard_normal((BATCH, n_beta(beta, d) - 1, nt))
-    out = _traceless_fields(paths, beta, d)
+    out = np.matmul(_expansion(beta, d), paths)
     tracemalloc.start()
     try:
-        _traceless_fields(paths, beta, d)
+        np.matmul(_expansion(beta, d), paths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,7 +259,7 @@ def test_path_gaps_equal_the_expanded_route(d, beta, shifted):
         n_beta(beta, d) - 1, (0.3,), 1 / 256, 256.0, nt, 2611, (), 0, BATCH
     )[0]
     A, a = _shift(beta, d, 40 + 2 * d + beta) if shifted else (None, np.zeros(n_beta(beta, d)))
-    coeffs = _traceless_fields(paths, beta, d)
+    coeffs = np.matmul(_expansion(beta, d), paths)
     coeffs += a[:, None]
     old = _gaps_from_fields(coeffs, beta, d)
     new = experiments._path_gaps(paths, a, beta, d)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from eigencollide import experiments, fields
 from eigencollide.experiments import _field_path_batch
 from eigencollide.fields import (
-    cholesky_with_jitter,
+    _cholesky_with_jitter,
     covariance_matrix,
     fbm_covariance,
     fgn_from_normals,
@@ -148,14 +148,14 @@ def test_fbm_is_the_one_parameter_sheet():
 
 def test_cholesky_with_jitter_handles_singular():
     C = np.ones((6, 6))  # rank 1, exactly singular
-    L = cholesky_with_jitter(C)
+    L = _cholesky_with_jitter(C)
     np.testing.assert_allclose(L @ L.T, C, atol=1e-8)
 
 
 def test_cholesky_with_jitter_rejects_indefinite():
     C = -np.eye(3)
     with pytest.raises(np.linalg.LinAlgError):
-        cholesky_with_jitter(C)
+        _cholesky_with_jitter(C)
 
 
 _LINE = np.linspace(1.0, 2.0, 4)

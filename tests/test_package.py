@@ -33,6 +33,46 @@ def test_package_exports_are_pinned():
     assert set(eigencollide.__all__) == PUBLIC
 
 
+# each module's __all__; cli and streams have none. With the package's own
+# list they hold 47 distinct names
+MODULE_EXPORTS = {
+    "capacity": {
+        "EnergyEstimate", "CapacityBound", "BoxCountResult", "f_alpha", "q_index",
+        "collision_regime", "energy_integral", "capacity_lower_bound", "box_counting_dim",
+        "uniform_unit_interval",
+    },
+    "config": {"ExperimentConfig", "parse_config", "config_to_dict"},
+    "ensembles": {
+        "n_beta", "vec_to_matrix", "matrix_to_vec", "diagonal_positions", "coefficient_scale",
+        "validate_shift",
+    },
+    "experiments": {
+        "CollisionStats", "RefinementResult", "PhaseSweepResult", "ExponentFit",
+        "refinement_study", "gap_exponent_fit", "phase_sweep", "small_time_study",
+        "oracle_vector_reduction", "flattened_degenerate_sampler", "degenerate_point_cloud",
+    },
+    "fields": {
+        "fbm_covariance", "sheet_covariance", "covariance_matrix", "fgn_sqrt_eigenvalues",
+        "fgn_from_normals", "volterra_kernel", "volterra_covariance_quadrature",
+    },
+    "geometry": {"check_frame", "complete_frame", "random_stiefel", "sample_degenerate"},
+    "spectral": {
+        "ordered_eigenvalues", "gap_closed_form_2x2", "adjacent_gaps", "eigenprojection_contour",
+    },
+}
+
+
+def test_module_exports_are_pinned():
+    for info in pkgutil.iter_modules(eigencollide.__path__):
+        exports = getattr(importlib.import_module(f"eigencollide.{info.name}"), "__all__", None)
+        if info.name not in MODULE_EXPORTS:
+            assert exports is None, f"eigencollide.{info.name} has an unpinned __all__"
+            continue
+        assert len(exports) == len(set(exports)), f"eigencollide.{info.name}.__all__ repeats"
+        assert set(exports) == MODULE_EXPORTS[info.name], info.name
+    assert len(set(eigencollide.__all__).union(*MODULE_EXPORTS.values())) == 47
+
+
 def test_every_submodule_export_resolves():
     for info in pkgutil.iter_modules(eigencollide.__path__):
         module = importlib.import_module(f"eigencollide.{info.name}")
