@@ -34,7 +34,8 @@ __all__ = [
 
 def uniform_unit_interval(n: int, rng: np.random.Generator) -> np.ndarray:
     """Point sampler for the uniform measure on [0,1]; the alpha = 1/2 energy
-    of this measure is 8/3 in closed form, the standard oracle."""
+    of this measure is 8/3 in closed form. The kernel's second moment is
+    infinite there, so stderr understates the error of that estimate."""
     return rng.random((n, 1))
 
 # pairs closer than this hit the kernel singularity and count as divergence

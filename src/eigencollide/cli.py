@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .fields import covariance_matrix
 from .spectral import eigenprojection_contour, ordered_eigenvalues
-from .streams import STREAM_VERSION, TAG_FIELD, substream
+from .streams import STREAM_VERSION, TAG_FIELD, TAG_SELFCHECK, substream
 
 
 def _fmt(v) -> str:
@@ -300,7 +300,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
         records.append(_selfcheck_record(f"d2_oracle_beta{beta}", disc, 1e-10))
 
     # contour projector idempotence and solver agreement
-    rng = substream(config.seed, 99)
+    rng = substream(config.seed, TAG_SELFCHECK)
     worst_frob = 0.0
     worst_idem = 0.0
     done = 0

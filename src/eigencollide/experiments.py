@@ -477,10 +477,10 @@ def refinement_study(
     The threshold at mesh N is delta_N = kappa * ((b-a)/N)^H. Shared replicas
     across the ladder make the trend ratios low-variance. A mesh_ladder
     given here replaces config.mesh_ladder, so the config's validator judges
-    it. perfbench/make_reference.py is its one caller; the parameter goes
-    when that script states its ladder in its config (ROADMAP item 3, step
-    2). A critical H, where Q = 1/H equals beta + 1 and the paper's
-    dichotomy is undecided, runs with a UserWarning.
+    it. perfbench/make_reference.py is the one caller outside the tests;
+    the parameter goes when that script states its ladder in its config
+    (ROADMAP item 3, step 2). A critical H, where Q = 1/H equals beta + 1
+    and the paper's dichotomy is undecided, runs with a UserWarning.
     """
     if mesh_ladder is not None:
         config = config.replace(mesh_ladder=tuple(mesh_ladder))

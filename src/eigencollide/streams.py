@@ -47,6 +47,7 @@ TAG_BOXDIM = 4
 TAG_SMALLTIME = 5
 TAG_GEOMETRY = 6
 TAG_ORACLE = 7
+TAG_SELFCHECK = 99
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:

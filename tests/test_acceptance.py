@@ -36,7 +36,7 @@ from eigencollide.fields import (
 )
 from eigencollide.geometry import complete_frame, random_stiefel, sample_degenerate
 from eigencollide.spectral import eigenprojection_contour, ordered_eigenvalues
-from eigencollide.streams import TAG_FIELD
+from eigencollide.streams import TAG_FIELD, TAG_GEOMETRY, substream
 
 SEED = 20260822
 
@@ -215,16 +215,16 @@ def test_criterion_07_degenerate_geometry(capsys):
     for k in range(100):
         d = 2 + k % 4
         beta = 1 + k % 2
-        M = sample_degenerate(d, beta, seed=SEED + k)
+        (M,) = sample_degenerate(d, beta, substream(SEED + k, TAG_GEOMETRY), 1)
         lam = np.linalg.eigvalsh(M)
         worst_gap = max(worst_gap, float(np.min(np.diff(lam))))
     # frame completions orthonormal to 1e-12
     worst_frame = 0.0
     for k in range(100):
         d = 3 + k % 4
-        field = "real" if k % 2 == 0 else "complex"
-        R = random_stiefel(d, d - 2, field, seed=SEED + k)
-        eye = np.eye(d, dtype=complex if field == "complex" else float)
+        beta = 1 + k % 2
+        R = random_stiefel(d, d - 2, beta, substream(SEED + k, TAG_GEOMETRY))
+        eye = np.eye(d, dtype=complex if beta == 2 else float)
         full = complete_frame(R, eye)
         defect = float(np.max(np.abs(full.conj().T @ full - np.eye(d))))
         worst_frame = max(worst_frame, defect)

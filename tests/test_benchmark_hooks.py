@@ -1,12 +1,15 @@
 """The benchmark's traced run patches eigencollide attributes by name.
 
 perfbench/tracing.py replaces named module attributes with timing wrappers
-and restores them afterwards. A refactor that renames or drops one of those
-names must fail here rather than in the benchmark.
+and restores them afterwards, and perfbench/make_reference.py calls the
+studies with their arguments in order. A refactor that renames or drops one
+of those names, or reorders those arguments, must fail here rather than in
+the benchmark.
 """
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import n_beta
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+MAKE_REFERENCE = TRACING.with_name("make_reference.py")
 
 
 def _load_tracing():
@@ -169,3 +173,27 @@ def test_traced_capacity_and_boxdim_draw_the_degenerate_set_once_per_bound(tmp_p
         for name, value in saved.items():
             assert getattr(module, name) is value, f"{module.__name__}.{name} not restored"
     assert calls == {"capacity": 1, "boxdim": 1}
+
+
+def test_make_reference_records_every_count(tmp_path, monkeypatch):
+    # the recorder at 8 replicas, writing to tmp_path: it passes wl.LADDER as
+    # refinement_study's mesh_ladder and calls small_time_study positionally
+    workloads = MAKE_REFERENCE.with_name("workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", workloads)
+    wl = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", wl)  # the recorder imports it by this name
+    spec.loader.exec_module(wl)
+    monkeypatch.setattr(wl, "REFERENCE_PATH", tmp_path / "reference.json")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the recorder prepends perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_make_reference", MAKE_REFERENCE)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    assert recorder.wl is wl
+    monkeypatch.setattr(recorder, "REFERENCE_REPLICAS", 8)
+    committed = MAKE_REFERENCE.with_name("reference.json").read_bytes()
+    assert recorder.main() == 0
+    assert MAKE_REFERENCE.with_name("reference.json").read_bytes() == committed
+    reference = json.loads((tmp_path / "reference.json").read_text())
+    collide = reference["collide-d2"]["hits"]
+    assert len(collide) == 4 and all(len(hits) == len(wl.LADDER) == 7 for hits in collide.values())
+    assert len(reference["smalltime-d4"]["hits"]) == len(wl.SMALLTIME["T_values"]) == 4

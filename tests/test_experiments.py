@@ -171,7 +171,7 @@ def test_helmert_is_scipys_bit_for_bit(d):
 
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_traceless_fields_keep_gaps(d, beta):
+def test_expansion_keeps_gaps(d, beta):
     # Helmert coordinates of iid fields, expanded back, differ from them only
     # by a multiple of the identity: same gaps, zero trace
     m, nt = 4, 7
@@ -203,7 +203,7 @@ def test_traceless_fields_keep_gaps(d, beta):
 
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("d, nt", [(2, 16385), (3, 4097), (4, 1025)])
-def test_traceless_fields_allocate_only_their_output(d, nt, beta):
+def test_expansion_allocates_only_its_output(d, nt, beta):
     # one warm expansion of an 8-replica block, the matmul the d >= 3 gap
     # kernel runs, allocates its output and no temporary of comparable size
     paths = np.random.default_rng(d + beta).standard_normal((BATCH, n_beta(beta, d) - 1, nt))

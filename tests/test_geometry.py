@@ -6,56 +6,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.geometry import (
-    check_frame,
+    _check_frame,
     complete_frame,
     random_stiefel,
     sample_degenerate,
 )
+from eigencollide.streams import TAG_GEOMETRY, substream
 
 seeds = st.integers(0, 2**31)
 dims = st.integers(3, 6)
-fields = st.sampled_from(["real", "complex"])
+betas = st.sampled_from([1, 2])
+
+
+def _rng(seed):
+    return substream(seed, TAG_GEOMETRY)
 
 
 def test_check_frame():
-    check_frame(np.eye(4)[:, :2])
-    check_frame(np.empty((3, 0)))  # empty frame is valid (the d = 2 chart)
+    _check_frame(np.eye(4)[:, :2])
+    _check_frame(np.empty((3, 0)))  # empty frame is valid (the d = 2 chart)
     with pytest.raises(ValueError):
-        check_frame(np.ones((3, 2)))
+        _check_frame(np.ones((3, 2)))
     stack = np.stack([np.eye(4)[:, :2]] * 3)
-    check_frame(stack)
+    _check_frame(stack)
     stack[1, 0, 1] = 1e-6  # one bad frame in a stack fails the whole check
     with pytest.raises(ValueError, match="not orthonormal"):
-        check_frame(stack)
+        _check_frame(stack)
 
 
-@given(dims, fields, seeds)
+@given(dims, betas, seeds)
 @settings(max_examples=40, deadline=None)
-def test_random_stiefel_orthonormal(d, field, seed):
-    Q = random_stiefel(d, d - 2, field, seed=seed)
+def test_random_stiefel_orthonormal(d, beta, seed):
+    Q = random_stiefel(d, d - 2, beta, _rng(seed))
     gram = Q.conj().T @ Q
     assert np.max(np.abs(gram - np.eye(d - 2))) < 1e-12
-    assert np.iscomplexobj(Q) == (field == "complex")
+    assert np.iscomplexobj(Q) == (beta == 2)
 
 
 def test_random_stiefel_deterministic():
-    a = random_stiefel(4, 2, "real", seed=3)
-    b = random_stiefel(4, 2, "real", seed=3)
+    a = random_stiefel(4, 2, 1, _rng(3))
+    b = random_stiefel(4, 2, 1, _rng(3))
     np.testing.assert_array_equal(a, b)
 
 
 def test_random_stiefel_rejects_wide():
     with pytest.raises(ValueError):
-        random_stiefel(3, 4, "real", seed=0)
-    with pytest.raises(ValueError):
-        random_stiefel(3, 2, "quaternion", seed=0)
+        random_stiefel(3, 4, 1, _rng(0))
+    with pytest.raises(ValueError, match="beta"):
+        random_stiefel(3, 2, 4, _rng(0))
 
 
-@given(dims, fields, seeds)
+@given(dims, betas, seeds)
 @settings(max_examples=40, deadline=None)
-def test_complete_frame_orthonormal(d, field, seed):
-    R = random_stiefel(d, d - 2, field, seed=seed)
-    eye = np.eye(d, dtype=complex if field == "complex" else float)
+def test_complete_frame_orthonormal(d, beta, seed):
+    R = random_stiefel(d, d - 2, beta, _rng(seed))
+    eye = np.eye(d, dtype=complex if beta == 2 else float)
     try:
         full = complete_frame(R, eye)
     except ValueError:
@@ -91,9 +96,8 @@ def _chart_reference(n, d, beta, rng, draw):
     identity is too close to a frame's span the frame is completed against a
     fixed basis that takes nothing from rng.
     """
-    field = "real" if beta == 1 else "complex"
     dtype = float if beta == 1 else complex
-    spare = random_stiefel(d, d, field, seed=12345)
+    spare = random_stiefel(d, d, beta, _rng(12345))
     G = rng.standard_normal((n, d, d - 2))
     if beta == 2:
         G = (G + 1j * rng.standard_normal((n, d, d - 2))) / np.sqrt(2.0)
@@ -123,7 +127,7 @@ LEVEL_DRAWS = {
 def test_sample_degenerate_batch_matches_chart(d, beta, levels):
     draw = LEVEL_DRAWS[levels]
     seed = 100 * d + 10 * beta + len(levels)
-    M = sample_degenerate(d, beta, rng=np.random.default_rng(seed), level_draw=draw, size=500)
+    M = sample_degenerate(d, beta, np.random.default_rng(seed), 500, level_draw=draw)
     ref = _chart_reference(500, d, beta, np.random.default_rng(seed), draw)
     assert M.shape == (500, d, d)
     assert np.iscomplexobj(M) == (beta == 2)
@@ -134,9 +138,8 @@ def test_sample_degenerate_batch_matches_chart(d, beta, levels):
 @given(st.integers(2, 6), st.sampled_from([1, 2]), seeds)
 @settings(max_examples=40, deadline=None)
 def test_sample_degenerate_has_repeated_pair(d, beta, seed):
-    M = sample_degenerate(d, beta, seed=seed)
-    assert M.shape == (d, d)
-    stack = sample_degenerate(d, beta, seed=seed, size=8)
+    (M,) = sample_degenerate(d, beta, _rng(seed), 1)
+    stack = sample_degenerate(d, beta, _rng(seed), 8)
     assert stack.shape == (8, d, d)
     for A in (M, *stack):
         assert np.iscomplexobj(A) == (beta == 2)
@@ -151,18 +154,17 @@ def test_sample_degenerate_level_draw_and_beta_check():
     def uniform(r, size):
         return r.uniform(-1.0, 1.0, size)
 
-    M = sample_degenerate(4, 1, rng=np.random.default_rng(3), level_draw=uniform)
+    (M,) = sample_degenerate(4, 1, np.random.default_rng(3), 1, level_draw=uniform)
     lam = np.linalg.eigvalsh(M)
     assert np.all(np.abs(lam) <= 1.0 + 1e-12)
     assert np.min(np.diff(lam)) < 1e-10  # the doubled level
     with pytest.raises(ValueError, match="beta"):
-        sample_degenerate(3, 1.5, seed=1)
+        sample_degenerate(3, 1.5, _rng(1), 1)
 
 
 def test_sample_degenerate_deterministic():
-    a = sample_degenerate(4, 2, seed=17)
-    b = sample_degenerate(4, 2, seed=17)
-    assert a.shape == (4, 4)  # size=None is one matrix, not a stack of one
+    a = sample_degenerate(4, 2, _rng(17), 1)
+    b = sample_degenerate(4, 2, _rng(17), 1)
     np.testing.assert_array_equal(a, b)
 
 
@@ -176,20 +178,13 @@ def test_sample_degenerate_redraws_only_tied_rows():
         calls.append(shape)
         return x
 
-    M = sample_degenerate(4, 1, rng=np.random.default_rng(4), level_draw=tie_once, size=5)
+    M = sample_degenerate(4, 1, np.random.default_rng(4), 5, level_draw=tie_once)
     assert calls == [(5, 3), (1, 3)]
     # the untied rows keep their first draw: the same points as a tie-free draw
-    ref = sample_degenerate(4, 1, rng=np.random.default_rng(4), size=5)
+    ref = sample_degenerate(4, 1, np.random.default_rng(4), 5)
     np.testing.assert_array_equal(np.delete(M, 2, axis=0), np.delete(ref, 2, axis=0))
     gaps = np.sort(np.diff(np.linalg.eigvalsh(M[2])))
     assert gaps[0] <= 1e-9 < gaps[1]  # the redrawn row has exactly one repeated pair
-
-
-def test_samplers_need_seed_or_rng():
-    with pytest.raises(ValueError, match="seed or rng"):
-        random_stiefel(4, 2, "real")
-    with pytest.raises(ValueError, match="seed or rng"):
-        sample_degenerate(4, 1)
 
 
 def test_complete_frame_accepts_references_one_pass_rejects():
@@ -198,6 +193,6 @@ def test_complete_frame_accepts_references_one_pass_rejects():
     for d in (3, 5):
         rng = np.random.default_rng(1)
         for _ in range(10_000):
-            R = random_stiefel(d, d - 2, "real", rng=rng)
+            R = random_stiefel(d, d - 2, 1, rng)
             full = complete_frame(R, np.eye(d))
             assert np.max(np.abs(full.T @ full - np.eye(d))) <= 1e-12
