@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end criteria for the numeric stack.
+"""Acceptance suite: twelve end-to-end criteria for the numeric stack.
 
 Each criterion prints one PASS/FAIL line with its measured statistic and
 runtime, then asserts the same condition. Master seeds are pinned; every
@@ -381,3 +381,33 @@ def test_criterion_11_reproducibility(capsys, tmp_path):
     )
     assert identical
     assert dt < 120.0
+
+
+# -- 12: the dichotomy at d = 4 on a window away from the origin ----------------
+
+
+def test_criterion_12_phase_transition_d4(capsys):
+    # beta 1, critical H = 1/2. The rules compare paired counts on the same
+    # replicas: at seeds 101 and 102 their margins read 8.7 and 11.6 SE
+    # (H = 0.3) and 5.4 and 7.4 SE (H = 0.7)
+    t0 = time.monotonic()
+    ladder = (64, 128, 256, 512, 1024)
+    base = ExperimentConfig(
+        beta=1, d=4, hurst=(0.3,), interval=(1.0, 2.0), intervals=ladder[-1],
+        replicas=2000, kappa=1.0, seed=SEED, mesh_ladder=ladder,
+    )
+    low, high = phase_sweep((0.3, 0.7), base, threads=2).studies
+    dt = time.monotonic() - t0
+    grows = low.stats[-1].hits >= low.stats[0].hits
+    decays = high.stats[0].hits >= 1.5 * high.stats[-1].hits
+    ok = grows and decays and dt < 60.0
+    _report(
+        capsys,
+        f"{_verdict(ok)} criterion 12 phase transition d=4 beta=1: "
+        f"H=0.3 hits {low.stats[0].hits} -> {low.stats[-1].hits} (N 64 -> 1024, no fall); "
+        f"H=0.7 hits {high.stats[0].hits} -> {high.stats[-1].hits} (>= 1.5x fall); "
+        f"{dt:.1f}s (< 60s)",
+    )
+    assert grows
+    assert decays
+    assert dt < 60.0
