@@ -83,15 +83,27 @@ def _hurst_values(v, name: str) -> tuple:
     return hs
 
 
+def _bounded(rule, ok, what: str):
+    """A value rule: rule, then ok(value) or an error naming the field and what it must be."""
+
+    def check(v, name: str):
+        x = rule(v, name)
+        if not ok(x):
+            raise ValueError(f"{name}: must be {what}, got {v!r}")
+        return x
+
+    return check
+
+
 # section -> key -> (value rule, default). A callable default is worked out
 # from (beta, d); a default of None means the key has none.
 _SECTIONS = {
     "sweep": {"hurst_values": (_hurst_values, None)},
-    "gapfit": {
-        "t0": (_number, 1.0),
-        "samples": (_check_integral, 100_000),
+    "gapfit": {  # gap_exponent_fit's own rules
+        "t0": (_bounded(_number, lambda t: t > 0, "positive"), 1.0),
+        "samples": (_bounded(_check_integral, lambda n: n >= 10_000, "at least 10000"), 100_000),
         "window": (
-            lambda v, name: _numbers(v, name, 2),
+            _bounded(lambda v, name: _numbers(v, name, 2), lambda w: 0 < w[0] < w[1], "0 < lo < hi"),
             lambda beta, d: (0.1, 0.5) if beta == 1 else (0.25, 0.9),
         ),
     },

@@ -5,10 +5,10 @@ A path is Y(t) = A + X(t) where X(t) is symmetric (beta = 1) or Hermitian
 field: off-diagonal entries xi_ij(t) (+ i eta_ij(t) for beta = 2), diagonal
 sqrt(2) xi_ii(t) for beta = 1 and real xi_ii(t) for beta = 2.
 
-The sampler keeps only the independent coefficients (the flat vector); the
-gap kernel materializes full matrices from them with vec_to_matrix, which
-makes Hermitianity exact by construction rather than approximate. The shift
-A is validated here as well.
+The sampler keeps only the independent coefficients (the flat vector), and
+the gap kernels read them without building matrices. vec_to_matrix builds
+the matrices where they are needed, exactly Hermitian by construction. The
+shift A is validated here as well.
 """
 
 from __future__ import annotations

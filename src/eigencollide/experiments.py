@@ -9,7 +9,7 @@ keyed substreams in fixed-size batches (BATCH), so every result is
 bit-identical for any worker count and any BATCH (on one machine: see
 streams._polar_normals). BATCH bounds each worker's working set, which grows
 in proportion to Nmax. Threads run the batches in a pool; the d >= 4
-eigensolver runs one call at a time (spectral).
+gap kernel runs one call at a time (spectral).
 
 The sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta: gaps
 are invariant under Y -> Y + cI, so the trace direction is never sampled.
@@ -30,10 +30,9 @@ The collision loop's gap kernel is _path_gaps. At d = 2 it reads the gap
 from the paths as a weighted norm of the shifted traceless coordinates
 (_path_form), with no packed coefficients and no matrix. At d >= 3 it
 expands the paths to packed coefficients and calls _gaps_from_fields: the
-trigonometric roots of the characteristic cubic at d = 3, and at d >= 4
-matrices from vec_to_matrix diagonalized by spectral._descending_eigenvalues
-without a Hermitian check (vec_to_matrix makes them exactly Hermitian).
-gap_exponent_fit calls _gaps_from_fields at every d.
+trigonometric roots of the characteristic cubic at d = 3, and Householder
+tridiagonalization with QR sweeps at d >= 4 (spectral._min_gap_by_qr); no
+matrix is built. gap_exponent_fit calls _gaps_from_fields at every d.
 
 A collision run over several Hurst values (phase_sweep) draws each
 replica's normals once and maps them through every H's embedding and
@@ -73,8 +72,8 @@ from .fields import (
     fgn_from_normals,
 )
 from .spectral import (
-    _descending_eigenvalues,
     _gap_closed_form_3x3,
+    _min_gap_by_qr,
     adjacent_gaps,
     gap_closed_form_2x2,
     ordered_eigenvalues,
@@ -313,16 +312,14 @@ def _gaps_from_fields(coeffs: np.ndarray, beta: int, d: int) -> np.ndarray:
 
     coeffs (m, n_beta, npoints) are the packed coefficients of Y = A + X,
     the shift added; they are read, not copied. d = 2 and d = 3 go through
-    the closed forms of spectral, d >= 4 through vec_to_matrix and
-    _descending_eigenvalues.
+    the closed forms of spectral, d >= 4 through spectral._min_gap_by_qr.
     """
     x = np.moveaxis(coeffs, 1, -1)
     if d == 2:
         return gap_closed_form_2x2(x, beta)
     if d == 3:
         return _gap_closed_form_3x3(x, beta)
-    eigs = _descending_eigenvalues(vec_to_matrix(x, beta, d))
-    return adjacent_gaps(eigs).min(axis=-1)
+    return _min_gap_by_qr(x, beta, d)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,30 +1,35 @@
-"""Ordered spectra, adjacent gaps, closed-form 2 x 2 and 3 x 3 gaps, contour eigenprojections.
+"""Ordered spectra, adjacent gaps, 2 x 2, 3 x 3 and d >= 4 gap kernels, contour eigenprojections.
 
 Eigenvalues are always reported in descending order; cluster indices are
 0-based positions into that descending order. The collision loop that takes
 path minima of these gaps on a grid is experiments._min_gaps_ladder.
 
-No gap kernel runs an eigensolver at d = 2 or d = 3. The collision loop
-reads the d = 2 gap straight from its traceless paths, as a weighted norm
+No gap kernel runs an eigensolver. The collision loop reads the d = 2 gap
+straight from its traceless paths, as a weighted norm
 (experiments._path_gaps); gap_closed_form_2x2 is the same square root on the
 packed coefficients of vec_to_matrix, and gap fits call it. At d = 3 the
 minimum adjacent gap is the difference of the trigonometric roots of the
 characteristic cubic, from packed coefficients (_gap_closed_form_3x3).
-d >= 4 goes through _descending_eigenvalues and adjacent_gaps. A quartic
-form for d = 4 (resolvent cubic, Newton polish) was tried and left out:
-near a double root it ran only 2x faster than eigvalsh, and its error
-reached 0.4 ||M||_F at a gap of 1e-8.
+At d >= 4, _min_gap_by_qr takes LAPACK's zhetrd and dsterf route across
+lanes, so it is backward stable: Householder reflectors reduce each matrix
+to a real tridiagonal (_tridiagonal), Wilkinson-shifted implicit QR sweeps
+deflate its leading n x n block for n = d down to 3 (_qr_sweeps), and the
+2 x 2 closed form gives the last pair. A lane stops rotating (c = 1, s = 0)
+once its last off-diagonal is at most eps (|a[n-2]| + |a[n-1]|), and every
+step is +, -, x, / or sqrt on one lane, so no gap depends on its batch. A
+quartic form for d = 4 (resolvent cubic, Newton polish) was left out: near
+a double root it ran only 2x faster than eigvalsh, and its error reached
+0.4 ||M||_F at a gap of 1e-8.
 
-_descending_eigenvalues is the package's one call of np.linalg.eigvalsh,
-and it runs one call at a time (_EIGENSOLVER_LOCK), because batched eigvalsh
-does not scale across threads (README, Performance). ordered_eigenvalues
-checks its input and calls it; the gap kernel calls it directly, since
-vec_to_matrix makes its matrices exactly Hermitian. A thread that waits for
-the lock leaves the CPU to one that samples; the values do not change.
+The d >= 4 kernel and ordered_eigenvalues, the one call of
+np.linalg.eigvalsh, run one call at a time (_EIGENSOLVER_LOCK; README,
+Performance). A thread that waits for the lock leaves the CPU to one that
+samples; the values do not change.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Sequence
 
@@ -40,8 +45,11 @@ __all__ = [
 ]
 
 
-# serializes np.linalg.eigvalsh across threads; see the module docstring
+# serializes the d >= 4 gap kernel and np.linalg.eigvalsh across threads;
+# see the module docstring
 _EIGENSOLVER_LOCK = threading.Lock()
+# sweeps a block of _qr_sweeps may take before the d >= 4 gap kernel gives up
+_MAX_SWEEPS = 30
 
 
 def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -50,16 +58,7 @@ def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
     Batched over leading axes: input (..., d, d) gives output (..., d).
     Calls from several threads diagonalize one at a time.
     """
-    return _descending_eigenvalues(_check_hermitian(M))
-
-
-def _descending_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """ordered_eigenvalues without the Hermitian check.
-
-    For matrices that are Hermitian by construction, as the d >= 4 gap
-    kernel's are (vec_to_matrix). eigvalsh reads only the lower triangle,
-    so a non-Hermitian M gives a wrong spectrum here, not an error.
-    """
+    M = _check_hermitian(M)
     with _EIGENSOLVER_LOCK:
         lam = np.linalg.eigvalsh(M)
     return lam[..., ::-1]
@@ -127,6 +126,111 @@ def _gap_closed_form_3x3(x: np.ndarray, beta: int) -> np.ndarray:
     det = b1 * b2 * b3 + 2.0 * re - (b1 * s23 + b2 * s13 + b3 * s12) * (inv * inv)
     phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
     return (2.0 * np.sqrt(3.0)) * p * np.sin(np.minimum(phi, np.pi / 3.0 - phi))
+
+
+def _min_gap_by_qr(x: np.ndarray, beta: int, d: int) -> np.ndarray:
+    """Minimum adjacent eigenvalue gap of d x d Hermitian matrices, d >= 4, from packed coefficients.
+
+    x has shape (..., n_beta(beta, d)) in the vec_to_matrix packing. Raises
+    np.linalg.LinAlgError if a block has not deflated after _MAX_SWEEPS sweeps.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != n_beta(beta, d):
+        raise ValueError(
+            f"the kernel requires {n_beta(beta, d)} packed coefficients, got {x.shape[-1]}"
+        )
+    with _EIGENSOLVER_LOCK:  # one matrix runs as arrays too, not as numpy scalars
+        a, b = _tridiagonal(x if x.ndim > 1 else x[None], beta, d)
+        for n in range(d, 2, -1):
+            _qr_sweeps(a, b, n, _MAX_SWEEPS)
+    half = np.sqrt(0.25 * (a[0] - a[1]) ** 2 + b[0] * b[0])  # the leading 2 x 2 block
+    lam = [0.5 * (a[0] + a[1]) + sign * half for sign in (1.0, -1.0)] + a[2:]
+    gaps = [np.abs(lam[i] - lam[j]) for i, j in itertools.combinations(range(d), 2) if j > 1]
+    return np.minimum.reduce([2.0 * half] + gaps).reshape(x.shape[:-1])
+
+
+def _tridiagonal(x: np.ndarray, beta: int, d: int) -> tuple:
+    """Diagonals a and off-diagonal moduli b, lists of 1-d arrays, of tridiagonals similar to x's.
+
+    Step k maps y, the column below M[k, k], to a multiple of e1 by I - tau u u*,
+    u = y + ||y|| y0/|y0| e1; the multiple's modulus ||y|| becomes b[k].
+    """
+    iu, ju = np.triu_indices(d)
+    M = {(j, i): x[..., k] for k, (i, j) in enumerate(zip(iu, ju))}  # lower triangle
+    if beta == 2:
+        for k, (i, j) in enumerate(zip(*np.triu_indices(d, 1)), len(iu)):
+            M[j, i] = M[j, i] - 1j * x[..., k]
+    a, b = [], []
+    for k in range(d - 1):
+        rows = range(k + 1, d)
+        y = [M[i, k] for i in rows]
+        s = np.sqrt(sum((v * v.conj()).real for v in y))
+        a.append(M[k, k])
+        b.append(s)
+        if k == d - 2:
+            break
+        r0 = np.sqrt((y[0] * y[0].conj()).real)
+        zero = r0 == 0  # the phase of y0 = 0 is 1
+        u = [y[0] + s * (y[0] + zero) / (r0 + zero)] + y[1:]
+        den = s * (s + r0)  # u* u / 2, 0 only where u = 0
+        tau = 1.0 / (den + (den == 0))
+        p = [tau * sum((M[i, j] if i >= j else M[j, i].conj()) * v for j, v in zip(rows, u))
+             for i in rows]
+        h = 0.5 * tau * sum((v.conj() * q).real for v, q in zip(u, p))
+        w = [q - h * v for v, q in zip(u, p)]
+        for i, ui, wi in zip(rows, u, w):
+            M[i, i] = M[i, i] - 2.0 * (ui * wi.conj()).real
+            for j, uj, wj in zip(range(k + 1, i), u, w):
+                M[i, j] = M[i, j] - ui * wj.conj() - wi * uj.conj()
+    a.append(M[d - 1, d - 1])
+    return [np.array(v, dtype=float).ravel() for v in a], [v.ravel() for v in b]
+
+
+def _qr_sweeps(a: list, b: list, n: int, budget: int) -> None:
+    """Wilkinson-shifted implicit QR sweeps on the leading n x n block of every lane, in place.
+
+    A lane's chase starts below its last negligible off-diagonal. Once at most
+    half the lanes rotate, the rest of the sweeps run on those lanes alone.
+    """
+    live = lambda i: np.abs(b[i]) > np.finfo(float).eps * (np.abs(a[i]) + np.abs(a[i + 1]))
+    for sweep in range(budget + 1):
+        act = live(n - 2)
+        count = np.count_nonzero(act)
+        if count == 0:
+            return
+        if sweep == budget:
+            raise np.linalg.LinAlgError(f"the {n} x {n} block did not deflate in {budget} sweeps")
+        if 2 * count <= act.size:
+            idx = np.flatnonzero(act)
+            sub_a, sub_b = [v[idx] for v in a[:n]], [v[idx] for v in b[: n - 1]]
+            _qr_sweeps(sub_a, sub_b, n, budget - sweep)
+            for v, sub in zip(a[:n] + b[: n - 1], sub_a + sub_b):
+                v[idx] = sub
+            return
+        start = np.zeros(act.shape, dtype=np.intp)  # where each lane's chase starts
+        for i in range(n - 2):
+            cut = act & ~live(i)
+            b[i][cut], start[cut] = 0.0, i + 1
+        half, e2 = 0.5 * (a[n - 2] - a[n - 1]), b[n - 2] ** 2
+        den = half + np.copysign(np.sqrt(half * half + e2), half)
+        mu = a[n - 1] - e2 / (den + (den == 0))  # den = 0 only on deflated lanes
+        x, z = a[0] - mu, b[0]
+        for k in range(n - 1):
+            first = start == k
+            if k and first.any():
+                x, z = np.where(first, a[k] - mu, x), np.where(first, b[k], z)
+            r = np.sqrt(x * x + z * z)
+            go = act & (start <= k) & (r > 0)
+            r = np.where(go, r, 1.0)
+            c, s = np.where(go, x, 1.0) / r, np.where(go, z, 0.0) / r
+            if k:
+                b[k - 1] = c * b[k - 1] + s * bulge
+            p, e, q = a[k], b[k], a[k + 1]
+            t = s * (q - p) + 2.0 * c * e
+            a[k], a[k + 1], b[k] = p + s * t, q - s * t, c * t - e
+            if k < n - 2:
+                bulge, b[k + 1] = s * b[k + 1], c * b[k + 1]
+                x, z = b[k], bulge
 
 
 def adjacent_gaps(eigs: np.ndarray) -> np.ndarray:

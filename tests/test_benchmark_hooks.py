@@ -54,12 +54,11 @@ def test_tracing_patch_points_exist_and_are_restored(d):
         # coefficients, no closed form on them, no 2x2 matrices
         assert "spectral.gap_closed_form_2x2" not in names
         assert "ensembles.vec_to_matrix" not in names
-    elif d == 3:
-        # the 3x3 closed form: no matrices, no eigensolver spectrum
+    else:
+        # the 3x3 closed form and the d >= 4 QR kernel read the packed
+        # coefficients: no matrices, no eigensolver spectrum
         assert "ensembles.vec_to_matrix" not in names
         assert "spectral.adjacent_gaps" not in names
-    else:
-        assert {"ensembles.vec_to_matrix", "spectral.adjacent_gaps"} <= names
 
 
 class _CountingBitGenerator:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import helmert
 
-from eigencollide import experiments
+from eigencollide import experiments, spectral
 from eigencollide.capacity import collision_regime
 from eigencollide.config import ExperimentConfig
 from eigencollide.ensembles import (
@@ -353,10 +353,12 @@ def test_refinement_study_consistency():
 
 _BATCH_CASES = [
     # (beta, d, hs, shift): d = 2 with both beta, a shift and two H; d = 3; d = 4
+    # with both beta, beta 1 with a shift
     (1, 2, (0.3, 0.7), np.array([[1.0, 0.3], [0.3, -0.2]])),
     (2, 2, (0.25, 0.45), np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.2]])),
     (1, 3, (0.3,), None),
     (2, 4, (0.25,), None),
+    (1, 4, (0.3,), np.diag([1.0, 1.0, 0.0, -0.5])),
 ]
 
 
@@ -442,24 +444,30 @@ def test_d4_gap_kernel_from_several_threads_equals_serial():
 
 
 def test_eigensolver_runs_one_call_at_a_time(monkeypatch):
-    # ordered_eigenvalues holds one lock around np.linalg.eigvalsh, so pool
-    # threads of the d = 4 kernel never diagonalize at the same time
-    inside, most, calls = [0], [0], [0]
+    # one lock serializes np.linalg.eigvalsh and the d = 4 gap kernel, so
+    # pool threads never run the kernel at the same time; eigvalsh runs only
+    # for the shift check
+    inside, most, kernel_calls, eigvalsh_calls = [0], [0], [0], [0]
     guard = threading.Lock()
-    eigvalsh = np.linalg.eigvalsh
+    tridiagonal, eigvalsh = spectral._tridiagonal, np.linalg.eigvalsh
 
-    def counting(M):
+    def counting(*args):
         with guard:
             inside[0] += 1
-            calls[0] += 1
+            kernel_calls[0] += 1
             most[0] = max(most[0], inside[0])
         time.sleep(0.002)  # releases the GIL: an unlocked caller would enter now
-        out = eigvalsh(M)
+        out = tridiagonal(*args)
         with guard:
             inside[0] -= 1
         return out
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def counting_eigvalsh(M):
+        eigvalsh_calls[0] += 1
+        return eigvalsh(M)
+
+    monkeypatch.setattr(spectral, "_tridiagonal", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -467,8 +475,9 @@ def test_eigensolver_runs_one_call_at_a_time(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert stats[0].replicas == 4 * BATCH
-    # the shift check, then one call per batch
-    assert calls[0] == 1 + 4
+    # the shift check, then one kernel call per batch
+    assert eigvalsh_calls[0] == 1
+    assert kernel_calls[0] == 4
     assert most[0] == 1
 
 
