@@ -85,13 +85,10 @@ def _hurst_values(v, name: str) -> tuple:
 
 def _bounded(rule, ok, what: str):
     """A value rule: rule, then ok(value) or an error naming the field and what it must be."""
-
     def check(v, name: str):
-        x = rule(v, name)
-        if not ok(x):
+        if not ok(x := rule(v, name)):
             raise ValueError(f"{name}: must be {what}, got {v!r}")
         return x
-
     return check
 
 

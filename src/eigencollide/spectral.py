@@ -5,31 +5,27 @@ Eigenvalues are always reported in descending order; cluster indices are
 path minima of these gaps on a grid is experiments._min_gaps_ladder.
 
 No gap kernel runs an eigensolver. The collision loop reads the d = 2 gap
-straight from its traceless paths, as a weighted norm
-(experiments._path_gaps); gap_closed_form_2x2 is the same square root on the
-packed coefficients of vec_to_matrix, and gap fits call it. At d = 3 the
-minimum adjacent gap is the difference of the trigonometric roots of the
-characteristic cubic, from packed coefficients (_gap_closed_form_3x3).
-At d >= 4, _min_gap_by_qr takes LAPACK's zhetrd and dsterf route across
-lanes, so it is backward stable: Householder reflectors reduce each matrix
-to a real tridiagonal (_tridiagonal), Wilkinson-shifted implicit QR sweeps
-deflate its leading n x n block for n = d down to 3 (_qr_sweeps), and the
-2 x 2 closed form gives the last pair. A lane stops rotating (c = 1, s = 0)
-once its last off-diagonal is at most eps (|a[n-2]| + |a[n-1]|), and every
-step is +, -, x, / or sqrt on one lane, so no gap depends on its batch. A
-quartic form for d = 4 (resolvent cubic, Newton polish) was left out: near
-a double root it ran only 2x faster than eigvalsh, and its error reached
-0.4 ||M||_F at a gap of 1e-8.
+straight from its traceless paths, as a weighted norm (experiments._path_gaps);
+gap_closed_form_2x2 is the same square root on the packed coefficients of
+vec_to_matrix, and gap fits call it. At d = 3 the minimum adjacent gap is the
+difference of the trigonometric roots of the characteristic cubic, from
+packed coefficients (_gap_closed_form_3x3).
+At d >= 4, _min_gap_by_qr runs LAPACK's zhetrd and dsterf route across
+lanes, so it is backward stable: Householder reflectors to a real
+tridiagonal, then Wilkinson-shifted implicit QR sweeps. A lane stops
+rotating once it has deflated, and every step is +, -, x, / or sqrt on one
+lane, so no gap depends on its batch. A quartic form for d = 4 (resolvent
+cubic, Newton polish) was left out: near a double root it ran only 2x
+faster than eigvalsh, and its error reached 0.4 ||M||_F at a gap of 1e-8.
 
-The d >= 4 kernel and ordered_eigenvalues, the one call of
-np.linalg.eigvalsh, run one call at a time (_EIGENSOLVER_LOCK; README,
-Performance). A thread that waits for the lock leaves the CPU to one that
-samples; the values do not change.
+That kernel and ordered_eigenvalues, the one call of np.linalg.eigvalsh, run
+one call at a time (_EIGENSOLVER_LOCK; README, Performance). A thread that
+waits for the lock leaves the CPU to one that samples; the values do not
+change.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Sequence
 
@@ -45,8 +41,7 @@ __all__ = [
 ]
 
 
-# serializes the d >= 4 gap kernel and np.linalg.eigvalsh across threads;
-# see the module docstring
+# serializes the d >= 4 gap kernel and np.linalg.eigvalsh; see the module docstring
 _EIGENSOLVER_LOCK = threading.Lock()
 # sweeps a block of _qr_sweeps may take before the d >= 4 gap kernel gives up
 _MAX_SWEEPS = 30
@@ -131,29 +126,27 @@ def _gap_closed_form_3x3(x: np.ndarray, beta: int) -> np.ndarray:
 def _min_gap_by_qr(x: np.ndarray, beta: int, d: int) -> np.ndarray:
     """Minimum adjacent eigenvalue gap of d x d Hermitian matrices, d >= 4, from packed coefficients.
 
-    x has shape (..., n_beta(beta, d)) in the vec_to_matrix packing. Raises
+    x is (..., n_beta(beta, d)) in the vec_to_matrix packing. Raises
     np.linalg.LinAlgError if a block has not deflated after _MAX_SWEEPS sweeps.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n_beta(beta, d):
-        raise ValueError(
-            f"the kernel requires {n_beta(beta, d)} packed coefficients, got {x.shape[-1]}"
-        )
+        raise ValueError(f"needs {n_beta(beta, d)} packed coefficients, got {x.shape[-1]}")
     with _EIGENSOLVER_LOCK:  # one matrix runs as arrays too, not as numpy scalars
         a, b = _tridiagonal(x if x.ndim > 1 else x[None], beta, d)
         for n in range(d, 2, -1):
             _qr_sweeps(a, b, n, _MAX_SWEEPS)
     half = np.sqrt(0.25 * (a[0] - a[1]) ** 2 + b[0] * b[0])  # the leading 2 x 2 block
     lam = [0.5 * (a[0] + a[1]) + sign * half for sign in (1.0, -1.0)] + a[2:]
-    gaps = [np.abs(lam[i] - lam[j]) for i, j in itertools.combinations(range(d), 2) if j > 1]
+    gaps = [np.abs(lam[i] - lam[j]) for i in range(d) for j in range(max(i + 1, 2), d)]
     return np.minimum.reduce([2.0 * half] + gaps).reshape(x.shape[:-1])
 
 
 def _tridiagonal(x: np.ndarray, beta: int, d: int) -> tuple:
     """Diagonals a and off-diagonal moduli b, lists of 1-d arrays, of tridiagonals similar to x's.
 
-    Step k maps y, the column below M[k, k], to a multiple of e1 by I - tau u u*,
-    u = y + ||y|| y0/|y0| e1; the multiple's modulus ||y|| becomes b[k].
+    Step k maps y, the column below M[k, k], to a multiple of e1 of modulus
+    b[k] = ||y|| by I - tau u u*, u = y + ||y|| y0/|y0| e1.
     """
     iu, ju = np.triu_indices(d)
     M = {(j, i): x[..., k] for k, (i, j) in enumerate(zip(iu, ju))}  # lower triangle
@@ -195,13 +188,13 @@ def _qr_sweeps(a: list, b: list, n: int, budget: int) -> None:
     live = lambda i: np.abs(b[i]) > np.finfo(float).eps * (np.abs(a[i]) + np.abs(a[i + 1]))
     for sweep in range(budget + 1):
         act = live(n - 2)
-        count = np.count_nonzero(act)
-        if count == 0:
+        if not (count := np.count_nonzero(act)):
             return
         if sweep == budget:
             raise np.linalg.LinAlgError(f"the {n} x {n} block did not deflate in {budget} sweeps")
         if 2 * count <= act.size:
-            idx = np.flatnonzero(act)
+            # padded by repeats (same bits) to a power of two: few array sizes, a smaller heap
+            idx = np.resize(np.flatnonzero(act), 1 << (int(count) - 1).bit_length())
             sub_a, sub_b = [v[idx] for v in a[:n]], [v[idx] for v in b[: n - 1]]
             _qr_sweeps(sub_a, sub_b, n, budget - sweep)
             for v, sub in zip(a[:n] + b[: n - 1], sub_a + sub_b):

@@ -316,12 +316,12 @@ def test_unknown_section_key_errors(tmp_path, capsys):
         ("sweep", "hurst_values", [1.5]),  # not in (0, 1)
         ("sweep", "hurst_values", []),
         ("gapfit", "samples", 20000.7),  # int() would run 20000 samples
-        ("gapfit", "samples", 5000),  # gap_exponent_fit needs 1e4
-        ("gapfit", "t0", 0.0),
-        ("gapfit", "window", [0.5, 0.1]),
         ("capacity", "pairs", 10.9),
         ("boxdim", "points", "1500"),
         ("smalltime", "T_values", [0.5, 1.0]),  # increasing: small_time_study's own rule
+        ("gapfit", "samples", 5000),  # gap_exponent_fit needs 1e4
+        ("gapfit", "t0", 0.0),
+        ("gapfit", "window", [0.5, 0.1]),
     ],
 )
 def test_malformed_section_value_errors(tmp_path, capsys, section, key, value):
