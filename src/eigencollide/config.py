@@ -100,7 +100,7 @@ _SECTIONS = {
         "t0": (_bounded(_number, lambda t: t > 0, "positive"), 1.0),
         "samples": (_bounded(_check_integral, lambda n: n >= 10_000, "at least 10000"), 100_000),
         "window": (
-            _bounded(lambda v, name: _numbers(v, name, 2), lambda w: 0 < w[0] < w[1], "0 < lo < hi"),
+            _bounded(lambda v, n: _numbers(v, n, 2), lambda w: 0 < w[0] < w[1], "0 < lo < hi"),
             lambda beta, d: (0.1, 0.5) if beta == 1 else (0.25, 0.9),
         ),
     },

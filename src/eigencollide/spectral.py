@@ -124,7 +124,7 @@ def _gap_closed_form_3x3(x: np.ndarray, beta: int) -> np.ndarray:
 
 
 def _min_gap_by_qr(x: np.ndarray, beta: int, d: int) -> np.ndarray:
-    """Minimum adjacent eigenvalue gap of d x d Hermitian matrices, d >= 4, from packed coefficients.
+    """Minimum adjacent eigenvalue gap of d x d Hermitian matrices (d >= 4), packed coefficients.
 
     x is (..., n_beta(beta, d)) in the vec_to_matrix packing. Raises
     np.linalg.LinAlgError if a block has not deflated after _MAX_SWEEPS sweeps.
@@ -183,7 +183,7 @@ def _qr_sweeps(a: list, b: list, n: int, budget: int) -> None:
     """Wilkinson-shifted implicit QR sweeps on the leading n x n block of every lane, in place.
 
     A lane's chase starts below its last negligible off-diagonal. Once at most
-    half the lanes rotate, the rest of the sweeps run on those lanes alone.
+    an eighth of the lanes rotate, the rest of the sweeps run on those alone.
     """
     live = lambda i: np.abs(b[i]) > np.finfo(float).eps * (np.abs(a[i]) + np.abs(a[i + 1]))
     for sweep in range(budget + 1):
@@ -192,7 +192,7 @@ def _qr_sweeps(a: list, b: list, n: int, budget: int) -> None:
             return
         if sweep == budget:
             raise np.linalg.LinAlgError(f"the {n} x {n} block did not deflate in {budget} sweeps")
-        if 2 * count <= act.size:
+        if 8 * count <= act.size:
             # padded by repeats (same bits) to a power of two: few array sizes, a smaller heap
             idx = np.resize(np.flatnonzero(act), 1 << (int(count) - 1).bit_length())
             sub_a, sub_b = [v[idx] for v in a[:n]], [v[idx] for v in b[: n - 1]]

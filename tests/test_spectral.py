@@ -1,4 +1,4 @@
-"""Ordered spectra, adjacent and closed-form 2x2 and 3x3 gaps, the d >= 4 QR gap kernel, contour projectors."""
+"""Ordered spectra, adjacent gaps, 2x2, 3x3 and d >= 4 gap kernels, contour projectors."""
 
 import warnings
 
@@ -206,7 +206,8 @@ def test_qr_gap_kernel_reducible_and_degenerate_inputs(d, beta):
         warnings.simplefilter("error")
         gaps = _min_gap_by_qr(x, beta, d)
     ref = _solver_min_gap(x, beta, d)
-    np.testing.assert_allclose(gaps[:4], ref[:4], rtol=0.0, atol=1e-14 * _frobenius(x, beta, d).max())
+    atol = 1e-14 * _frobenius(x, beta, d).max()
+    np.testing.assert_allclose(gaps[:4], ref[:4], rtol=0.0, atol=atol)
     assert np.all(gaps[4:] == 0.0)
 
 
@@ -233,7 +234,8 @@ def test_qr_gap_kernel_bits_do_not_depend_on_the_batch(beta):
         np.random.default_rng(9).standard_normal((300, n_beta(beta, d))),
         _planted_pairs(beta, 1e-10, 300, seed=10, d=d),
         matrix_to_vec(np.diag([1.0, 1.0, 0.0, -1.0]), beta)[None],
-        matrix_to_vec(np.array([[1, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 3, 0.7], [0, 0, 0.7, -1]]), beta)[None],
+        matrix_to_vec(np.array([[1, 0.5, 0, 0], [0.5, 2, 0, 0], [0, 0, 3, 0.7], [0, 0, 0.7, -1]]),
+                      beta)[None],
     ])
     whole = _min_gap_by_qr(x, beta, d)
     alone = np.array([_min_gap_by_qr(row, beta, d) for row in x])
