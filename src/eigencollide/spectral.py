@@ -213,7 +213,7 @@ def _qr_sweeps(a: list, b: list, n: int, budget: int) -> None:
             if k and first.any():
                 x, z = np.where(first, a[k] - mu, x), np.where(first, b[k], z)
             r = np.sqrt(x * x + z * z)
-            go = act & (start <= k) & (r > 0)
+            go = act & (r > 0)  # above a cut the bulge is 0, so no rotation crosses it
             r = np.where(go, r, 1.0)
             c, s = np.where(go, x, 1.0) / r, np.where(go, z, 0.0) / r
             if k:
