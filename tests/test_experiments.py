@@ -415,7 +415,7 @@ def test_refinement_study_thread_determinism():
 
 
 def test_d4_gap_kernel_from_several_threads_equals_serial():
-    # the eigensolver kernel called from more threads than cores at once, on
+    # the d = 4 gap kernel called from more threads than cores at once, on
     # different blocks, returns exactly what it returns one block at a time
     beta, d, workers = 2, 4, 4
     rng = np.random.default_rng(44)
