@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "--replicas" in flags:
             p.add_argument("--replicas", type=int, help="replica count override")
         if "--threads" in flags:
-            p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+            p.add_argument("--threads", type=int, default=1, help="worker threads, d <= 3 (default 1)")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument(
             "--format", choices=("csv", "jsonl"), default="csv", help="results format (default csv)"

@@ -111,7 +111,8 @@ _SECTIONS = {
         "divergent_alpha": (_number, lambda beta, d: (n_beta(beta, d) - beta - 1) + 0.5),
         "oracle_pairs": (_check_integral, 1_000_000),
     },
-    "boxdim": {"points": (_check_integral, 4000), "nscales": (_check_integral, 6)},
+    "boxdim": {"points": (_bounded(_check_integral, lambda n: n >= 1000, "at least 1000"), 4000),
+               "nscales": (_bounded(_check_integral, lambda n: n >= 4, "at least 4"), 6)},
     "smalltime": {"T_values": (_time_ladder, None)},
 }
 

@@ -8,8 +8,8 @@ increases a replica's minimum gap. All randomness is drawn from per-replica
 keyed substreams in fixed-size batches (BATCH), so every result is
 bit-identical for any worker count and any BATCH (on one machine: see
 streams._polar_normals). BATCH bounds each worker's working set, which grows
-in proportion to Nmax. Threads run the batches in a pool; the d >= 4
-gap kernel runs one call at a time (spectral).
+in proportion to Nmax. Threads run the batches in a pool at d <= 3; at d >= 4
+the calling thread runs them, as a second thread only costs CPU (spectral).
 
 The sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta: gaps
 are invariant under Y -> Y + cI, so the trace direction is never sampled.
@@ -414,7 +414,7 @@ def _min_gaps_ladder(
             for col, stride in enumerate(strides):
                 minima[k, lo:hi, col] = gaps[:, ::stride].min(axis=1)
 
-    _run_batches(replicas, threads, work)
+    _run_batches(replicas, threads if d < 4 else 1, work)  # module docstring
     return minima
 
 

@@ -18,10 +18,10 @@ lane, so no gap depends on its batch. A quartic form for d = 4 (resolvent
 cubic, Newton polish) was left out: near a double root it ran only 2x
 faster than eigvalsh, and its error reached 0.4 ||M||_F at a gap of 1e-8.
 
-That kernel and ordered_eigenvalues, the one call of np.linalg.eigvalsh, run
-one call at a time (_EIGENSOLVER_LOCK; README, Performance). A thread that
-waits for the lock leaves the CPU to one that samples; the values do not
-change.
+ordered_eigenvalues, the one call of np.linalg.eigvalsh, runs one call at a
+time (_EIGENSOLVER_LOCK). No gap kernel takes a lock. The collision loop runs
+_min_gap_by_qr on one thread: beside its short numpy calls, a second thread
+only trades the GIL with it (experiments).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-# serializes the d >= 4 gap kernel and np.linalg.eigvalsh; see the module docstring
+# serializes np.linalg.eigvalsh, which the d = 2 oracle calls from pool threads
 _EIGENSOLVER_LOCK = threading.Lock()
 # sweeps a block of _qr_sweeps may take before the d >= 4 gap kernel gives up
 _MAX_SWEEPS = 30
@@ -132,10 +132,9 @@ def _min_gap_by_qr(x: np.ndarray, beta: int, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n_beta(beta, d):
         raise ValueError(f"needs {n_beta(beta, d)} packed coefficients, got {x.shape[-1]}")
-    with _EIGENSOLVER_LOCK:  # one matrix runs as arrays too, not as numpy scalars
-        a, b = _tridiagonal(x if x.ndim > 1 else x[None], beta, d)
-        for n in range(d, 2, -1):
-            _qr_sweeps(a, b, n, _MAX_SWEEPS)
+    a, b = _tridiagonal(x if x.ndim > 1 else x[None], beta, d)  # one matrix runs as arrays too
+    for n in range(d, 2, -1):
+        _qr_sweeps(a, b, n, _MAX_SWEEPS)
     half = np.sqrt(0.25 * (a[0] - a[1]) ** 2 + b[0] * b[0])  # the leading 2 x 2 block
     lam = [0.5 * (a[0] + a[1]) + sign * half for sign in (1.0, -1.0)] + a[2:]
     gaps = [np.abs(lam[i] - lam[j]) for i in range(d) for j in range(max(i + 1, 2), d)]

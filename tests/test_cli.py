@@ -322,6 +322,8 @@ def test_unknown_section_key_errors(tmp_path, capsys):
         ("gapfit", "samples", 5000),  # gap_exponent_fit needs 1e4
         ("gapfit", "t0", 0.0),
         ("gapfit", "window", [0.5, 0.1]),
+        ("boxdim", "points", 500),  # box_counting_dim needs 1000
+        ("boxdim", "nscales", 3),  # and 4 scales
     ],
 )
 def test_malformed_section_value_errors(tmp_path, capsys, section, key, value):

@@ -3,7 +3,6 @@
 import dataclasses
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -415,8 +414,9 @@ def test_refinement_study_thread_determinism():
 
 
 def test_d4_gap_kernel_from_several_threads_equals_serial():
-    # the d = 4 gap kernel called from more threads than cores at once, on
-    # different blocks, returns exactly what it returns one block at a time
+    # the d = 4 gap kernel holds no lock and is reentrant: called from more
+    # threads than cores at once, on different blocks, it returns exactly
+    # what it returns one block at a time
     beta, d, workers = 2, 4, 4
     rng = np.random.default_rng(44)
     a = matrix_to_vec(validate_shift(np.diag([1.0, 1.0, 0.0, -1.0]), beta, d), beta)
@@ -443,46 +443,46 @@ def test_d4_gap_kernel_from_several_threads_equals_serial():
         sys.setswitchinterval(switch)
 
 
-def test_eigensolver_runs_one_call_at_a_time(monkeypatch):
-    # one lock serializes np.linalg.eigvalsh and the d = 4 gap kernel, so
-    # pool threads never run the kernel at the same time; eigvalsh runs only
-    # for the shift check
-    inside, most, kernel_calls, eigvalsh_calls = [0], [0], [0], [0]
-    guard = threading.Lock()
+def test_d4_gap_kernel_runs_on_the_calling_thread(monkeypatch):
+    # at d >= 4 the batches run on the calling thread whatever threads is: a
+    # pool thread beside the QR kernel only trades GIL hand-offs with it.
+    # eigvalsh runs only for the shift check
+    kernel_threads, eigvalsh_calls = [], [0]
     tridiagonal, eigvalsh = spectral._tridiagonal, np.linalg.eigvalsh
 
-    def counting(*args):
-        with guard:
-            inside[0] += 1
-            kernel_calls[0] += 1
-            most[0] = max(most[0], inside[0])
-        time.sleep(0.002)  # releases the GIL: an unlocked caller would enter now
-        out = tridiagonal(*args)
-        with guard:
-            inside[0] -= 1
-        return out
+    def recording(*args):
+        kernel_threads.append(threading.get_ident())
+        return tridiagonal(*args)
 
     def counting_eigvalsh(M):
         eigvalsh_calls[0] += 1
         return eigvalsh(M)
 
-    monkeypatch.setattr(spectral, "_tridiagonal", counting)
+    monkeypatch.setattr(spectral, "_tridiagonal", recording)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        stats = small_time_study(2, 4, None, [1.0], 0.25, 16, 4 * BATCH, seed=3, threads=4)
-    finally:
-        sys.setswitchinterval(switch)
+    stats = small_time_study(2, 4, None, [1.0], 0.25, 16, 4 * BATCH, seed=3, threads=4)
     assert stats[0].replicas == 4 * BATCH
-    # the shift check, then one kernel call per batch
+    # the shift check, then one kernel call per batch, each on this thread
     assert eigvalsh_calls[0] == 1
-    assert kernel_calls[0] == 4
-    assert most[0] == 1
+    assert kernel_threads == [threading.get_ident()] * 4
+
+
+def test_d3_batches_run_in_the_pool(monkeypatch):
+    # below d = 4 threads keep their meaning: every batch runs on a pool thread
+    kernel_threads, path_gaps = [], experiments._path_gaps
+
+    def recording(*args):
+        kernel_threads.append(threading.get_ident())
+        return path_gaps(*args)
+
+    monkeypatch.setattr(experiments, "_path_gaps", recording)
+    small_time_study(2, 3, None, [1.0], 0.25, 16, 4 * BATCH, seed=3, threads=2)
+    assert len(kernel_threads) == 4 and threading.get_ident() not in kernel_threads
 
 
 def test_small_time_d4_thread_determinism():
-    # the only path that diagonalizes in pool threads: identical stats at 1 and 2 threads
+    # threads is accepted at d = 4, though its batches run on the calling
+    # thread: identical stats at 1 and 2 threads
     args = (2, 4, None, [1.0, 0.25], 0.25, 64, 2 * BATCH + 5)
     one = small_time_study(*args, seed=21, kappa=0.5, threads=1)
     two = small_time_study(*args, seed=21, kappa=0.5, threads=2)
