@@ -296,7 +296,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
             beta=beta, d=2, hurst=(0.3,), interval=(1.0, 2.0),
             intervals=256, mesh_ladder=None, replicas=100, shift=None,
         )
-        disc = oracle_vector_reduction(cfg, threads=threads)
+        disc = oracle_vector_reduction(cfg)
         records.append(_selfcheck_record(f"d2_oracle_beta{beta}", disc, 1e-10))
 
     # contour projector idempotence and solver agreement
@@ -332,13 +332,9 @@ _DISPATCH = {
 }
 
 
-# the override flags each subcommand takes: only simulate and sweep read replicas
-# and only they and selfcheck run a pool, so no run records a count it did not use
-_OVERRIDES = {
-    "simulate": ("--replicas", "--threads"),
-    "sweep": ("--replicas", "--threads"),
-    "selfcheck": ("--threads",),
-}
+# only these read a replica count and run a thread pool (at d <= 3), so only
+# they take --replicas and --threads
+_POOLED = ("simulate", "sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,10 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int, help="master seed override")
-        flags = _OVERRIDES.get(name, ())
-        if "--replicas" in flags:
+        if name in _POOLED:
             p.add_argument("--replicas", type=int, help="replica count override")
-        if "--threads" in flags:
             p.add_argument("--threads", type=int, default=1, help="worker threads, d <= 3 (default 1)")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument(

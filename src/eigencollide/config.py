@@ -66,10 +66,10 @@ def _numbers(v, name: str, length=None) -> tuple:
 
 
 def _time_ladder(v, name: str) -> tuple:
-    """Window lengths T of a small-time study: positive and non-increasing."""
+    """Window lengths T of a small-time study: one or more, positive and non-increasing."""
     Ts = _numbers(v, name)
-    if any(T <= 0 for T in Ts) or sorted(Ts, reverse=True) != list(Ts):
-        raise ValueError(f"{name}: need positive, non-increasing window lengths, got {v!r}")
+    if not Ts or any(T <= 0 for T in Ts) or sorted(Ts, reverse=True) != list(Ts):
+        raise ValueError(f"{name}: need one or more positive, non-increasing lengths, got {v!r}")
     return Ts
 
 
@@ -106,10 +106,10 @@ _SECTIONS = {
     },
     "capacity": {
         "alpha": (_number, 0.5),
-        "pairs": (_check_integral, 200_000),
+        "pairs": (_bounded(_check_integral, lambda n: n >= 1, "at least 1"), 200_000),
         # supercritical: dim F + 0.5, where dim F = n_beta - beta - 1
         "divergent_alpha": (_number, lambda beta, d: (n_beta(beta, d) - beta - 1) + 0.5),
-        "oracle_pairs": (_check_integral, 1_000_000),
+        "oracle_pairs": (_bounded(_check_integral, lambda n: n >= 1, "at least 1"), 1_000_000),
     },
     "boxdim": {"points": (_bounded(_check_integral, lambda n: n >= 1000, "at least 1000"), 4000),
                "nscales": (_bounded(_check_integral, lambda n: n >= 4, "at least 4"), 6)},

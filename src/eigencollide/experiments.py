@@ -8,8 +8,9 @@ increases a replica's minimum gap. All randomness is drawn from per-replica
 keyed substreams in fixed-size batches (BATCH), so every result is
 bit-identical for any worker count and any BATCH (on one machine: see
 streams._polar_normals). BATCH bounds each worker's working set, which grows
-in proportion to Nmax. Threads run the batches in a pool at d <= 3; at d >= 4
-the calling thread runs them, as a second thread only costs CPU (spectral).
+in proportion to Nmax. These batches run in the package's one thread pool
+at d <= 3; at d >= 4 they run on the calling thread, as a second thread
+only costs CPU (spectral), and so do the d = 2 oracle's.
 
 The sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta: gaps
 are invariant under Y -> Y + cI, so the trace direction is never sampled.
@@ -23,7 +24,7 @@ float32 real-input inverse FFT of length 2L (fields.fgn_from_normals) and
 one float64 normal for its start, L the smallest power of two >= npoints - 1.
 The spectral weights and the law of the start given the increments are
 solved once per (npoints, H, step) and (npoints, H, a/step), cached, and
-filled before any batch starts (_fill_window_caches); a/step need not be an
+filled before any batch starts (_min_gaps_ladder); a/step need not be an
 integer. The float32 path error is bounded in tests/test_fields.py.
 
 The collision loop's gap kernel is _path_gaps. At d = 2 it reads the gap
@@ -209,19 +210,6 @@ def _run_batches(replicas: int, threads: int, work) -> None:
         list(pool.map(lambda s: work(*s), spans))
 
 
-def _fill_window_caches(hs: Sequence[float], step: float, i0: float, npoints: int) -> None:
-    """Solve each H's spectral and anchor weights before a pool starts.
-
-    _field_path_batch reads both from lru_caches, which do not stop two
-    threads computing the same entry: pool threads that all miss would
-    each solve it.
-    """
-    n = npoints - 1
-    for H in hs:
-        _fgn_weights(_fgn_half_length(n), H, step, _NORMALS)
-        _fgn_anchor_weights(n, H, i0)
-
-
 def _field_path_batch(
     nf: int,
     hs: Sequence[float],
@@ -404,7 +392,10 @@ def _min_gaps_ladder(
     """
     nf = n_beta(beta, d) - 1
     a = matrix_to_vec(A, beta)
-    _fill_window_caches(hs, step, i0, npoints)
+    # solve each H's weights now: pool threads that all miss an lru_cache would each solve it
+    for H in hs:
+        _fgn_weights(_fgn_half_length(npoints - 1), H, step, _NORMALS)
+        _fgn_anchor_weights(npoints - 1, H, i0)
     minima = np.empty((len(hs), replicas, len(strides)))
 
     def work(lo: int, hi: int) -> None:
@@ -627,7 +618,7 @@ def small_time_study(
     return out
 
 
-def oracle_vector_reduction(config, threads: int = 1) -> float:
+def oracle_vector_reduction(config) -> float:
     """Max pathwise |eigensolver gap - closed-form gap| for d = 2 paths Y = A + X.
 
     The formula side is the collision loop's kernel, _path_gaps, on the
@@ -645,23 +636,18 @@ def oracle_vector_reduction(config, threads: int = 1) -> float:
     step, i0 = _window_start(a, b, N)
     A = validate_shift(config.shift, beta, 2)
     a = matrix_to_vec(A, beta)
-    _fill_window_caches((H,), step, i0, N + 1)
-    worst = np.zeros(int(np.ceil(config.replicas / BATCH)))
-
-    def work(lo: int, hi: int) -> None:
+    worst = 0.0
+    for lo in range(0, config.replicas, BATCH):
+        hi = min(lo + BATCH, config.replicas)
         paths = _field_path_batch(
             n_beta(beta, 2) - 1, (H,), step, i0, N + 1, config.seed, (TAG_ORACLE,), lo, hi
         )
         formula = _path_gaps(paths[0], a, beta, 2)
         # unshifted: the pipeline adds A as a matrix
         coeffs = np.matmul(_expansion(beta, 2), paths[0])
-        mats = vec_to_matrix(coeffs.transpose(0, 2, 1), beta, 2) + A
-        eigs = ordered_eigenvalues(mats)
-        pipeline = eigs[..., 0] - eigs[..., 1]
-        worst[lo // BATCH] = np.max(np.abs(pipeline - formula))
-
-    _run_batches(config.replicas, threads, work)
-    return float(worst.max())
+        eigs = ordered_eigenvalues(vec_to_matrix(coeffs.transpose(0, 2, 1), beta, 2) + A)
+        worst = np.maximum(worst, np.max(np.abs(eigs[..., 0] - eigs[..., 1] - formula)))
+    return float(worst)
 
 
 def flattened_degenerate_sampler(d: int, beta: int):

@@ -18,15 +18,14 @@ lane, so no gap depends on its batch. A quartic form for d = 4 (resolvent
 cubic, Newton polish) was left out: near a double root it ran only 2x
 faster than eigvalsh, and its error reached 0.4 ||M||_F at a gap of 1e-8.
 
-ordered_eigenvalues, the one call of np.linalg.eigvalsh, runs one call at a
-time (_EIGENSOLVER_LOCK). No gap kernel takes a lock. The collision loop runs
+ordered_eigenvalues holds the one call of np.linalg.eigvalsh, and no pool
+thread reaches it, so nothing here takes a lock. The collision loop runs
 _min_gap_by_qr on one thread: beside its short numpy calls, a second thread
 only trades the GIL with it (experiments).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +40,6 @@ __all__ = [
 ]
 
 
-# serializes np.linalg.eigvalsh, which the d = 2 oracle calls from pool threads
-_EIGENSOLVER_LOCK = threading.Lock()
 # sweeps a block of _qr_sweeps may take before the d >= 4 gap kernel gives up
 _MAX_SWEEPS = 30
 
@@ -51,12 +48,8 @@ def ordered_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Real spectrum in descending order; ties kept as equal values.
 
     Batched over leading axes: input (..., d, d) gives output (..., d).
-    Calls from several threads diagonalize one at a time.
     """
-    M = _check_hermitian(M)
-    with _EIGENSOLVER_LOCK:
-        lam = np.linalg.eigvalsh(M)
-    return lam[..., ::-1]
+    return np.linalg.eigvalsh(_check_hermitian(M))[..., ::-1]
 
 
 def gap_closed_form_2x2(x: np.ndarray, beta: int) -> np.ndarray:

@@ -181,7 +181,7 @@ def test_replicas_flag_only_where_replicas_are_read(tmp_path, small_config, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim"])
+@pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim", "selfcheck"])
 def test_threads_flag_only_where_a_pool_runs(tmp_path, small_config, capsys, subcommand):
     # these subcommands run no thread pool, so --threads would be ignored
     # while the manifest recorded it; argparse rejects it before any run,
@@ -324,6 +324,10 @@ def test_unknown_section_key_errors(tmp_path, capsys):
         ("gapfit", "window", [0.5, 0.1]),
         ("boxdim", "points", 500),  # box_counting_dim needs 1000
         ("boxdim", "nscales", 3),  # and 4 scales
+        ("capacity", "pairs", 0),  # capacity_lower_bound needs a pair
+        ("capacity", "pairs", -5),
+        ("capacity", "oracle_pairs", 0),
+        ("smalltime", "T_values", []),  # a study needs a window
     ],
 )
 def test_malformed_section_value_errors(tmp_path, capsys, section, key, value):

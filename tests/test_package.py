@@ -164,8 +164,8 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_only_spectral_calls_the_eigensolver():
-    # spectral.ordered_eigenvalues serializes np.linalg.eigvalsh across
-    # threads; a direct call elsewhere would run outside that lock
+    # spectral.ordered_eigenvalues is the one route to np.linalg.eigvalsh; a
+    # direct call elsewhere would skip its Hermitian check and descending order
     for path in sorted((ROOT / "src" / "eigencollide").glob("*.py")):
         calls = [
             node.lineno
