@@ -117,18 +117,48 @@ def _draw_pairs(sampler: Callable, pairs: int, seed: int) -> np.ndarray:
     return points[:, None] if points.ndim == 1 else points
 
 
+# pairs per block of _pair_energy, so its temporaries do not grow with the
+# pair count (README, Performance)
+_ENERGY_BLOCK = 2**14
+
+
 def _pair_energy(x: np.ndarray, y: np.ndarray, alpha: float) -> EnergyEstimate:
-    """Mean of f_alpha(|x_i - y_i|) over the finite pairs; singular pairs are counted apart."""
-    r = np.linalg.norm(x - y, axis=-1)
-    divergent = (r < _DIVERGENCE_DISTANCE) & (alpha >= 0.0)
-    pairs, ndiv = r.size, int(divergent.sum())
-    # no copy when every pair is finite, the usual case (README, Performance)
-    vals = f_alpha(r[~divergent] if ndiv else r, alpha)
-    if vals.size == 0:
+    """Mean of f_alpha(|x_i - y_i|) over the finite pairs; singular pairs are counted apart.
+
+    The pairs are read in blocks of _ENERGY_BLOCK. Each block's finite count,
+    mean and sum of squared deviations are merged into the running ones by
+    the pairwise update of Chan, Golub & LeVeque; the first non-empty block
+    is taken as it is, so up to one block, value and stderr are those of
+    np.mean and np.std(ddof=1) / sqrt(n) bit for bit, and within rounding
+    beyond it.
+    """
+    pairs, ndiv = x.shape[0], 0
+    n, mean, m2 = 0, 0.0, 0.0
+    for lo in range(0, pairs, _ENERGY_BLOCK):
+        r = np.linalg.norm(x[lo : lo + _ENERGY_BLOCK] - y[lo : lo + _ENERGY_BLOCK], axis=-1)
+        divergent = (r < _DIVERGENCE_DISTANCE) & (alpha >= 0.0)
+        k = int(divergent.sum())
+        ndiv += k
+        vals = f_alpha(r[~divergent] if k else r, alpha)
+        if vals.size == 0:
+            continue
+        b_mean = np.mean(vals)
+        b_m2 = np.sum((vals - b_mean) ** 2)
+        if n == 0:
+            n, mean, m2 = vals.size, b_mean, b_m2
+            continue
+        total = n + vals.size
+        delta = b_mean - mean
+        if np.isfinite(delta):
+            mean = mean + delta * (vals.size / total)
+            m2 = m2 + b_m2 + delta * delta * (n * vals.size / total)
+        else:  # an overflowed kernel value: np.mean's inf and np.std's nan
+            mean, m2 = mean + b_mean, np.nan
+        n = total
+    if n == 0:
         return EnergyEstimate(value=np.inf, stderr=0.0, pairs=pairs, divergent_pairs=ndiv)
-    value = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return EnergyEstimate(value=value, stderr=stderr, pairs=pairs, divergent_pairs=ndiv)
+    stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+    return EnergyEstimate(value=float(mean), stderr=stderr, pairs=pairs, divergent_pairs=ndiv)
 
 
 def energy_integral(
@@ -138,7 +168,9 @@ def energy_integral(
 
     sampler(n, rng) must return n i.i.d. points as an (n, dim) array from a
     probability measure supported on the target set. One call draws
-    2 * pairs points; the first half is paired with the second.
+    2 * pairs points; the first half is paired with the second. The pairs
+    are then evaluated block by block (_pair_energy), so beyond the drawn
+    points the estimate holds a few arrays of one block, whatever pairs is.
     """
     points = _draw_pairs(sampler, pairs, seed)
     return _pair_energy(points[:pairs], points[pairs:], float(alpha))

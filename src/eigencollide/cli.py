@@ -37,6 +37,7 @@ from .capacity import (
 from .config import ExperimentConfig, config_to_dict, parse_config
 from .ensembles import n_beta
 from .experiments import (
+    _collision_workers,
     _field_path_batch,
     _window_start,
     degenerate_point_cloud,
@@ -295,6 +296,7 @@ def _cmd_selfcheck(config: ExperimentConfig, threads: int) -> list:
         cfg = config.replace(
             beta=beta, d=2, hurst=(0.3,), interval=(1.0, 2.0),
             intervals=256, mesh_ladder=None, replicas=100, shift=None,
+            extras={},  # a section valid at the config's beta may not be at this one
         )
         disc = oracle_vector_reduction(cfg)
         records.append(_selfcheck_record(f"d2_oracle_beta{beta}", disc, 1e-10))
@@ -370,6 +372,7 @@ def main(argv=None) -> int:
         config = parse_config(args.config) if args.config else ExperimentConfig()
         overrides = {"seed": args.seed, "replicas": getattr(args, "replicas", None)}
         config = config.replace(**{k: v for k, v in overrides.items() if v is not None})
+        threads = _collision_workers(config.d, threads)  # the manifest records these
         records = _DISPATCH[args.subcommand](config, threads)
         path = _write_results(args.out, args.format, records)
         finished = datetime.datetime.now(datetime.timezone.utc).isoformat()

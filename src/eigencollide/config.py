@@ -83,6 +83,20 @@ def _hurst_values(v, name: str) -> tuple:
     return hs
 
 
+# a swept H must stay this far from the critical value 1/(1+beta), where the
+# collision dichotomy is undecided; config and phase_sweep both apply it
+_SWEEP_MARGIN = 0.02
+
+
+def _check_off_critical(hs, beta: int, name: str) -> None:
+    critical = 1.0 / (1.0 + beta)
+    for h in hs:
+        if abs(h - critical) < _SWEEP_MARGIN:
+            raise ValueError(
+                f"{name}: H={h} is within {_SWEEP_MARGIN} of the critical value {critical:.4g}"
+            )
+
+
 def _bounded(rule, ok, what: str):
     """A value rule: rule, then ok(value) or an error naming the field and what it must be."""
     def check(v, name: str):
@@ -199,6 +213,9 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"section {name}: unknown keys {sorted(unknown)}")
             self.section(name)  # applies every value rule
+        # the one section rule that needs beta
+        swept = self.section("sweep")["hurst_values"] or ()
+        _check_off_critical(swept, self.beta, "sweep.hurst_values")
 
     def ladder(self) -> tuple:
         return self.mesh_ladder if self.mesh_ladder is not None else (self.intervals,)

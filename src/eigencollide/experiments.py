@@ -10,7 +10,8 @@ bit-identical for any worker count and any BATCH (on one machine: see
 streams._polar_normals). BATCH bounds each worker's working set, which grows
 in proportion to Nmax. These batches run in the package's one thread pool
 at d <= 3; at d >= 4 they run on the calling thread, as a second thread
-only costs CPU (spectral), and so do the d = 2 oracle's.
+only costs CPU (spectral), and so do the d = 2 oracle's. _collision_workers
+states that rule, and the CLI's manifest records the count it gives.
 
 The sampler draws n_beta - 1 scalar fBm paths per replica, not n_beta: gaps
 are invariant under Y -> Y + cI, so the trace direction is never sampled.
@@ -54,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import collision_regime
-from .config import _time_ladder
+from .config import _check_off_critical, _time_ladder
 from .ensembles import (
     _unpacking_basis,
     coefficient_scale,
@@ -193,6 +194,11 @@ class ExponentFit:
 def _threshold(kappa: float, mesh: float, H: float) -> float:
     """delta = kappa * mesh^H, the Hoelder-modulus threshold schedule."""
     return float(kappa) * float(mesh) ** float(H)
+
+
+def _collision_workers(d: int, threads: int) -> int:
+    """Threads the collision loop runs on: threads at d <= 3, one at d >= 4 (module docstring)."""
+    return threads if d < 4 else 1
 
 
 def _run_batches(replicas: int, threads: int, work) -> None:
@@ -405,7 +411,7 @@ def _min_gaps_ladder(
             for col, stride in enumerate(strides):
                 minima[k, lo:hi, col] = gaps[:, ::stride].min(axis=1)
 
-    _run_batches(replicas, threads if d < 4 else 1, work)  # module docstring
+    _run_batches(replicas, _collision_workers(d, threads), work)
     return minima
 
 
@@ -485,20 +491,15 @@ def refinement_study(
 def phase_sweep(hurst_values: Sequence[float], config, threads: int = 1) -> PhaseSweepResult:
     """One refinement study per Hurst value, on config.ladder().
 
-    Every H must stay at least 0.02 away from the critical value 1/(1+beta),
-    where the dichotomy is undecided. All H share each replica's normals
-    (common random numbers): study k is bit-identical to
+    Every H must stay at least 0.02 (config._SWEEP_MARGIN) away from the
+    critical value 1/(1+beta), where the dichotomy is undecided. All H share
+    each replica's normals (common random numbers): study k is bit-identical to
     refinement_study(config.replace(hurst=(hurst_values[k],))), and estimates
     across H are positively correlated, so the summary ratio, which compares
     finest-mesh estimates across the threshold, is a paired comparison.
     """
-    critical = 1.0 / (1.0 + config.beta)
     hs = tuple(_check_hurst(h) for h in hurst_values)
-    for h in hs:
-        if abs(h - critical) < 0.02:
-            raise ValueError(
-                f"H={h} is within 0.02 of the critical value {critical:.4g}"
-            )
+    _check_off_critical(hs, config.beta, "hurst_values")
     studies = _refinement_studies(config, hs, threads)
     regimes = [collision_regime(config.beta, (h,)) for h in hs]
     coll = [s.stats[-1].p_hat for s, r in zip(studies, regimes) if r == "collision"]

@@ -1,11 +1,15 @@
 """Riesz kernels, energy integrals, capacity bounds, box counting, decision rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencollide.capacity import (
+    _ENERGY_BLOCK,
+    _pair_energy,
     box_counting_dim,
     capacity_lower_bound,
     collision_regime,
@@ -144,6 +148,81 @@ def test_energy_rejects_no_pairs():
         energy_integral(uniform_unit_interval, 0.5, 0, 1)
     with pytest.raises(ValueError, match="at least one pair"):
         capacity_lower_bound(uniform_unit_interval, (0.5,), 0, 1)
+
+
+B = _ENERGY_BLOCK
+
+
+def _all_pairs_at_once(x, y, alpha):
+    """value, stderr, divergent pairs from every pair's kernel value in one array."""
+    r = np.linalg.norm(x - y, axis=-1)
+    divergent = (r < 1e-14) & (alpha >= 0.0)
+    vals = f_alpha(r[~divergent], alpha)
+    if vals.size == 0:
+        return np.inf, 0.0, int(divergent.sum())
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return float(np.mean(vals)), stderr, int(divergent.sum())
+
+
+@pytest.mark.parametrize(
+    "pairs, alpha, coincide",
+    [
+        (B - 1, 0.5, ()),
+        (B, 0.5, ()),
+        (B + 1, 0.5, ()),
+        (3 * B + 7, 0.5, ()),
+        (3 * B + 7, 1.5, (5, B + 3, 3 * B + 6)),  # divergent pairs in later blocks too
+        (2 * B + 5, 0.5, tuple(range(B))),  # the first block all divergent
+        (2 * B + 1, 0.5, "all"),  # every pair divergent: value inf
+        (3 * B + 7, -1.0, (5, 2 * B)),  # the constant kernel has no singularity
+        (3 * B + 7, 0.0, (2 * B,)),
+        (B, 0.0, (3,)),
+        (1, 0.5, ()),
+        (1, 0.5, "all"),
+    ],
+)
+def test_blocked_energy_matches_all_pairs_at_once(pairs, alpha, coincide):
+    # up to one block bit for bit, and within rounding beyond it
+    rng = np.random.default_rng(pairs)
+    x, y = rng.random((pairs, 2)), rng.random((pairs, 2))
+    if coincide == "all":
+        y = x.copy()
+    else:
+        y[list(coincide)] = x[list(coincide)]
+    est = _pair_energy(x, y, alpha)
+    value, stderr, ndiv = _all_pairs_at_once(x, y, alpha)
+    assert est.pairs == pairs and est.divergent_pairs == ndiv
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+    if pairs <= B:
+        assert (est.value, est.stderr) == (value, stderr)
+
+
+@pytest.mark.parametrize("overflow", [(4,), (B + 4,), (4, B + 4)])
+def test_blocked_energy_keeps_an_overflowed_kernel_value(overflow):
+    # r^-40 overflows at r = 1e-12: value inf and stderr nan, as np.mean and
+    # np.std give on the values, whichever blocks hold such a pair
+    x = np.random.default_rng(3).random((B + 10, 1))
+    y = x + 0.25
+    y[list(overflow)] = x[list(overflow)] + 1e-12
+    with pytest.warns(RuntimeWarning):  # overflow, then inf - inf
+        est = _pair_energy(x, y, 40.0)
+    assert est.value == np.inf and np.isnan(est.stderr)
+    assert est.divergent_pairs == 0
+
+
+def test_energy_temporaries_do_not_grow_with_pairs():
+    # 2^20 pairs on the line: the points take 16 MB, and evaluating every
+    # pair at once took 33 MB of temporaries beside them
+    n = 2**20
+    points = np.random.default_rng(0).random((2 * n, 1))
+    tracemalloc.start()
+    try:
+        _pair_energy(points[:n], points[n:], 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- capacity bound -----------------------------------------------------------

@@ -196,6 +196,17 @@ def test_threads_flag_only_where_a_pool_runs(tmp_path, small_config, capsys, sub
     assert json.loads((out / "manifest.json").read_text())["worker_count"] == 1
 
 
+@pytest.mark.parametrize("d, workers", [(2, 4), (4, 1)])
+def test_manifest_records_the_workers_that_ran(tmp_path, d, workers):
+    # the collision loop runs d >= 4 batches on the calling thread whatever
+    # --threads asks for, and the manifest says so
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"d": d, "intervals": 64, "replicas": 16}))
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(path), "--out", str(out), "--threads", "4"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["worker_count"] == workers
+
+
 @pytest.mark.parametrize("subcommand", ["gapfit", "capacity", "boxdim"])
 def test_critical_hurst_does_not_warn_off_the_paths(tmp_path, subcommand):
     # H = 0.5 is critical at beta = 1, but these results do not depend on
@@ -328,6 +339,8 @@ def test_unknown_section_key_errors(tmp_path, capsys):
         ("capacity", "pairs", -5),
         ("capacity", "oracle_pairs", 0),
         ("smalltime", "T_values", []),  # a study needs a window
+        ("sweep", "hurst_values", [0.3, 0.51]),  # within 0.02 of 1/(1+beta) = 0.5
+        ("sweep", "hurst_values", [0.49]),
     ],
 )
 def test_malformed_section_value_errors(tmp_path, capsys, section, key, value):
@@ -423,6 +436,15 @@ def test_selfcheck_on_a_ladder_config(tmp_path, small_config):
     assert run(["selfcheck", "--config", small_config, "--out", str(out)]) == 0
     rows = read_csv(out / "results.csv")
     assert all(r["passed"] == "true" for r in rows)
+
+
+def test_selfcheck_ignores_the_sections_at_its_own_beta(tmp_path):
+    # H = 0.34 is far from the critical 0.5 of this beta 1 config, but within
+    # 0.02 of beta 2's 1/3, where selfcheck runs its second oracle
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"beta": 1, "sweep": {"hurst_values": [0.34, 0.7]}}))
+    out = tmp_path / "out"
+    assert run(["selfcheck", "--config", str(path), "--out", str(out)]) == 0
 
 
 # -- every config that parses runs ----------------------------------------------

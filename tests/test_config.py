@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eigencollide.config import ExperimentConfig, config_to_dict, parse_config
-from eigencollide.experiments import refinement_study
+from eigencollide.experiments import phase_sweep, refinement_study
 
 
 def test_defaults():
@@ -299,6 +299,16 @@ def test_critical_hurst_warns():
         cfg = ExperimentConfig(beta=1, hurst=(0.5,), intervals=16, replicas=2)
     with pytest.warns(UserWarning, match="critical case"):
         refinement_study(cfg)
+
+
+def test_swept_hurst_is_checked_against_the_configs_beta():
+    # 0.34 is 0.16 from beta 1's critical 0.5 and 0.007 from beta 2's 1/3;
+    # phase_sweep applies the same margin to library callers
+    cfg = ExperimentConfig(beta=1, extras={"sweep": {"hurst_values": [0.34]}})
+    with pytest.raises(ValueError, match=r"^sweep.hurst_values: H=0.34 is within 0.02"):
+        cfg.replace(beta=2)
+    with pytest.raises(ValueError, match=r"^hurst_values: H=0.34 is within 0.02"):
+        phase_sweep([0.34], cfg.replace(beta=2, extras={}))
 
 
 def test_ladder_defaults_to_intervals():
